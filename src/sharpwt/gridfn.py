@@ -49,6 +49,8 @@ class GridFunction:
         # h * (prefix[b] - prefix[a])
         self._prefix = np.concatenate(([0.0], np.cumsum(vals)))
         self._prefix_abs = np.concatenate(([0.0], np.cumsum(np.abs(vals))))
+        if not np.isfinite(self._prefix_abs[-1]):  # a NaN or an infinity anywhere reaches the total
+            raise ValueError("grid values must be finite")
 
     # ---- geometry ----
 

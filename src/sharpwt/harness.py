@@ -2,7 +2,7 @@
 characteristic, ratio scans for the lemma-level inequalities, seeded
 corpora, and CSV/JSON emission.
 
-Exponent protocol (frozen after the convergence study in notes/convergence.md):
+Exponent protocol (frozen after the convergence study in docs/convergence.md):
 the weight is a power family with exact cell averages; the test function is
 the exact cell-average discretization of |x|^(delta-1) on (0,1); its norm is
 evaluated in closed form (the conjugate-pair integrand is |x|^(delta-1), so
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sharpwt.decomp import a_gamma, decompose
+from sharpwt.decomp import _integral_abs_interval, a_gamma, decompose
 from sharpwt.gridfn import GridFunction, local_osc, median
 from sharpwt.intrinsic import ConeQuadrature, SquareFunctionEngine, intrinsic_engine
 from sharpwt.operators import (
@@ -37,7 +37,7 @@ from sharpwt.operators import (
     hilbert,
     hilbert_max,
     maximal,
-    psi_convolve_at,
+    psi_engine,
 )
 from sharpwt.weights import (
     Weight,
@@ -179,7 +179,7 @@ def exponent_experiment(spec: ExperimentSpec) -> FitResult:
     return FitResult(spec, slope, intercept, r2, points)
 
 
-# acceptance runs frozen by the convergence study (see notes/convergence.md)
+# acceptance runs frozen by the convergence study (see docs/convergence.md)
 OCTAVE_LADDER = tuple(2.0**-k for k in range(1, 7))
 HALF_OCTAVE_LADDER = tuple(2.0 ** (-(1 + k / 2)) for k in range(5))
 
@@ -276,9 +276,7 @@ def cached_engine(f: GridFunction, kind: str = "galpha", alpha: float = 0.5, q: 
         if kind == "galpha":
             _ENGINE_CACHE[key] = intrinsic_engine(f, alpha, q, mode=mode)
         elif kind == "psi":
-            quad = ConeQuadrature.for_grid(f)
-            _ENGINE_CACHE[key] = SquareFunctionEngine(
-                f, quad, lambda y, t: abs(psi_convolve_at(f, y, t, psi)))
+            _ENGINE_CACHE[key] = psi_engine(f, ConeQuadrature.for_grid(f), psi)
         else:
             raise ValueError(kind)
     return _ENGINE_CACHE[key]
@@ -404,8 +402,6 @@ def _scan_52(fs):
                 for a in range(0, g.ncells, size):
                     osc = local_osc(gt2f, (a, a + size), lam)
                     lo = g.origin + Fraction(a, g.ncells) - 7 * Fraction(size, g.ncells)
-                    from sharpwt.decomp import _integral_abs_interval
-
                     width = 15 * size * g.cell_width
                     avg = _integral_abs_interval(g, lo, lo + width) / float(width)
                     if avg > 1e-9:

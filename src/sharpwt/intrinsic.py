@@ -1,5 +1,5 @@
 """The intrinsic square function machinery: the sup over a discretized
-Hölder class evaluated per upper-half-plane node by a small linear program
+Hölder class evaluated per upper-half-plane node by an exact primal simplex
 (or a fixed feasible dictionary giving certified lower bounds), one shared
 Carleson-box quadrature, and the cone / box aggregations built on it.
 
@@ -9,6 +9,18 @@ pinned to zero at both endpoints, mean-zero in the exact trapezoid sense
 enforced on all node pairs.  The objective f * phi_t(y) is linear in the
 node values with coefficients given by exact integrals of the transported
 hat basis against the step function f.
+
+The class supremum is a linear program over the fixed polytope of the q - 2
+free node values.  A vertex is given by a basis of q - 3 tight signed
+Hölder rows plus the mean-zero row; the simplex walks between vertices
+(largest-coefficient rule, then Bland's rule from the first degenerate step
+on, so it cannot cycle) and stops at one whose Hölder-row multipliers are
+all >= 0, which certifies it optimal.  The class finds its first vertex by walking
+from phi = 0 along null-space directions of the rows made tight so far.  An
+engine build solves its nodes one quadrature level at a time, in a fixed
+order, each starting from the best vertex found so far in that build.
+A general-purpose LP solver (scipy's HiGHS interface) is kept only as the
+test oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from sharpwt.gridfn import GridFunction
+
+_MULTIPLIER_TOL = 1e-13  # relative to max |c|: a multiplier below -tol * max|c| is improvable
+_DIRECTION_TOL = 1e-9    # a row blocks a step only if it moves toward its bound by more
+_RATIO_TIE = 1e-12       # step lengths this close are ties, broken by the smallest row index
+_HAT_CHUNK = 1 << 17     # float64 entries per (nodes x q x cells) hat tensor chunk, ~1 MB
 
 
 @dataclass(frozen=True)
@@ -62,9 +78,15 @@ def _trapezoid_weights(q: int) -> np.ndarray:
     return w
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class HolderClass:
     """Constraint system for the discretized class at fixed (alpha, q), with
-    an exact LP evaluator and an 8-kernel feasible dictionary."""
+    an exact simplex evaluator and an 8-kernel feasible dictionary.  Holds
+    only read-only data, so one instance may be shared."""
 
     def __init__(self, alpha: float, q: int):
         if not 0 < alpha <= 1:
@@ -74,77 +96,152 @@ class HolderClass:
         self.alpha = float(alpha)
         self.q = int(q)
         self.nodes = np.linspace(-1.0, 1.0, q)
-        rows, rhs = [], []
+        # variables: the free values phi_1..phi_{q-2}.  Row 0 is the mean-zero
+        # equation (interior trapezoid weights are all equal); rows 1.. are
+        # a . x <= b for both signs of every pair, the pinned pair excluded
+        n = q - 2
+        rows, rhs = [np.ones(n)], [0.0]
         for i in range(q):
             for j in range(i + 1, q):
+                if (i, j) == (0, q - 1):
+                    continue
                 bound = (self.nodes[j] - self.nodes[i]) ** self.alpha
                 row = np.zeros(q)
                 row[i], row[j] = 1.0, -1.0
-                rows.append(row.copy())
-                rhs.append(bound)
-                rows.append(-row)
-                rhs.append(bound)
-        self._a_ub = np.array(rows)
-        self._b_ub = np.array(rhs)
-        self._a_eq = _trapezoid_weights(q)[None, :]
-        self._bounds = [(0.0, 0.0)] + [(-2.0, 2.0)] * (q - 2) + [(0.0, 0.0)]
-        self._dictionary: np.ndarray | None = None
+                rows += [row[1:-1], -row[1:-1]]
+                rhs += [bound, bound]
+        self._a = _frozen(np.array(rows))
+        self._b = _frozen(np.array(rhs))
+        self._start = _frozen(self._first_basis())
+        self._dictionary = _frozen(self._build_dictionary())
+
+    def _first_basis(self) -> np.ndarray:
+        """A vertex basis reached from phi = 0: step along a null-space
+        direction of the rows tight so far until one more row is tight."""
+        a, b = self._a, self._b
+        basis = [0]
+        x = np.zeros(a.shape[1])
+        while len(basis) < a.shape[1]:
+            d = np.linalg.svd(a[basis])[2][-1]
+            step, row = _ratio_test(a, b, x, d, basis)
+            x = x + step * d
+            basis.append(row)
+        return np.array(basis)
+
+    def _solve(self, c: np.ndarray, basis: np.ndarray | None = None,
+               max_pivots: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Primal simplex for max c . phi from the vertex of `basis` (the
+        class's first vertex by default).  Returns the optimal vertex x
+        (phi_1..phi_{q-2}), the multipliers y with A_B^T y = c (y[0] belongs
+        to the mean-zero row and is free; the rest are >= 0, which certifies
+        optimality) and the basis.  Raises if the pivot cap is reached."""
+        a, b = self._a, self._b
+        ci = np.asarray(c, dtype=float)[1:-1]
+        tol = _MULTIPLIER_TOL * float(np.max(np.abs(ci), initial=0.0))
+        basis = (self._start if basis is None else basis).copy()
+        cap = a.shape[0] if max_pivots is None else max_pivots
+        bland = False
+        for pivots in range(cap + 1):
+            inv = np.linalg.inv(a[basis])
+            y = ci @ inv
+            x = inv @ b[basis]
+            improving = np.flatnonzero(y[1:] < -tol) + 1
+            if improving.size == 0:
+                return x, y, basis
+            if pivots == cap:
+                break
+            # release the most negative multiplier's row while every step
+            # strictly raises c . x, so no basis repeats; from the first
+            # degenerate step on, Bland's rule (the improving row of smallest
+            # index; the ratio test admits the blocking row of smallest
+            # index), which cannot cycle
+            r = improving[np.argmin(basis[improving] if bland else y[improving])]
+            step, basis[r] = _ratio_test(a, b, x, -inv[:, r], basis)
+            bland = bland or step <= _RATIO_TIE
+        raise RuntimeError(f"holder-class simplex reached its pivot cap ({cap}) at alpha={self.alpha}, q={self.q}")
 
     def lp_sup(self, c: np.ndarray) -> float:
         """Exact max of |c . phi| over the class (the feasible set is
-        symmetric under negation, so one LP suffices)."""
-        scale = float(np.max(np.abs(c)))
-        if scale == 0.0:
-            return 0.0
-        res = linprog(
-            -np.asarray(c, dtype=float) / scale,
-            A_ub=self._a_ub,
-            b_ub=self._b_ub,
-            A_eq=self._a_eq,
-            b_eq=[0.0],
-            bounds=self._bounds,
-            method="highs",
-            options={
-                "primal_feasibility_tolerance": 1e-10,
-                "dual_feasibility_tolerance": 1e-10,
-            },
-        )
-        if res.status != 0:
-            raise RuntimeError(f"holder-class LP failed: {res.message}")
-        return max(-res.fun * scale, 0.0)
+        symmetric under negation, so one maximization suffices)."""
+        return float(_VertexPool(self).sup_rows(np.asarray(c, dtype=float)[None, :])[0])
+
+    def _build_dictionary(self) -> np.ndarray:
+        u = self.nodes
+        raw = [np.sin(k * np.pi * u) for k in (1, 2, 3, 4)]
+        evens = {k: np.sin(k * np.pi * u) ** 2 for k in (1, 2, 3, 4)}
+        for a, b in ((1, 2), (1, 3), (2, 3), (1, 4)):
+            raw.append(evens[a] - evens[b])
+        w = _trapezoid_weights(self.q)
+        ref = evens[1]
+        entries = []
+        for v in raw:
+            v = v.astype(float)
+            v[0] = v[-1] = 0.0  # np.sin(k pi) is only zero to rounding
+            for _ in range(2):  # drive the trapezoid mean to rounding level
+                v = v - (np.dot(w, v) / np.dot(w, ref)) * ref
+            v[0] = v[-1] = 0.0
+            rho = max(
+                float(np.max(np.abs(v[lag:] - v[:-lag]))) / (u[lag] - u[0]) ** self.alpha
+                for lag in range(1, self.q)
+            )
+            entries.append(v / rho if rho > 0 else v)  # q = 3: the class is {0}
+        return np.array(entries)
 
     def dictionary(self) -> np.ndarray:
         """8 precomputed feasible kernels: scaled odd sine bumps and
         mean-zero differences of even ones; values are certified lower
         bounds for the class supremum by feasibility."""
-        if self._dictionary is None:
-            u = self.nodes
-            raw = [np.sin(k * np.pi * u) for k in (1, 2, 3, 4)]
-            evens = {k: np.sin(k * np.pi * u) ** 2 for k in (1, 2, 3, 4)}
-            for a, b in ((1, 2), (1, 3), (2, 3), (1, 4)):
-                raw.append(evens[a] - evens[b])
-            w = _trapezoid_weights(self.q)
-            ref = evens[1]
-            entries = []
-            for v in raw:
-                v = v.astype(float)
-                v[0] = v[-1] = 0.0  # np.sin(k pi) is only zero to rounding
-                for _ in range(2):  # drive the trapezoid mean to rounding level
-                    v = v - (np.dot(w, v) / np.dot(w, ref)) * ref
-                v[0] = v[-1] = 0.0
-                rho = max(
-                    float(np.max(np.abs(v[lag:] - v[:-lag]))) / (u[lag] - u[0]) ** self.alpha
-                    for lag in range(1, self.q)
-                )
-                entries.append(v / rho)
-            self._dictionary = np.array(entries)
         return self._dictionary
 
     def dictionary_kernels(self) -> list[HolderKernel]:
         return [HolderKernel(self.alpha, row) for row in self.dictionary()]
 
     def dict_sup(self, c: np.ndarray) -> float:
-        return float(np.max(np.abs(self.dictionary() @ c)))
+        return float(self._dict_rows(np.asarray(c, dtype=float)[None, :])[0])
+
+    def _dict_rows(self, rows: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(rows @ self._dictionary.T), axis=1)
+
+
+def _ratio_test(a: np.ndarray, b: np.ndarray, x: np.ndarray, d: np.ndarray, basis) -> tuple[float, int]:
+    """Longest step along d from x that keeps a . x <= b, and the row that
+    blocks it (the smallest index among ties)."""
+    ad = a @ d
+    ad[basis] = 0.0
+    rows = np.flatnonzero(ad > _DIRECTION_TOL)
+    steps = np.maximum(b[rows] - a[rows] @ x, 0.0) / ad[rows]
+    step = float(np.min(steps))
+    return step, int(rows[np.argmax(steps <= step + _RATIO_TIE)])
+
+
+class _VertexPool:
+    """Optimal vertices found during one engine build (or one lp_sup call),
+    starting from the class's first vertex.  Each solve starts from the
+    pooled vertex best for its objective, chosen by one matmul.  The pool
+    lives only as long as the build, so values do not depend on what ran
+    before."""
+
+    def __init__(self, cls: HolderClass):
+        self.cls = cls
+        self.bases = [cls._start]
+        self.xs = np.linalg.solve(cls._a[cls._start], cls._b[cls._start])[None, :]
+        self.seen = {np.sort(cls._start).tobytes()}
+
+    def sup_rows(self, rows: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(rows))
+        for i, c in enumerate(rows):
+            ci = c[1:-1]
+            if not ci.any():
+                continue
+            start = int(np.argmax(self.xs @ ci))
+            x, _, basis = self.cls._solve(c, self.bases[start])
+            key = np.sort(basis).tobytes()
+            if key not in self.seen:
+                self.seen.add(key)
+                self.bases.append(basis)
+                self.xs = np.vstack([self.xs, x])
+            out[i] = max(float(ci @ x), 0.0)
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -158,20 +255,38 @@ def _hat_cdf(xi: np.ndarray) -> np.ndarray:
     return np.where(xi <= 0, (1.0 + xi) ** 2 / 2.0, 1.0 - (1.0 - xi) ** 2 / 2.0)
 
 
+def _hat_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray, q: int) -> np.ndarray:
+    """hat_coefficients at every node (ys[n], ts[n]), as one tensor op per
+    chunk of nodes: each node reads the cells its kernel support meets,
+    padded with zero cells to the widest support among the nodes."""
+    h_node = 2.0 / (q - 1)
+    wh = ts * h_node
+    edges = f.cell_edges()
+    a = np.maximum(np.searchsorted(edges, ys - ts - wh, "right") - 1, 0)
+    b = np.minimum(np.searchsorted(edges, ys + ts + wh, "left"), f.ncells)
+    out = np.zeros((ys.size, q))
+    width = int(np.max(b - a, initial=0))
+    if width <= 0:
+        return out
+    u = np.linspace(-1.0, 1.0, q)
+    cells = np.arange(width + 1)
+    values = np.append(f.values, 0.0)
+    chunk = max(1, _HAT_CHUNK // (q * (width + 1)))
+    for lo in range(0, ys.size, chunk):
+        part = slice(lo, lo + chunk)
+        idx = np.minimum(a[part, None] + cells, f.ncells)                      # (n, width + 1)
+        vals = np.where(idx[:, :-1] < b[part, None], values[idx[:, :-1]], 0.0)  # (n, width)
+        z_centers = ys[part, None] - ts[part, None] * u                         # (n, q)
+        xi = (edges[idx][:, None, :] - z_centers[:, :, None]) / wh[part, None, None]
+        cdf = _hat_cdf(xi)
+        out[part] = h_node * (np.diff(cdf, axis=2) @ vals[:, :, None])[:, :, 0]
+    return out
+
+
 def hat_coefficients(f: GridFunction, y: float, t: float, q: int) -> np.ndarray:
     """c_i = int f(y - t u) B_i(u) du for the piecewise-linear hat basis;
     exact for step f (hat CDF evaluated at transported cell edges)."""
-    h_node = 2.0 / (q - 1)
-    wh = t * h_node
-    edges = f.cell_edges()
-    a = max(int(np.searchsorted(edges, y - t - wh, "right")) - 1, 0)
-    b = min(int(np.searchsorted(edges, y + t + wh, "left")), f.ncells)
-    if b <= a:
-        return np.zeros(q)
-    z_centers = y - t * np.linspace(-1.0, 1.0, q)
-    xi = (edges[None, a : b + 1] - z_centers[:, None]) / wh
-    cdf = _hat_cdf(xi)
-    return h_node * (np.diff(cdf, axis=1) @ f.values[a:b])
+    return _hat_rows(f, np.array([y], dtype=float), np.array([t], dtype=float), q)[0]
 
 
 def holder_sup(f: GridFunction, y: float, t: float, alpha: float = 0.5, q: int = 17, mode: str = "lp") -> float:
@@ -237,13 +352,17 @@ class ConeQuadrature:
 
 
 class SquareFunctionEngine:
-    """Evaluates a node functional once per quadrature node and aggregates
-    it into the cone version (aperture beta, open or closed) and the box
-    version sum_Q gamma_Q^2 chi_3Q; both use the identical node set, which
-    makes the discrete sandwich G(beta=1) <= G~ <= G(beta=4, closed) exact.
+    """Evaluates a node functional once per quadrature node, one level at a
+    time, and aggregates it into the cone version (aperture beta, open or
+    closed) and the box version sum_Q gamma_Q^2 chi_3Q; both use the
+    identical node set, which makes the discrete sandwich
+    G(beta=1) <= G~ <= G(beta=4, closed) exact.
     """
 
-    def __init__(self, f: GridFunction, quad: ConeQuadrature, node_eval):
+    def __init__(self, f: GridFunction, quad: ConeQuadrature, level_eval):
+        """level_eval(ys, ts) returns the node functional at the nodes
+        (ys[n], ts[n]); it is called once per level, with the nodes in
+        (box, y offset, t) order."""
         self.f = f
         self.quad = quad
         # per level: arrays of y, t, weight, value
@@ -253,11 +372,10 @@ class SquareFunctionEngine:
             dy, ts, weight = quad.level_nodes(k)
             boxes = np.arange(j_lo, j_hi + 1)
             ys = boxes[:, None] * side + dy[None, :]          # (nboxes, m)
-            vals = np.empty((boxes.size, ts.size, ts.size))   # (box, iy, it)
-            for bi in range(boxes.size):
-                for iy in range(ts.size):
-                    for it in range(ts.size):
-                        vals[bi, iy, it] = node_eval(float(ys[bi, iy]), float(ts[it]))
+            shape = (boxes.size, ts.size, ts.size)            # (box, iy, it)
+            node_ys = np.broadcast_to(ys[:, :, None], shape).ravel()
+            node_ts = np.broadcast_to(ts, shape).ravel()
+            vals = np.asarray(level_eval(node_ys, node_ts), dtype=float).reshape(shape)
             self._levels.append(
                 {"k": k, "side": side, "j_lo": j_lo, "ys": ys, "ts": ts,
                  "weight": weight, "vals": vals}
@@ -312,12 +430,9 @@ class SquareFunctionEngine:
 
 def _lp_engine(f: GridFunction, quad: ConeQuadrature, alpha: float, q: int, mode: str) -> SquareFunctionEngine:
     cls = _holder_class(float(alpha), int(q))
-    sup = cls.lp_sup if mode == "lp" else cls.dict_sup
-
-    def node_eval(y: float, t: float) -> float:
-        return sup(hat_coefficients(f, y, t, q))
-
-    return SquareFunctionEngine(f, quad, node_eval)
+    # the vertex pool is local to this build
+    sup_rows = _VertexPool(cls).sup_rows if mode == "lp" else cls._dict_rows
+    return SquareFunctionEngine(f, quad, lambda ys, ts: sup_rows(_hat_rows(f, ys, ts, q)))
 
 
 def intrinsic_engine(f: GridFunction, alpha: float = 0.5, q: int = 17, quad: ConeQuadrature | None = None,

@@ -172,13 +172,21 @@ def _conv_wide(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return full[start : start + values.size]
 
 
+def psi_engine(f: GridFunction, quad, psi: PsiKernel = PSI):
+    """SquareFunctionEngine whose node functional is |f * psi_t(y)|, one
+    exact convolution per node."""
+    from sharpwt.intrinsic import SquareFunctionEngine
+
+    def level_eval(ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        return np.array([abs(psi_convolve_at(f, y, t, psi)) for y, t in zip(ys.tolist(), ts.tolist())])
+
+    return SquareFunctionEngine(f, quad, level_eval)
+
+
 def s_psi(f: GridFunction, beta: float, quad, psi: PsiKernel = PSI, closed: bool = False) -> GridFunction:
     """Continuous square function over the cone of aperture beta, using the
     shared Carleson-box quadrature."""
-    from sharpwt.intrinsic import SquareFunctionEngine
-
-    engine = SquareFunctionEngine(f, quad, lambda y, t: abs(psi_convolve_at(f, y, t, psi)))
-    return engine.g_cone(beta, closed=closed)
+    return psi_engine(f, quad, psi).g_cone(beta, closed=closed)
 
 
 def g_psi(f: GridFunction, psi: PsiKernel = PSI, t_levels: tuple[int, int] | None = None) -> GridFunction:

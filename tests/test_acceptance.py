@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Reports for the ratio scans and exponent fits are
-archived as CSV under reports/ (override with SHARPWT_REPORT_DIR).
+lines and timings.  The ratio-scan and exponent-fit reports are written as
+CSV, with the per-criterion lines in acceptance.log, to a fresh pytest
+temporary directory per session, or to SHARPWT_REPORT_DIR when it is set;
+a test run never writes into the source tree otherwise.
 """
 
 import os
@@ -25,17 +27,27 @@ from sharpwt.harness import (
 )
 from sharpwt.intrinsic import _holder_class, hat_coefficients, intrinsic_engine
 
-REPORT_DIR = Path(os.environ.get("SHARPWT_REPORT_DIR", "reports"))
-REPORT_DIR.mkdir(parents=True, exist_ok=True)
-_LOG = REPORT_DIR / "acceptance.log"
-_LOG.write_text("")
+
+@pytest.fixture(scope="session")
+def report_dir(tmp_path_factory) -> Path:
+    """SHARPWT_REPORT_DIR if set, else a temporary directory; its
+    acceptance.log starts empty in every session."""
+    env = os.environ.get("SHARPWT_REPORT_DIR")
+    path = Path(env) if env else tmp_path_factory.mktemp("reports")
+    path.mkdir(parents=True, exist_ok=True)
+    (path / "acceptance.log").write_text("")
+    return path
 
 
-def report(criterion: str, passed: bool, detail: str = "") -> None:
-    line = f"[{'PASS' if passed else 'FAIL'}] {criterion}  {detail}"
-    print(line)
-    with open(_LOG, "a") as fh:
-        fh.write(line + "\n")
+@pytest.fixture(scope="session")
+def report(report_dir):
+    def write(criterion: str, passed: bool, detail: str = "") -> None:
+        line = f"[{'PASS' if passed else 'FAIL'}] {criterion}  {detail}"
+        print(line)
+        with open(report_dir / "acceptance.log", "a") as fh:
+            fh.write(line + "\n")
+
+    return write
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +55,7 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_dyadic_geometry():
+def test_criterion_1_dyadic_geometry(report):
     t0 = time.monotonic()
     violations = 0
 
@@ -119,7 +131,7 @@ def test_criterion_1_dyadic_geometry():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_2_decomposition_corpus():
+def test_criterion_2_decomposition_corpus(report):
     t0 = time.monotonic()
     rng = np.random.default_rng(20211)
     worst_slack, fails = -np.inf, 0
@@ -142,7 +154,7 @@ def test_criterion_2_decomposition_corpus():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_3_oscillation_oracles():
+def test_criterion_3_oscillation_oracles(report):
     rng = np.random.default_rng(303)
     lam = Fraction(1, 8)
     n = 64
@@ -201,7 +213,7 @@ def test_criterion_3_oscillation_oracles():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_4_sandwich():
+def test_criterion_4_sandwich(report):
     t0 = time.monotonic()
     worst_left, worst_right = -np.inf, -np.inf
     for label, f in corpus_functions(seed=51, resolution_s=8, n_random=40):
@@ -235,7 +247,7 @@ def lattice_sup_q5(c, alpha=0.5, step=1e-3, box=0.85):
     return float(np.max(np.where(feas, obj, 0.0)))
 
 
-def test_criterion_5_lp_oracles():
+def test_criterion_5_lp_oracles(report):
     rng = np.random.default_rng(55)
     cls5 = _holder_class(0.5, 5)
     cls17 = _holder_class(0.5, 17)
@@ -271,10 +283,10 @@ SCAN_IDS = ("5.2", "5.3", "5.9", "2.1", "2.2", "2.3", "5.13", "5.5-dom")
 
 
 @pytest.mark.parametrize("lemma", SCAN_IDS)
-def test_criterion_6_ratio_scan(lemma):
+def test_criterion_6_ratio_scan(lemma, report, report_dir):
     t0 = time.monotonic()
     rep = ratio_scan(lemma, seed=6, n_random=50)
-    path = REPORT_DIR / f"scan-{lemma.replace('.', '_')}.csv"
+    path = report_dir / f"scan-{lemma.replace('.', '_')}.csv"
     emit(rep, str(path))
     ok = rep.passed and np.isfinite(rep.max_base)
     report(f"criterion 6 (ratio scan {lemma})",
@@ -289,12 +301,12 @@ def test_criterion_6_ratio_scan(lemma):
 
 
 @pytest.mark.parametrize("name", sorted(ACCEPTANCE_RUNS))
-def test_criterion_7_exponent(name):
+def test_criterion_7_exponent(name, report, report_dir):
     spec, target, (lo, hi) = ACCEPTANCE_RUNS[name]
     t0 = time.monotonic()
     result = exponent_experiment(spec)
     elapsed = time.monotonic() - t0
-    emit(result, str(REPORT_DIR / f"exponent-{name}.csv"))
+    emit(result, str(report_dir / f"exponent-{name}.csv"))
     ok = lo <= result.slope <= hi and elapsed < 600.0
     # fitted slopes are lower-bound estimates; they must not overshoot
     ok = ok and result.slope <= target + 0.1
@@ -309,7 +321,7 @@ def test_criterion_7_exponent(name):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, report):
     spec = ACCEPTANCE_RUNS["sd-p3"][0]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit(exponent_experiment(spec), str(a))

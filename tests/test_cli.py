@@ -1,6 +1,10 @@
 """End-to-end CLI coverage through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,3 +117,20 @@ def test_cli_config_file(tmp_path, capsys):
     rc = main(["--config", str(cfg), "ap", "--weight", "const:2"])
     assert rc == 0
     assert "1.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_cli_file_weight_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "w.json"
+    values = ["1.0"] * 16
+    values[5] = bad  # json writes non-finite floats as these tokens
+    path.write_text('{"level_L": 0, "resolution_s": 4, "origin": "0", "values": [%s]}' % ", ".join(values))
+    with pytest.raises(ValueError, match="finite"):
+        parse_function(f"file:{path}", 0, 4)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sharpwt.cli", "ap", "--weight", f"file:{path}",
+                           "--p", "2", "--res", "4"], capture_output=True, text=True, env=env)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "finite" in proc.stderr

@@ -1,12 +1,17 @@
-"""Hölder-class LP evaluator vs the lattice oracle, dictionary certification,
-quadrature geometry, and the discrete box/cone sandwich."""
+"""Hölder-class simplex evaluator vs a linprog oracle and the lattice
+oracle, its optimality certificate, dictionary certification, quadrature
+geometry, and the discrete box/cone sandwich."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from sharpwt.gridfn import GridFunction
 from sharpwt.intrinsic import (
     ConeQuadrature,
+    HolderClass,
     HolderKernel,
     _holder_class,
     g_cone,
@@ -60,6 +65,110 @@ def lattice_sup_q5(c, alpha, step=1e-3, box=0.85):
             feas &= np.abs(phis[i] - phis[j]) <= (u[j] - u[i]) ** alpha
     obj = np.abs(sum(ci * phi for ci, phi in zip(c, phis)))
     return float(np.max(np.where(feas, obj, 0.0)))
+
+
+def linprog_sup(c, alpha):
+    """max |c . phi| over the class, built here from its definition and
+    solved with HiGHS for both signs."""
+    q = len(c)
+    u = np.linspace(-1, 1, q)
+    rows, rhs = [], []
+    for i in range(q):
+        for j in range(i + 1, q):
+            row = np.zeros(q)
+            row[i], row[j] = 1.0, -1.0
+            rows += [row, -row]
+            rhs += [(u[j] - u[i]) ** alpha] * 2
+    trap = np.full(q, 2.0 / (q - 1))
+    trap[[0, -1]] /= 2
+    obj = np.array(c, dtype=float)
+    obj[[0, -1]] = 0.0  # the pinned ends carry no weight
+    scale = float(np.max(np.abs(obj)))
+    if scale == 0.0:
+        return 0.0
+    best = 0.0
+    for sign in (1.0, -1.0):
+        res = linprog(-sign * obj / scale, A_ub=np.array(rows), b_ub=np.array(rhs),
+                      A_eq=trap[None, :], b_eq=[0.0], bounds=[(0, 0)] + [(None, None)] * (q - 2) + [(0, 0)],
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10})
+        assert res.status == 0
+        best = max(best, -res.fun * scale)
+    return best
+
+
+@st.composite
+def objectives(draw):
+    alpha = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    q = draw(st.sampled_from([3, 5, 9, 17]))
+    kind = draw(st.sampled_from(["random", "ties", "zero", "floats"]))
+    if kind == "floats":  # arbitrary entries, sizes mixed over many decades
+        c = np.array(draw(st.lists(st.floats(-100, 100, allow_subnormal=False), min_size=q, max_size=q)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        c = rng.standard_normal(q) * 10.0 ** draw(st.integers(-3, 3))
+        if kind == "ties":  # mirror-symmetric objectives have tied optimal vertices
+            c = c + c[::-1]
+        elif kind == "zero":
+            c = np.zeros(q)
+    return alpha, kind, c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(objectives())
+def test_simplex_matches_linprog_with_certificate(case):
+    alpha, kind, c = case
+    cls = _holder_class(alpha, c.size)
+    scale = float(np.max(np.abs(c)))
+    # HiGHS accepts no tolerance below 1e-10, and with entries 1e-9 beside 1
+    # it stops that far short; the certificate below is exact on every input
+    agree = 1e-9 if kind == "floats" else 1e-12
+    assert abs(cls.lp_sup(c) - linprog_sup(c, alpha)) <= agree * max(scale, 1e-300)
+    x, y, basis = cls._solve(c)
+    phi = np.concatenate([[0.0], x, [0.0]])
+    kernel = HolderKernel(alpha, phi)
+    assert kernel.holder_excess() <= 1e-12
+    assert abs(kernel.trapezoid_mean()) <= 1e-12
+    # the certificate: c is a combination of the basis rows whose Hölder-row
+    # weights are >= 0, so no feasible direction improves c . phi
+    assert np.all(y[1:] >= -1e-12 * scale)
+    assert np.allclose(cls._a[basis].T @ y, c[1:-1], rtol=0, atol=1e-12 * max(scale, 1.0))
+
+
+def test_simplex_pivot_cap_raises():
+    cls = HolderClass(0.5, 17)
+    x_start = np.linalg.solve(cls._a[cls._start], cls._b[cls._start])
+    c = np.concatenate([[0.0], -x_start, [0.0]])  # the start vertex minimizes c . phi
+    with pytest.raises(RuntimeError, match="pivot cap"):
+        cls._solve(c, max_pivots=0)
+    assert cls.lp_sup(c) > 0.0
+
+
+def test_lp_engine_nodes_match_per_node_oracle():
+    f = GridFunction(0, 6, np.random.default_rng(61).standard_normal(64))
+    quad = ConeQuadrature.for_grid(f, nodes_per_box=2)
+    eng = intrinsic_engine(f, quad=quad)
+    nodes = [(float(y), float(t), v) for lev in eng._levels
+             for ys, vs in zip(lev["ys"], lev["vals"])
+             for y, row in zip(ys, vs) for t, v in zip(lev["ts"], row)]
+    assert 0 < len(nodes) <= 300
+    for y, t, v in nodes:
+        c = hat_coefficients(f, y, t, 17)
+        assert abs(v - linprog_sup(c, 0.5)) <= 1e-12 * max(float(np.max(np.abs(c))), 1.0)
+
+
+def test_engine_build_has_no_hidden_state():
+    rng = np.random.default_rng(62)
+    f = GridFunction(0, 6, rng.standard_normal(64))
+    g = GridFunction(0, 6, rng.standard_normal(64))
+
+    def fingerprint(h):
+        eng = intrinsic_engine(h)
+        return np.array([g2 for _, _, g2 in eng.gamma_sq()]).tobytes() + eng.g_cone(1.0).values.tobytes()
+
+    first = fingerprint(f)
+    fingerprint(g)
+    assert fingerprint(f) == first
 
 
 def test_lp_matches_lattice_oracle_q5():

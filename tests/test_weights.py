@@ -163,3 +163,12 @@ def test_weighted_lp_norm_grid_mismatch():
     w = Weight(GridFunction(0, 6, np.ones(64)))
     with pytest.raises(ValueError):
         weighted_lp_norm(f, w, 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weight_rejects_non_finite(bad):
+    # a NaN cell used to pass the positivity guard and give A_2 = A_inf = 1.0
+    vals = np.ones(64)
+    vals[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Weight(GridFunction(0, 6, vals))
