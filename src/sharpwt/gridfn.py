@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -43,14 +44,10 @@ class GridFunction:
             raise ValueError(f"expected {ncells} cell values, got {vals.shape}")
         if (self.origin / self.cell_width).denominator != 1:
             raise ValueError("origin must be an integer multiple of the cell width")
+        if not np.isfinite(vals).all():
+            raise ValueError("grid values must be finite")
         self.values = vals
         self.values.setflags(write=False)
-        # eager prefix sums of f and |f|; integral over cells [a,b) is
-        # h * (prefix[b] - prefix[a])
-        self._prefix = np.concatenate(([0.0], np.cumsum(vals)))
-        self._prefix_abs = np.concatenate(([0.0], np.cumsum(np.abs(vals))))
-        if not np.isfinite(self._prefix_abs[-1]):  # a NaN or an infinity anywhere reaches the total
-            raise ValueError("grid values must be finite")
 
     # ---- geometry ----
 
@@ -115,6 +112,17 @@ class GridFunction:
         return self.origin + a * h, self.origin + b * h
 
     # ---- integrals ----
+
+    # prefix sums of f and |f|, built on first use: the integral over the
+    # cells [a, b) is h * (prefix[b] - prefix[a])
+
+    @cached_property
+    def _prefix(self) -> np.ndarray:
+        return np.concatenate(([0.0], np.cumsum(self.values)))
+
+    @cached_property
+    def _prefix_abs(self) -> np.ndarray:
+        return np.concatenate(([0.0], np.cumsum(np.abs(self.values))))
 
     def integral(self, a: int, b: int) -> float:
         return float(self.cell_width) * (self._prefix[b] - self._prefix[a])

@@ -410,21 +410,19 @@ class SquareFunctionEngine:
         lo_side = "left" if closed else "right"
         hi_side = "right" if closed else "left"
         for lev in self._levels:
-            ys, ts, weight, vals = lev["ys"], lev["ts"], lev["weight"], lev["vals"]
-            for bi in range(ys.shape[0]):
-                for iy in range(ts.size):
-                    y = ys[bi, iy]
-                    for it in range(ts.size):
-                        v = vals[bi, iy, it]
-                        if v == 0.0:
-                            continue
-                        reach = beta * ts[it]
-                        a = int(np.searchsorted(centers, y - reach, lo_side))
-                        b = int(np.searchsorted(centers, y + reach, hi_side))
-                        if b > a:
-                            contrib = v * v * weight / ts[it] ** 2
-                            acc[a] += contrib
-                            acc[b] -= contrib
+            shape = lev["vals"].shape  # the nodes in (box, iy, it) order
+            vals = lev["vals"].ravel()
+            ys = np.broadcast_to(lev["ys"][:, :, None], shape).ravel()
+            ts = np.broadcast_to(lev["ts"], shape).ravel()
+            a = np.searchsorted(centers, ys - beta * ts, lo_side)
+            b = np.searchsorted(centers, ys + beta * ts, hi_side)
+            keep = (vals != 0.0) & (b > a)
+            v, t = vals[keep], ts[keep]
+            contrib = v * v * lev["weight"] / t**2
+            # +c at a and -c at b node by node, so the cumsum sees the
+            # additions in the order of a loop over the nodes
+            np.add.at(acc, np.stack([a[keep], b[keep]], axis=1).ravel(),
+                      np.stack([contrib, -contrib], axis=1).ravel())
         return self.f.with_values(np.sqrt(np.maximum(np.cumsum(acc[:-1]), 0.0)))
 
 

@@ -24,19 +24,19 @@ from sharpwt.gridfn import GridFunction
 
 
 def _trailing_max(s: np.ndarray, w: int) -> np.ndarray:
-    """out[x] = max(s[max(0, x-w+1) : x+1]), block prefix/suffix trick."""
-    n = s.size
+    """out[..., x] = max(s[..., max(0, x-w+1) : x+1]) along the last axis,
+    block prefix/suffix trick."""
+    rows, n = s.shape[:-1], s.shape[-1]
     if w <= 1:
         return s.copy()
     nblocks = -(-n // w)
-    padded = np.concatenate([s, np.full(nblocks * w - n, -np.inf)])
-    a = padded.reshape(nblocks, w)
-    left = np.maximum.accumulate(a, axis=1).ravel()[:n]
-    right = np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1].ravel()
+    padded = np.concatenate([s, np.full(rows + (nblocks * w - n,), -np.inf)], axis=-1)
+    a = padded.reshape(rows + (nblocks, w))
+    left = np.maximum.accumulate(a, axis=-1).reshape(rows + (-1,))[..., :n]
+    right = np.maximum.accumulate(a[..., ::-1], axis=-1)[..., ::-1].reshape(rows + (-1,))
     out = left.copy()
-    idx = np.arange(w - 1, n)
-    if idx.size:
-        out[idx] = np.maximum(left[idx], right[idx - w + 1])
+    if n >= w:
+        out[..., w - 1 :] = np.maximum(left[..., w - 1 :], right[..., : n - w + 1])
     return out
 
 

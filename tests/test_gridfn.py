@@ -1,6 +1,7 @@
 """Oracle tests for the oscillation calculus: rearrangement, weighted
 median, local mean oscillation and the dyadic sharp maximal function."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -254,3 +255,11 @@ def test_grid_function_rejects_non_finite(bad):
     vals[5] = bad
     with pytest.raises(ValueError, match="finite"):
         GridFunction(0, 4, vals)
+
+
+def test_grid_function_accepts_finite_values_whose_sum_overflows():
+    # the finiteness guard once tested the |f| total, which overflows here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = GridFunction(0, 1, [1e308, 1e308])
+    assert f.values.tolist() == [1e308, 1e308]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from sharpwt.gridfn import GridFunction
+from sharpwt.harness import corpus_functions
 from sharpwt.intrinsic import (
     ConeQuadrature,
     HolderClass,
@@ -249,6 +250,42 @@ def test_discrete_sandwich_pointwise():
         g4 = eng.g_cone(4.0, closed=True).values
         assert np.max(g1 - gt) <= 1e-12
         assert np.max(gt - g4) <= 1e-12
+
+
+def g_cone_oracle(eng, beta, closed=False):
+    """The per-node loop that SquareFunctionEngine.g_cone vectorizes."""
+    centers = eng.f.cell_centers()
+    acc = np.zeros(eng.f.ncells + 1)
+    lo_side = "left" if closed else "right"
+    hi_side = "right" if closed else "left"
+    for lev in eng._levels:
+        ys, ts, weight, vals = lev["ys"], lev["ts"], lev["weight"], lev["vals"]
+        for bi in range(ys.shape[0]):
+            for iy in range(ts.size):
+                y = ys[bi, iy]
+                for it in range(ts.size):
+                    v = vals[bi, iy, it]
+                    if v == 0.0:
+                        continue
+                    reach = beta * ts[it]
+                    a = int(np.searchsorted(centers, y - reach, lo_side))
+                    b = int(np.searchsorted(centers, y + reach, hi_side))
+                    if b > a:
+                        contrib = v * v * weight / ts[it] ** 2
+                        acc[a] += contrib
+                        acc[b] -= contrib
+    return np.sqrt(np.maximum(np.cumsum(acc[:-1]), 0.0))
+
+
+@pytest.mark.parametrize("nodes_per_box", [1, 2])
+@pytest.mark.parametrize("mode", ["lp", "dictionary"])
+def test_g_cone_matches_node_loop_bytewise(mode, nodes_per_box):
+    for label, f in corpus_functions(seed=12, resolution_s=6, n_random=2):
+        eng = intrinsic_engine(f, quad=ConeQuadrature.for_grid(f, nodes_per_box=nodes_per_box), mode=mode)
+        for beta in (1.0, 3.0, 4.0):
+            for closed in (False, True):
+                got = eng.g_cone(beta, closed=closed).values
+                assert got.tobytes() == g_cone_oracle(eng, beta, closed).tobytes(), (label, beta, closed)
 
 
 def test_g_tilde_double_summation_identity():

@@ -10,6 +10,7 @@ import pytest
 from sharpwt.gridfn import GridFunction
 from sharpwt.intrinsic import ConeQuadrature
 from sharpwt.operators import (
+    _trailing_max,
     PSI,
     _even_poly_integral,
     dyadic_square,
@@ -68,6 +69,20 @@ def test_maximal_matches_family_enumeration():
     full = maximal_oracle(f, list(range(1, n + 1)))
     ratio = full / maximal(f).values
     assert np.all(ratio >= 1.0 - 1e-12) and np.all(ratio <= 2.0 + 1e-12)
+
+
+@pytest.mark.parametrize("s", [0, 3, 8])
+def test_maximal_bytewise_against_window_enumeration(s):
+    f = GridFunction(0, s, RNG.standard_normal(2**s))
+    want = np.maximum(np.abs(f.values), maximal_oracle(f, [2**m for m in range(1, s + 1)]))
+    assert maximal(f).values.tobytes() == want.tobytes()
+
+
+def test_trailing_max_acts_row_wise_on_the_last_axis():
+    rows = RNG.standard_normal((5, 37))
+    for w in (1, 2, 4, 8, 64):
+        want = [[row[max(0, x - w + 1) : x + 1].max() for x in range(row.size)] for row in rows]
+        assert _trailing_max(rows, w).tobytes() == np.array(want).tobytes()
 
 
 def centered_oracle(f, nu):

@@ -1,9 +1,14 @@
 """A_p / A_infty functionals against enumeration oracles and invariants."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharpwt.gridfn import GridFunction
+from sharpwt.harness import corpus_weights
 from sharpwt.operators import maximal
 from sharpwt.weights import (
     PowerWeightSpec,
@@ -123,6 +128,34 @@ def test_ainfty_two_level_weight_matches_oracle():
     vals = np.concatenate([np.ones(8), np.full(8, 4.0)])
     w = Weight(GridFunction(0, 4, vals))
     assert ainfty_fujii(w) == pytest.approx(ainfty_oracle(w), rel=1e-12)
+
+
+@st.composite
+def positive_weights(draw):
+    level_L = draw(st.sampled_from([-1, 0, 1]))
+    s = draw(st.integers(max(0, -level_L), 6))
+    n = 2 ** (level_L + s)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        vals = np.exp(draw(st.sampled_from([0.5, 2.0, 5.0])) * rng.standard_normal(n))
+    else:
+        vals = np.where(rng.random(n) < 0.5, 1.0, draw(st.sampled_from([1e-3, 4.0, 1e4])))
+    origin = Fraction(-draw(st.integers(1, 3 * n)), 2**s)
+    return Weight(GridFunction(level_L, s, vals, origin))
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_weights(), st.sampled_from([1e-3, 7.5, 1e5]))
+def test_ainfty_matches_window_oracle(w, c):
+    got = ainfty_fujii(w)
+    assert got == pytest.approx(ainfty_oracle(w), rel=1e-12)
+    assert got >= 1.0
+    assert ainfty_fujii(w.scaled(c)) == pytest.approx(got, rel=1e-12)
+
+
+def test_ainfty_corpus_weights_match_oracle():
+    for label, w in corpus_weights(seed=41, resolution_s=7, n=5):
+        assert ainfty_fujii(w) == pytest.approx(ainfty_oracle(w), rel=1e-12), label
 
 
 def test_ainfty_below_ap_ratio_finite():
