@@ -1,7 +1,7 @@
 """Numerical laboratory for sharp weighted-norm inequalities on 1-D grids."""
 
 from sharpwt.dyadic import DyadicCube, RealCube, companion, dilate, family_index
-from sharpwt.gridfn import GridFunction, MassPoint, local_osc, local_sharp_max_dyadic, median, rearrangement_value
+from sharpwt.gridfn import GridFunction, local_osc, local_sharp_max_dyadic, median, rearrangement_value
 from sharpwt.weights import (
     PowerWeightSpec,
     Weight,
@@ -28,7 +28,7 @@ from sharpwt.harness import ExperimentSpec, FitResult, exponent_experiment, rati
 
 __all__ = [
     "DyadicCube", "RealCube", "companion", "dilate", "family_index",
-    "GridFunction", "MassPoint", "rearrangement_value", "median",
+    "GridFunction", "rearrangement_value", "median",
     "local_osc", "local_sharp_max_dyadic",
     "Weight", "PowerWeightSpec", "ap_characteristic", "ap_characteristic_full",
     "ainfty_fujii", "weighted_lp_norm", "power_weight",

@@ -8,6 +8,7 @@ are listed one per line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -18,13 +19,15 @@ from sharpwt.decomp import Decomposition, decompose, verify_decomposition
 from sharpwt.gridfn import GridFunction
 from sharpwt.harness import (
     ACCEPTANCE_RUNS,
+    OPERATOR_REGISTRY,
+    SCANS,
     ExperimentSpec,
     emit,
     exponent_experiment,
     ratio_scan,
 )
-from sharpwt.intrinsic import intrinsic_engine
-from sharpwt.operators import dyadic_square, g_psi, hilbert, hilbert_max, maximal, s_psi
+from sharpwt.intrinsic import ConeQuadrature, intrinsic_engine
+from sharpwt.operators import g_psi, s_psi
 from sharpwt.weights import Weight, ap_characteristic, power_cell_averages, power_weight
 
 
@@ -77,22 +80,16 @@ def parse_weight(spec: str, level_L: int, resolution_s: int, origin=0) -> Weight
     raise ValueError(f"cannot parse weight spec {spec!r}")
 
 
-APPLY_OPS = ("maximal", "sd", "spsi", "gpsi", "hilbert", "hilbert-max", "galpha", "gtilde")
+# the cone operators take --alpha/--q/--beta/--mode and the quadrature flags
+CONE_OPS = ("spsi", "galpha", "gtilde")
+APPLY_OPS = ("maximal", "sd", "hilbert", "hilbert-max", "gpsi", *CONE_OPS)
 
 
 def _apply_operator(name: str, f: GridFunction, args) -> GridFunction:
-    if name == "maximal":
-        return maximal(f)
-    if name == "sd":
-        return dyadic_square(f)
-    if name == "hilbert":
-        return hilbert(f)
-    if name == "hilbert-max":
-        return hilbert_max(f)
     if name == "gpsi":
         return g_psi(f)
-    from sharpwt.intrinsic import ConeQuadrature
-
+    if name not in CONE_OPS:
+        return OPERATOR_REGISTRY[name](f)
     quad = ConeQuadrature.for_grid(f, args.nodes_per_box, args.t_min_level, args.t_max_level)
     if name == "spsi":
         return s_psi(f, args.beta, quad)
@@ -135,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("exponent", help="extremal-family exponent fit")
     common(pe)
     pe.add_argument("--run", choices=sorted(ACCEPTANCE_RUNS), help="frozen acceptance run")
-    pe.add_argument("--op", default="maximal")
+    pe.add_argument("--op", choices=sorted(OPERATOR_REGISTRY), default="maximal")
     pe.add_argument("--p", type=float, default=2.0)
     pe.add_argument("--deltas", default="0.5,0.25,0.125,0.0625")
     pe.add_argument("--family", choices=("buckley", "dual-pair"), default="buckley")
@@ -143,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("ratio-scan", help="lemma inequality scan over the corpus")
     common(pr)
-    pr.add_argument("--lemma", required=True)
+    pr.add_argument("--lemma", choices=sorted(SCANS), required=True)
     pr.add_argument("--n", type=int, default=None, help="random corpus size")
     pr.add_argument("--scan-res", type=int, default=None, help="override scan base resolution")
 
@@ -189,9 +186,7 @@ def main(argv=None) -> int:
     if args.command == "exponent":
         if args.run:
             spec, target, window = ACCEPTANCE_RUNS[args.run]
-            spec = ExperimentSpec(spec.operator, spec.p, spec.deltas, spec.resolution_s,
-                                  spec.level_L, spec.weight_family, spec.fn_family,
-                                  args.seed, args.out)
+            spec = dataclasses.replace(spec, seed=args.seed, out=args.out)
         else:
             deltas = tuple(float(x) for x in args.deltas.split(","))
             spec = ExperimentSpec(args.op, args.p, deltas, args.res, max(args.L, 1),

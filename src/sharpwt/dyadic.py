@@ -48,10 +48,6 @@ class DyadicCube:
             kids = [t + (2 * j + b,) for t in kids for b in (0, 1)]
         return [DyadicCube(self.level + 1, t) for t in kids]
 
-    def contains_point(self, x) -> bool:
-        lo, hi = self.lower(), self.upper()
-        return all(a <= Fraction(xi) < b for a, xi, b in zip(lo, x, hi))
-
     def to_json(self) -> dict:
         return {"level": self.level, "index": list(self.index)}
 

@@ -12,21 +12,12 @@ decisions in rearrangements are exact, never floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from sharpwt.dyadic import DyadicCube
-
-
-@dataclass(frozen=True)
-class MassPoint:
-    """One entry of a mass distribution: a value carrying cellwidth*multiplicity."""
-
-    value: float
-    mass: float
 
 
 class GridFunction:
@@ -106,11 +97,6 @@ class GridFunction:
             raise ValueError(f"{cube} is not contained in the domain")
         return a, b
 
-    def cube_of_range(self, a: int, b: int) -> tuple[Fraction, Fraction]:
-        """Real endpoints of the cell range [a, b)."""
-        h = self.cell_width
-        return self.origin + a * h, self.origin + b * h
-
     # ---- integrals ----
 
     # prefix sums of f and |f|, built on first use: the integral over the
@@ -133,12 +119,6 @@ class GridFunction:
     def average(self, cube=None) -> float:
         a, b = self.cell_range(cube)
         return (self._prefix[b] - self._prefix[a]) / (b - a)
-
-    def mass_points(self, cube=None) -> list[MassPoint]:
-        a, b = self.cell_range(cube)
-        h = float(self.cell_width)
-        vals, counts = np.unique(self.values[a:b], return_counts=True)
-        return [MassPoint(float(v), h * int(c)) for v, c in zip(vals, counts)]
 
     # ---- serialization ----
 

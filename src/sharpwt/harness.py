@@ -18,7 +18,7 @@ points are resolution-starved and drag the fit below the asymptotic slope.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
 import math
 import subprocess
@@ -29,10 +29,9 @@ import numpy as np
 
 from sharpwt.decomp import _integral_abs_interval, a_gamma, decompose
 from sharpwt.gridfn import GridFunction, local_osc, median
-from sharpwt.intrinsic import ConeQuadrature, SquareFunctionEngine, intrinsic_engine
+from sharpwt.intrinsic import ConeQuadrature, intrinsic_engine
 from sharpwt.operators import (
     PSI,
-    PsiKernel,
     dyadic_square,
     hilbert,
     hilbert_max,
@@ -259,30 +258,6 @@ def refine_weight(w: Weight) -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# shared engines (one LP sweep per function and resolution)
-# ---------------------------------------------------------------------------
-
-_ENGINE_CACHE: dict = {}
-
-
-def _fingerprint(f: GridFunction) -> str:
-    return hashlib.sha1(f.values.tobytes()).hexdigest()[:16]
-
-
-def cached_engine(f: GridFunction, kind: str = "galpha", alpha: float = 0.5, q: int = 17,
-                  mode: str = "lp", psi: PsiKernel = PSI) -> SquareFunctionEngine:
-    key = (_fingerprint(f), f.level_L, f.resolution_s, str(f.origin), kind, alpha, q, mode)
-    if key not in _ENGINE_CACHE:
-        if kind == "galpha":
-            _ENGINE_CACHE[key] = intrinsic_engine(f, alpha, q, mode=mode)
-        elif kind == "psi":
-            _ENGINE_CACHE[key] = psi_engine(f, ConeQuadrature.for_grid(f), psi)
-        else:
-            raise ValueError(kind)
-    return _ENGINE_CACHE[key]
-
-
-# ---------------------------------------------------------------------------
 # ratio scans
 # ---------------------------------------------------------------------------
 
@@ -347,27 +322,34 @@ def _ratio_max(num: np.ndarray, den: np.ndarray, floor: float) -> float:
     return float(np.max(num[mask] / den[mask]))
 
 
-def _scan_51(fs, lemma):
-    side = 0 if lemma.endswith("left") else 1
-    cases = []
-    for label, f in fs:
-        vals = []
-        for g in (f, refine(f)):
-            eng = cached_engine(g)
-            gt = eng.g_tilde().values
-            if side == 0:
-                vals.append(float(np.max(eng.g_cone(1.0).values - gt)))
-            else:
-                vals.append(float(np.max(gt - eng.g_cone(4.0, closed=True).values)))
-        cases.append(ScanCase(label, *vals))
-    return cases, 1e-12
+@functools.lru_cache(maxsize=1)
+def _corpus_engines(seed: int, s: int, n: int) -> tuple:
+    """(label, ((f, engine), (refine(f), engine))) for every corpus function,
+    with its lp engine at both resolutions.  Consecutive scans of one corpus
+    share these engines; the one entry is dropped when another corpus comes."""
+    return tuple((label, tuple((g, intrinsic_engine(g)) for g in (f, refine(f))))
+                 for label, f in corpus_functions(seed, s, n_random=n))
 
 
-def _scan_43(fs, seed):
+def _engine_cases(seed: int, s: int, n: int, value) -> list[ScanCase]:
+    """One case per corpus function: value(g, engine) at s and at s + 1."""
+    return [ScanCase(label, *(value(g, eng) for g, eng in pair))
+            for label, pair in _corpus_engines(seed, s, n)]
+
+
+def _sandwich_left(g, eng):
+    return float(np.max(eng.g_cone(1.0).values - eng.g_tilde().values))
+
+
+def _sandwich_right(g, eng):
+    return float(np.max(eng.g_tilde().values - eng.g_cone(4.0, closed=True).values))
+
+
+def _cases_43(seed, s, n):
+    fns = [f for _, f in corpus_functions(seed, s, n_random=n)]
     rng = np.random.default_rng(seed + 43)
     cases = []
-    fns = [f for _, f in fs]
-    for trial in range(len(fs)):
+    for trial in range(len(fns)):
         k = int(rng.integers(2, 5))
         picked = [fns[int(rng.integers(0, len(fns)))] for _ in range(k)]
         lev = int(rng.integers(0, 4))
@@ -383,35 +365,30 @@ def _scan_43(fs, seed):
             rhs = sum(local_osc(g, q, Fraction(lam, k)) for g in parts)
             vals.append(lhs - rhs)
         cases.append(ScanCase(f"trial{trial:02d}-k{k}", *vals))
-    return cases, 1e-12
+    return cases
 
 
-def _scan_52(fs):
+def _local_sharp_ratio(g, eng):
     lam = Fraction(1, 8)
-    cases = []
-    for label, f in fs:
-        vals = []
-        for g in (f, refine(f)):
-            gt2 = cached_engine(g).g_tilde().values ** 2
-            gt2f = g.with_values(gt2)
-            worst = 0.0
-            for lev in range(2, 7):
-                size = g.ncells >> lev
-                if size < 1:
-                    continue
-                for a in range(0, g.ncells, size):
-                    osc = local_osc(gt2f, (a, a + size), lam)
-                    lo = g.origin + Fraction(a, g.ncells) - 7 * Fraction(size, g.ncells)
-                    width = 15 * size * g.cell_width
-                    avg = _integral_abs_interval(g, lo, lo + width) / float(width)
-                    if avg > 1e-9:
-                        worst = max(worst, osc / avg**2)
-            vals.append(worst)
-        cases.append(ScanCase(label, *vals))
-    return cases, None
+    gt2f = g.with_values(eng.g_tilde().values ** 2)
+    worst = 0.0
+    for lev in range(2, 7):
+        size = g.ncells >> lev
+        if size < 1:
+            continue
+        for a in range(0, g.ncells, size):
+            osc = local_osc(gt2f, (a, a + size), lam)
+            lo = g.origin + Fraction(a, g.ncells) - 7 * Fraction(size, g.ncells)
+            width = 15 * size * g.cell_width
+            avg = _integral_abs_interval(g, lo, lo + width) / float(width)
+            if avg > 1e-9:
+                worst = max(worst, osc / avg**2)
+    return worst
 
 
-def _scan_53(fs, ws):
+def _cases_53(seed, s, n):
+    fs = corpus_functions(seed, s, n_random=n)
+    ws = corpus_weights(seed, s, n=len(fs))
     gamma = 45
     cases = []
     for (label, f), (wlabel, w) in zip(fs, ws):
@@ -424,132 +401,85 @@ def _scan_53(fs, ws):
             denom = ap_characteristic(wt, 3.0) * weighted_lp_norm(g, wt, 3.0) ** 2
             vals.append(lhs / denom if denom > 0 else 0.0)
         cases.append(ScanCase(f"{label}|{wlabel}", *vals))
-    return cases, None
+    return cases
 
 
-def _scan_59(fs):
+def _median_ratio(g, eng):
+    gt2 = eng.g_tilde().values ** 2
+    gt2f = g.with_values(gt2)
+    d = decompose(gt2f)
+    rhs = maximal(g).values ** 2 + a_gamma(g, d, 45).values + 1e-9
+    lhs = np.abs(gt2 - median(gt2f))
+    return float(np.max(lhs / rhs))
+
+
+def _weak_type(g, eng):
+    galpha = eng.g_cone(1.0).values
+    h = float(g.cell_width)
+    l1 = float(np.sum(np.abs(g.values)) * h)
+    gmax = float(np.max(galpha))
+    if gmax <= 0 or l1 <= 0:
+        return 0.0
+    lams = gmax * np.power(1e-3, np.linspace(0, 1, 20))
+    meas = np.array([float(np.sum(galpha > lam)) * h for lam in lams])
+    return float(np.max(lams * meas / l1))
+
+
+def _aperture(g, eng):
+    return _ratio_max(eng.g_cone(4.0).values, eng.g_cone(1.0).values, 1e-6)
+
+
+def _cases_23(seed, s, n):
+    rho = PSI.holder_seminorm(0.5)
+
+    def value(g, eng):
+        spsi = psi_engine(g, ConeQuadrature.for_grid(g)).g_cone(1.0).values
+        return _ratio_max(spsi / rho, eng.g_cone(1.0).values, 1e-6)
+
+    return _engine_cases(seed, s, n, value)
+
+
+def _cases_513(seed, s, n):
+    return [ScanCase(label, *(ainfty_fujii(wt) / ap_characteristic(wt, 2.0)
+                              for wt in (w, refine_weight(w))))
+            for label, w in corpus_weights(seed, s, n=n)]
+
+
+def _cases_55(seed, s, n):
     cases = []
-    for label, f in fs:
-        vals = []
-        for g in (f, refine(f)):
-            gt2 = cached_engine(g).g_tilde().values ** 2
-            gt2f = g.with_values(gt2)
-            d = decompose(gt2f)
-            rhs = maximal(g).values ** 2 + a_gamma(g, d, 45).values + 1e-9
-            lhs = np.abs(gt2 - median(gt2f))
-            vals.append(float(np.max(lhs / rhs)))
-        cases.append(ScanCase(label, *vals))
-    return cases, None
-
-
-def _scan_21(fs):
-    cases = []
-    for label, f in fs:
-        vals = []
-        for g in (f, refine(f)):
-            galpha = cached_engine(g).g_cone(1.0).values
-            h = float(g.cell_width)
-            l1 = float(np.sum(np.abs(g.values)) * h)
-            gmax = float(np.max(galpha))
-            if gmax <= 0 or l1 <= 0:
-                vals.append(0.0)
-                continue
-            lams = gmax * np.power(1e-3, np.linspace(0, 1, 20))
-            meas = np.array([float(np.sum(galpha > lam)) * h for lam in lams])
-            vals.append(float(np.max(lams * meas / l1)))
-        cases.append(ScanCase(label, *vals))
-    return cases, None
-
-
-def _scan_22(fs):
-    cases = []
-    for label, f in fs:
-        vals = []
-        for g in (f, refine(f)):
-            eng = cached_engine(g)
-            vals.append(_ratio_max(eng.g_cone(4.0).values, eng.g_cone(1.0).values, 1e-6))
-        cases.append(ScanCase(label, *vals))
-    return cases, None
-
-
-def _scan_23(fs, alpha=0.5):
-    rho = PSI.holder_seminorm(alpha)
-    cases = []
-    for label, f in fs:
-        vals = []
-        for g in (f, refine(f)):
-            spsi = cached_engine(g, kind="psi").g_cone(1.0).values
-            galpha = cached_engine(g).g_cone(1.0).values
-            vals.append(_ratio_max(spsi / rho, galpha, 1e-6))
-        cases.append(ScanCase(label, *vals))
-    return cases, None
-
-
-def _scan_513(ws):
-    cases = []
-    for label, w in ws:
-        vals = []
-        for wt in (w, refine_weight(w)):
-            vals.append(ainfty_fujii(wt) / ap_characteristic(wt, 2.0))
-        cases.append(ScanCase(label, *vals))
-    return cases, None
-
-
-def _scan_55(fs):
-    cases = []
-    for label, f in fs:
+    for label, pair in _corpus_engines(seed, s, n):
+        psi = [psi_engine(hilbert(g), ConeQuadrature.for_grid(g)) for g, _ in pair]
         for beta in (1.0, 3.0):
-            vals = []
-            for g in (f, refine(f)):
-                tf = hilbert(g)
-                spsi = cached_engine(tf, kind="psi").g_cone(beta).values
-                galpha = cached_engine(g).g_cone(1.0).values
-                vals.append(_ratio_max(spsi, galpha, 1e-6))
-            cases.append(ScanCase(f"{label}|beta{beta:g}", *vals))
-    return cases, None
+            cases.append(ScanCase(f"{label}|beta{beta:g}", *(
+                _ratio_max(p.g_cone(beta).values, eng.g_cone(1.0).values, 1e-6)
+                for p, (_, eng) in zip(psi, pair))))
+    return cases
 
 
-SCAN_DEFAULTS = {
-    # lemma id -> (s_base, n_random)
-    "5.1-left": (6, 20), "5.1-right": (6, 20), "4.3": (6, 50),
-    "5.2": (6, 12), "5.3": (7, 30), "5.9": (6, 20),
-    "2.1": (6, 20), "2.2": (6, 20), "2.3": (6, 12), "5.13": (7, 100),
-    "5.5-dom": (6, 10),
+SCANS = {
+    # lemma id -> (s_base, n_random, exact tolerance or None, cases(seed, s, n))
+    "5.1-left": (6, 20, 1e-12, functools.partial(_engine_cases, value=_sandwich_left)),
+    "5.1-right": (6, 20, 1e-12, functools.partial(_engine_cases, value=_sandwich_right)),
+    "4.3": (6, 50, 1e-12, _cases_43),
+    "5.2": (6, 12, None, functools.partial(_engine_cases, value=_local_sharp_ratio)),
+    "5.3": (7, 30, None, _cases_53),
+    "5.9": (6, 20, None, functools.partial(_engine_cases, value=_median_ratio)),
+    "2.1": (6, 20, None, functools.partial(_engine_cases, value=_weak_type)),
+    "2.2": (6, 20, None, functools.partial(_engine_cases, value=_aperture)),
+    "2.3": (6, 12, None, _cases_23),
+    "5.13": (7, 100, None, _cases_513),
+    "5.5-dom": (6, 10, None, _cases_55),
 }
 
 
 def ratio_scan(lemma: str, seed: int = 0, resolution_s: int | None = None,
                n_random: int | None = None) -> ScanReport:
-    if lemma not in SCAN_DEFAULTS:
-        raise ValueError(f"unknown lemma id {lemma!r}; known: {sorted(SCAN_DEFAULTS)}")
-    s_def, n_def = SCAN_DEFAULTS[lemma]
+    if lemma not in SCANS:
+        raise ValueError(f"unknown lemma id {lemma!r}; known: {sorted(SCANS)}")
+    s_def, n_def, tol, cases = SCANS[lemma]
     s = s_def if resolution_s is None else resolution_s
     n = n_def if n_random is None else n_random
-    fs = corpus_functions(seed, s, n_random=n)
-    if lemma in ("5.1-left", "5.1-right"):
-        cases, tol = _scan_51(fs, lemma)
-    elif lemma == "4.3":
-        cases, tol = _scan_43(fs, seed)
-    elif lemma == "5.2":
-        cases, tol = _scan_52(fs)
-    elif lemma == "5.3":
-        ws = corpus_weights(seed, s, n=len(fs))
-        cases, tol = _scan_53(fs, ws)
-    elif lemma == "5.9":
-        cases, tol = _scan_59(fs)
-    elif lemma == "2.1":
-        cases, tol = _scan_21(fs)
-    elif lemma == "2.2":
-        cases, tol = _scan_22(fs)
-    elif lemma == "2.3":
-        cases, tol = _scan_23(fs)
-    elif lemma == "5.13":
-        ws = corpus_weights(seed, s, n=n)
-        cases, tol = _scan_513(ws)
-    else:
-        cases, tol = _scan_55(fs)
-    report = ScanReport(lemma, seed, s, cases, exact_tolerance=tol)
-    return report
+    return ScanReport(lemma, seed, s, cases(seed, s, n), exact_tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -193,9 +193,6 @@ class HolderClass:
         bounds for the class supremum by feasibility."""
         return self._dictionary
 
-    def dictionary_kernels(self) -> list[HolderKernel]:
-        return [HolderKernel(self.alpha, row) for row in self.dictionary()]
-
     def dict_sup(self, c: np.ndarray) -> float:
         return float(self._dict_rows(np.asarray(c, dtype=float)[None, :])[0])
 

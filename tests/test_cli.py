@@ -80,6 +80,14 @@ def test_cli_ratio_scan(tmp_path, capsys):
     assert out.read_text().startswith("case,ratio_base,ratio_refined")
 
 
+@pytest.mark.parametrize("argv", [["ratio-scan", "--lemma", "9.9"], ["exponent", "--op", "bogus"]])
+def test_cli_rejects_unknown_registry_names(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_cli_decompose_verify_roundtrip(tmp_path, capsys):
     tree = tmp_path / "tree.json"
     rc = main(["decompose", "--fn", "random:4", "--res", "8", "--out", str(tree)])

@@ -243,12 +243,6 @@ def test_gridfn_json_roundtrip(tmp_path):
     assert np.array_equal(g.values, f.values)
 
 
-def test_mass_points_total_mass():
-    f = GridFunction(0, 4, np.round(RNG.standard_normal(16), 1))
-    pts = f.mass_points()
-    assert sum(p.mass for p in pts) == pytest.approx(1.0)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_grid_function_rejects_non_finite(bad):
     vals = np.ones(16)  # fresh per case: the constructor freezes its input

@@ -10,6 +10,7 @@ from sharpwt.gridfn import GridFunction
 from sharpwt.harness import (
     ACCEPTANCE_RUNS,
     ExperimentSpec,
+    _corpus_engines,
     corpus_functions,
     corpus_weights,
     emit,
@@ -134,6 +135,25 @@ def test_refine_preserves_function():
 def test_unknown_lemma_rejected():
     with pytest.raises(ValueError):
         ratio_scan("9.9")
+
+
+def test_engine_memo_gives_the_bytes_of_a_fresh_build(tmp_path):
+    _corpus_engines.cache_clear()
+    ratio_scan("2.1", seed=9, n_random=2)
+    hit = ratio_scan("2.2", seed=9, n_random=2)  # served by the engines of 2.1
+    assert _corpus_engines.cache_info().hits >= 1
+    _corpus_engines.cache_clear()
+    fresh = ratio_scan("2.2", seed=9, n_random=2)
+    a, b = tmp_path / "hit.csv", tmp_path / "fresh.csv"
+    emit(hit, str(a))
+    emit(fresh, str(b))
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_engine_memo_keeps_one_corpus():
+    ratio_scan("2.2", seed=9, n_random=2)
+    ratio_scan("2.2", seed=10, n_random=2)
+    assert _corpus_engines.cache_info().currsize == 1
 
 
 def test_exact_scan_lemma_43():

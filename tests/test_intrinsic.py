@@ -193,8 +193,8 @@ def test_lp_matches_lattice_oracle_q5():
 
 def test_dictionary_feasible_and_below_lp():
     cls = _holder_class(0.5, 17)
-    for kernel in cls.dictionary_kernels():
-        assert isinstance(kernel, HolderKernel)
+    for row in cls.dictionary():
+        kernel = HolderKernel(0.5, row)
         assert kernel.holder_excess() <= 1e-12
         assert abs(kernel.trapezoid_mean()) <= 1e-12
         assert kernel.samples[0] == 0.0 and kernel.samples[-1] == 0.0
