@@ -35,7 +35,7 @@ from sharpwt.gridfn import GridFunction
 _MULTIPLIER_TOL = 1e-13  # relative to max |c|: a multiplier below -tol * max|c| is improvable
 _DIRECTION_TOL = 1e-9    # a row blocks a step only if it moves toward its bound by more
 _RATIO_TIE = 1e-12       # step lengths this close are ties, broken by the smallest row index
-_HAT_CHUNK = 1 << 17     # float64 entries per (nodes x q x cells) hat tensor chunk, ~1 MB
+_NODE_CHUNK = 1 << 17    # float64 entries per chunk of a per-node cell tensor (nodes x q x cells for hats), ~1 MB
 
 
 @dataclass(frozen=True)
@@ -252,29 +252,38 @@ def _hat_cdf(xi: np.ndarray) -> np.ndarray:
     return np.where(xi <= 0, (1.0 + xi) ** 2 / 2.0, 1.0 - (1.0 - xi) ** 2 / 2.0)
 
 
-def _hat_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray, q: int) -> np.ndarray:
-    """hat_coefficients at every node (ys[n], ts[n]), as one tensor op per
-    chunk of nodes: each node reads the cells its kernel support meets,
-    padded with zero cells to the widest support among the nodes."""
-    h_node = 2.0 / (q - 1)
-    wh = ts * h_node
+def _node_cells(f: GridFunction, lo: np.ndarray, hi: np.ndarray, floats_per_cell: int):
+    """The cells that each node's kernel support [lo[n], hi[n]] meets, padded
+    with zero cells to the widest support, in chunks of nodes sized so that
+    a chunk's tensor of floats_per_cell floats per cell stays near
+    _NODE_CHUNK: yields (nodes slice, cell edges (n, width + 1), cell values
+    (n, width))."""
     edges = f.cell_edges()
-    a = np.maximum(np.searchsorted(edges, ys - ts - wh, "right") - 1, 0)
-    b = np.minimum(np.searchsorted(edges, ys + ts + wh, "left"), f.ncells)
-    out = np.zeros((ys.size, q))
+    a = np.maximum(np.searchsorted(edges, lo, "right") - 1, 0)
+    b = np.minimum(np.searchsorted(edges, hi, "left"), f.ncells)
     width = int(np.max(b - a, initial=0))
     if width <= 0:
-        return out
-    u = np.linspace(-1.0, 1.0, q)
+        return
     cells = np.arange(width + 1)
     values = np.append(f.values, 0.0)
-    chunk = max(1, _HAT_CHUNK // (q * (width + 1)))
-    for lo in range(0, ys.size, chunk):
-        part = slice(lo, lo + chunk)
+    chunk = max(1, _NODE_CHUNK // (floats_per_cell * (width + 1)))
+    for start in range(0, lo.size, chunk):
+        part = slice(start, start + chunk)
         idx = np.minimum(a[part, None] + cells, f.ncells)                      # (n, width + 1)
         vals = np.where(idx[:, :-1] < b[part, None], values[idx[:, :-1]], 0.0)  # (n, width)
+        yield part, edges[idx], vals
+
+
+def _hat_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray, q: int) -> np.ndarray:
+    """hat_coefficients at every node (ys[n], ts[n]), as one tensor op per
+    chunk of nodes."""
+    h_node = 2.0 / (q - 1)
+    wh = ts * h_node
+    u = np.linspace(-1.0, 1.0, q)
+    out = np.zeros((ys.size, q))
+    for part, edges, vals in _node_cells(f, ys - ts - wh, ys + ts + wh, q):
         z_centers = ys[part, None] - ts[part, None] * u                         # (n, q)
-        xi = (edges[idx][:, None, :] - z_centers[:, :, None]) / wh[part, None, None]
+        xi = (edges[:, None, :] - z_centers[:, :, None]) / wh[part, None, None]
         cdf = _hat_cdf(xi)
         out[part] = h_node * (np.diff(cdf, axis=2) @ vals[:, :, None])[:, :, 0]
     return out

@@ -5,7 +5,8 @@ continuous square functions built on a fixed polynomial bump, and truncated
 
 Every operator evaluates at cell centers.  Convolutions against the step
 function are exact closed forms (polynomial antiderivatives, log terms), and
-translation invariance of the grid turns them into single np.convolve calls.
+translation invariance of the grid turns each into one discrete convolution:
+np.convolve up to 4096 cells, a zero-padded numpy FFT above.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from sharpwt.gridfn import GridFunction
+from sharpwt.intrinsic import SquareFunctionEngine, _node_cells
 
 
 # ---------------------------------------------------------------------------
@@ -25,19 +27,20 @@ from sharpwt.gridfn import GridFunction
 
 def _trailing_max(s: np.ndarray, w: int) -> np.ndarray:
     """out[..., x] = max(s[..., max(0, x-w+1) : x+1]) along the last axis,
-    block prefix/suffix trick."""
+    block prefix/suffix trick (van Herk 1992, Gil-Werman 1993): per block of
+    w, the window ending at offset r < w-1 is the prefix max of its block up
+    to r and the suffix max of the previous block from r+1."""
     rows, n = s.shape[:-1], s.shape[-1]
     if w <= 1:
         return s.copy()
     nblocks = -(-n // w)
-    padded = np.concatenate([s, np.full(rows + (nblocks * w - n,), -np.inf)], axis=-1)
-    a = padded.reshape(rows + (nblocks, w))
-    left = np.maximum.accumulate(a, axis=-1).reshape(rows + (-1,))[..., :n]
-    right = np.maximum.accumulate(a[..., ::-1], axis=-1)[..., ::-1].reshape(rows + (-1,))
-    out = left.copy()
-    if n >= w:
-        out[..., w - 1 :] = np.maximum(left[..., w - 1 :], right[..., : n - w + 1])
-    return out
+    if nblocks * w != n:
+        s = np.concatenate([s, np.full(rows + (nblocks * w - n,), -np.inf)], axis=-1)
+    a = s.reshape(rows + (nblocks, w))
+    left = np.maximum.accumulate(a, axis=-1)
+    right = np.maximum.accumulate(a[..., ::-1], axis=-1)  # right[j] = max(a[w-1-j:])
+    np.maximum(left[..., 1:, : w - 1], right[..., :-1, w - 2 :: -1], out=left[..., 1:, : w - 1])
+    return left.reshape(rows + (-1,))[..., :n]
 
 
 def maximal(f: GridFunction) -> GridFunction:
@@ -47,11 +50,13 @@ def maximal(f: GridFunction) -> GridFunction:
     n = v.size
     out = v.copy()
     prefix = np.concatenate(([0.0], np.cumsum(v)))
+    avg = np.empty(n)  # avg[a] = mean of |f| over [a, a+w), -inf past the last window
     w = 2
     while w <= n:
-        sums = (prefix[w:] - prefix[:-w]) / w
-        ext = np.concatenate([sums, np.full(w - 1, -np.inf)])
-        np.maximum(out, _trailing_max(ext, w), out=out)
+        np.subtract(prefix[w:], prefix[:-w], out=avg[: n - w + 1])
+        avg[: n - w + 1] /= w
+        avg[n - w + 1 :] = -np.inf
+        np.maximum(out, _trailing_max(avg, w), out=out)
         w *= 2
     return f.with_values(out)
 
@@ -162,25 +167,32 @@ def psi_convolve_grid(f: GridFunction, t: float, psi: PsiKernel = PSI) -> np.nda
 
 
 def _conv_wide(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    if values.size > 4096:  # FFT path for large grids, direct sum below
-        from scipy.signal import fftconvolve
+    """The middle values.size entries of the full convolution, the ones
+    centered on each cell.  Above 4096 cells by FFT over L >= N + K - 1 -
+    start points: the circular wrap-around lands only outside them."""
+    n, k = values.size, kernel.size
+    start = (k - 1) // 2
+    if n <= 4096:  # direct sum for small grids
+        return np.convolve(values, kernel)[start : start + n]
+    length = 1 << (n + k - 2 - start).bit_length()  # smallest power of two >= n + k - 1 - start
+    spectrum = np.fft.rfft(values, length) * np.fft.rfft(kernel, length)
+    return np.fft.irfft(spectrum, length)[start : start + n]
 
-        full = fftconvolve(values, kernel)
-    else:
-        full = np.convolve(values, kernel)
-    start = (kernel.size - 1) // 2
-    return full[start : start + values.size]
+
+def _psi_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray, psi: PsiKernel) -> np.ndarray:
+    """psi_convolve_at at every node (ys[n], ts[n]), one row-wise dot per
+    chunk of nodes."""
+    out = np.zeros(ys.size)
+    for part, edges, vals in _node_cells(f, ys - ts, ys + ts, 1):
+        cdf = psi.cumulative((ys[part, None] - edges) / ts[part, None])
+        out[part] = np.einsum("ij,ij->i", vals, -np.diff(cdf, axis=1))
+    return out
 
 
 def psi_engine(f: GridFunction, quad, psi: PsiKernel = PSI):
-    """SquareFunctionEngine whose node functional is |f * psi_t(y)|, one
-    exact convolution per node."""
-    from sharpwt.intrinsic import SquareFunctionEngine
-
-    def level_eval(ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        return np.array([abs(psi_convolve_at(f, y, t, psi)) for y, t in zip(ys.tolist(), ts.tolist())])
-
-    return SquareFunctionEngine(f, quad, level_eval)
+    """SquareFunctionEngine whose node functional is |f * psi_t(y)|, exact
+    per node (psi_convolve_at is the one-node oracle)."""
+    return SquareFunctionEngine(f, quad, lambda ys, ts: np.abs(_psi_rows(f, ys, ts, psi)))
 
 
 def s_psi(f: GridFunction, beta: float, quad, psi: PsiKernel = PSI, closed: bool = False) -> GridFunction:

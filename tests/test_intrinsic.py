@@ -158,6 +158,33 @@ def test_lp_engine_nodes_match_per_node_oracle():
         assert abs(v - linprog_sup(c, 0.5)) <= 1e-12 * max(float(np.max(np.abs(c))), 1.0)
 
 
+def hat_oracle(f, y, t, q):
+    """c_i = int f(y - t u) B_i(u) du by the trapezoid rule on the pieces of
+    u where f(y - t u) is constant and the hat B_i is linear, exact there."""
+    h = 2.0 / (q - 1)
+    edges = f.cell_edges()
+    out = np.zeros(q)
+    for i, ui in enumerate(np.linspace(-1.0, 1.0, q)):
+        cuts = np.concatenate(([ui - h, ui, ui + h], (y - edges) / t))
+        cuts = np.unique(cuts[(cuts >= ui - h) & (cuts <= ui + h)])
+        for u0, u1 in zip(cuts[:-1], cuts[1:]):
+            k = int(np.searchsorted(edges, y - t * (u0 + u1) / 2, "right")) - 1
+            fz = f.values[k] if 0 <= k < f.ncells else 0.0
+            b0, b1 = 1 - abs(u0 - ui) / h, 1 - abs(u1 - ui) / h
+            out[i] += fz * (b0 + b1) / 2 * (u1 - u0)
+    return out
+
+
+@pytest.mark.parametrize("q", [5, 17])
+def test_hat_coefficients_match_piecewise_trapezoid(q):
+    rng = np.random.default_rng(63)
+    f = GridFunction(1, 5, rng.standard_normal(64), origin=-1)
+    for _ in range(40):
+        y, t = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.01, 1.0))
+        want = hat_oracle(f, y, t, q)
+        assert np.max(np.abs(hat_coefficients(f, y, t, q) - want)) <= 1e-13 * np.sum(np.abs(f.values))
+
+
 def test_engine_build_has_no_hidden_state():
     rng = np.random.default_rng(62)
     f = GridFunction(0, 6, rng.standard_normal(64))

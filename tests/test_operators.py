@@ -2,12 +2,20 @@
 square function's exact Parseval identity, psi-kernel square functions, and
 the truncated Hilbert transform's closed forms and symmetries."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sharpwt
 from sharpwt.gridfn import GridFunction
+from sharpwt.harness import corpus_functions
 from sharpwt.intrinsic import ConeQuadrature
 from sharpwt.operators import (
     _trailing_max,
@@ -22,6 +30,7 @@ from sharpwt.operators import (
     maximal_centered,
     psi_convolve_at,
     psi_convolve_grid,
+    psi_engine,
     s_psi,
     truncation_ladder,
 )
@@ -34,16 +43,16 @@ RNG = np.random.default_rng(64)
 
 
 def maximal_oracle(f, lengths):
+    """Per cell, the max average of |f| over every window of the given
+    lengths that contains it, one pass per (length, offset) pair."""
     v = np.abs(f.values)
     n = v.size
     pre = np.concatenate(([0.0], np.cumsum(v)))
     out = np.zeros(n)
-    for i in range(n):
-        best = 0.0
-        for ln in lengths:
-            for a in range(max(0, i - ln + 1), min(i, n - ln) + 1):
-                best = max(best, (pre[a + ln] - pre[a]) / ln)
-        out[i] = best
+    for ln in lengths:
+        avg = (pre[ln:] - pre[:-ln]) / ln  # window [a, a + ln) for a = 0 .. n - ln
+        for d in range(ln):  # cell a + d lies in window a
+            np.maximum(out[d : d + avg.size], avg, out=out[d : d + avg.size])
     return out
 
 
@@ -71,18 +80,35 @@ def test_maximal_matches_family_enumeration():
     assert np.all(ratio >= 1.0 - 1e-12) and np.all(ratio <= 2.0 + 1e-12)
 
 
-@pytest.mark.parametrize("s", [0, 3, 8])
-def test_maximal_bytewise_against_window_enumeration(s):
-    f = GridFunction(0, s, RNG.standard_normal(2**s))
-    want = np.maximum(np.abs(f.values), maximal_oracle(f, [2**m for m in range(1, s + 1)]))
+@pytest.mark.parametrize("L, s, origin", [(0, 0, 0), (0, 3, 0), (0, 8, 0), (1, 12, -1)],
+                         ids=["0", "3", "8", "12-L1-neg"])
+def test_maximal_bytewise_against_window_enumeration(L, s, origin):
+    f = GridFunction(L, s, RNG.standard_normal(2 ** (L + s)), origin=origin)
+    want = np.maximum(np.abs(f.values), maximal_oracle(f, [2**m for m in range(1, L + s + 1)]))
     assert maximal(f).values.tobytes() == want.tobytes()
+
+
+def trailing_max_oracle(s, w):
+    rows = s.reshape(-1, s.shape[-1])
+    out = [[row[max(0, x - w + 1) : x + 1].max() for x in range(row.size)] for row in rows]
+    return np.array(out).reshape(s.shape)
 
 
 def test_trailing_max_acts_row_wise_on_the_last_axis():
     rows = RNG.standard_normal((5, 37))
     for w in (1, 2, 4, 8, 64):
-        want = [[row[max(0, x - w + 1) : x + 1].max() for x in range(row.size)] for row in rows]
-        assert _trailing_max(rows, w).tobytes() == np.array(want).tobytes()
+        assert _trailing_max(rows, w).tobytes() == trailing_max_oracle(rows, w).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lead=st.sampled_from([(), (3,), (2, 3)]), n=st.integers(1, 70),
+       w=st.sampled_from([2**m for m in range(8)]), seed=st.integers(0, 2**32 - 1))
+def test_trailing_max_property(lead, n, w, seed):
+    # w from 1 to 128, so both w > n and w not dividing n occur
+    s = np.random.default_rng(seed).standard_normal(lead + (n,))
+    got = _trailing_max(s, w)
+    assert got.shape == s.shape
+    assert got.tobytes() == trailing_max_oracle(s, w).tobytes()
 
 
 def centered_oracle(f, nu):
@@ -172,6 +198,19 @@ def test_psi_grid_convolution_matches_pointwise():
         assert np.allclose(grid, point, atol=1e-13)
 
 
+@pytest.mark.parametrize("nodes_per_box", [1, 2])
+def test_psi_engine_nodes_match_pointwise(nodes_per_box):
+    for label, f in corpus_functions(seed=12, resolution_s=6, n_random=2):
+        eng = psi_engine(f, ConeQuadrature.for_grid(f, nodes_per_box=nodes_per_box))
+        tol = 1e-14 * float(np.sum(np.abs(f.values))) * float(f.cell_width)
+        for lev in eng._levels:
+            shape = lev["vals"].shape
+            ys = np.broadcast_to(lev["ys"][:, :, None], shape).ravel()
+            ts = np.broadcast_to(lev["ts"], shape).ravel()
+            want = [abs(psi_convolve_at(f, y, t)) for y, t in zip(ys.tolist(), ts.tolist())]
+            assert np.max(np.abs(lev["vals"].ravel() - want)) <= tol, (label, lev["k"])
+
+
 def test_s_psi_zero_and_jump_locality():
     zero = GridFunction(0, 6, np.zeros(64))
     quad = ConeQuadrature.for_grid(zero)
@@ -259,10 +298,34 @@ def test_hilbert_rejects_bad_delta():
 
 
 def test_fft_and_direct_convolution_agree():
-    # the large-N fast path must agree with the direct sum
+    # the large-N fast path must agree with the direct sum; 2n+1 is the
+    # Hilbert kernel's length
     from sharpwt.operators import _conv_wide
 
-    vals = RNG.standard_normal(5000)
-    kernel = RNG.standard_normal(301)
-    direct = np.convolve(vals, kernel)[150:150 + 5000]
-    assert np.allclose(_conv_wide(vals, kernel), direct, atol=1e-9)
+    for n in (4097, 5000, 8192):
+        for k in (301, 2 * n - 1, 2 * n + 1):
+            vals = RNG.standard_normal(n)
+            kernel = RNG.standard_normal(k)
+            start = (k - 1) // 2
+            direct = np.convolve(vals, kernel)[start : start + n]
+            fft = _conv_wide(vals, kernel)
+            assert fft.shape == direct.shape
+            assert np.max(np.abs(fft - direct)) <= 1e-13 * np.max(np.abs(direct)), (n, k)
+
+
+def test_operators_run_without_scipy():
+    src = str(Path(sharpwt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import sharpwt\n"
+        "from sharpwt.gridfn import GridFunction\n"
+        "from sharpwt.operators import g_psi, hilbert\n"
+        "f = GridFunction(0, 13, np.random.default_rng(0).standard_normal(2**13))\n"
+        "hilbert(f)\n"
+        "g_psi(f)\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
