@@ -9,6 +9,12 @@ functions the exceptional set is a union of cells, so it is covered by the
 selected cubes exactly; properties (ii)-(iv) hold by construction and the
 pointwise domination (i) with constant 4 is checked by the verifier rather
 than assumed.
+
+Every median and oscillation coefficient the construction needs is a block
+of the root's dyadic grid, so `decompose` reads them from one
+`gridfn.SortedBlocks` table of the root: each block size sorted once, one
+vector per size.  `gridfn.median` and `gridfn.local_osc` give the same
+numbers one cube per call and stay as the public per-call oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sharpwt.gridfn import GridFunction, local_osc, local_sharp_max_dyadic, median
+from sharpwt.gridfn import GridFunction, SortedBlocks, local_sharp_max_dyadic
 
 # lambda_n = 1/2^(n+2) in dimension n = 1; configurable, but tests pin 1/8
 LAMBDA_N = Fraction(1, 8)
@@ -133,10 +139,22 @@ def decompose(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
-    a0, b0 = f.cell_range(cube)
-    if (b0 - a0) & (b0 - a0 - 1):
-        raise ValueError("Q0 must contain a power-of-two number of cells")
-    root_median = median(f, (a0, b0))
+    table = SortedBlocks(f, cube)
+    a0, b0 = table.a0, table.b0
+    medians: dict[int, list[float]] = {}
+    oscs: dict[int, list[float]] = {}
+
+    def median_of(a, size):
+        if size not in medians:
+            medians[size] = table.medians(size).tolist()
+        return medians[size][(a - a0) // size]
+
+    def osc_of(a, size):
+        if size not in oscs:
+            oscs[size] = table.osc(size, lam).tolist()
+        return oscs[size][(a - a0) // size]
+
+    root_median = median_of(a0, b0 - a0)
     generations: list[list[StopCube]] = []
     current = [(a0, b0, root_median, -1)]
     while True:
@@ -147,7 +165,8 @@ def decompose(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
             if m < 2:
                 continue
             g = np.abs(f.values[pa:pb] - m_p)
-            allowed = int(lam * m)  # floor: cells permitted above the threshold
+            # floor(lam m): cells permitted above the threshold
+            allowed = (lam.numerator * m) // lam.denominator
             tau = 0.0 if allowed >= m else float(np.sort(g)[::-1][allowed])
             mask = g > tau
             if not mask.any():
@@ -156,17 +175,9 @@ def decompose(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
             prefix[1:] = np.cumsum(mask)
             for a, b in _select_children(prefix, 0, m):
                 a, b = a + pa, b + pa
-                size2 = 2 * (b - a)
-                qa = a0 + ((a - a0) // size2) * size2
-                next_gen.append(
-                    StopCube(
-                        a=a,
-                        b=b,
-                        osc_coeff=local_osc(f, (qa, qa + size2), lam),
-                        parent_ref=parent_idx,
-                    )
-                )
-                next_parents.append((a, b, median(f, (a, b)), parent_idx))
+                next_gen.append(StopCube(a=a, b=b, osc_coeff=osc_of(a, 2 * (b - a)),
+                                         parent_ref=parent_idx))
+                next_parents.append((a, b, median_of(a, b - a), parent_idx))
         if not next_gen:
             break
         generations.append(next_gen)

@@ -5,8 +5,15 @@ dyadic local sharp maximal function.
 Conventions: cells are half-open [x_i, x_i + h) of width h = 2^-s, the grid
 origin is an integer multiple of h, and every function is extended by zero
 outside its domain.  All measure-threshold comparisons are done in integer
-cell counts (thresholds converted through Fraction), so strict-vs-non-strict
-decisions in rearrangements are exact, never floating point.
+cell counts, so strict-vs-non-strict decisions in rearrangements are exact,
+never floating point: the oscillation window count on m cells at a rational
+lambda is the integer m - floor(lambda m) = ceil((1 - lambda) m).
+
+`SortedBlocks` holds, per dyadic block size of one root range, that size's
+blocks sorted once, and reads the median and the oscillation coefficient of
+every block of a level as one vector; the stopping-time decomposition,
+M^{#,d} and the scans read it.  `median` and `local_osc` compute the same
+numbers for one cube per call and stay as the public per-call oracle.
 """
 
 from __future__ import annotations
@@ -192,13 +199,9 @@ def _osc_sorted(v: np.ndarray, k_min: int) -> float:
     return float(np.min(v[k_min - 1 :] - v[: v.size - k_min + 1]) / 2.0)
 
 
-def _window_count(lam, m: int) -> int:
-    """ceil((1 - lam) * m) via exact Fraction arithmetic."""
-    need = (1 - Fraction(lam)) * m
-    k = int(need)
-    if k < need:
-        k += 1
-    return k
+def window_count(lam: Fraction, m: int) -> int:
+    """ceil((1 - lam) * m) for a Fraction lam in (0, 1), in integers."""
+    return m - (lam.numerator * m) // lam.denominator
 
 
 def local_osc(f: GridFunction, cube, lam) -> float:
@@ -212,7 +215,46 @@ def local_osc(f: GridFunction, cube, lam) -> float:
         raise ValueError("lambda must lie in (0, 1)")
     a, b = f.cell_range(cube)
     v = np.sort(f.values[a:b])
-    return _osc_sorted(v, _window_count(lam, b - a))
+    return _osc_sorted(v, window_count(lam, b - a))
+
+
+class SortedBlocks:
+    """Order statistics of the aligned dyadic blocks of a root range of f.
+
+    Level `size` is the root's values cut into blocks of `size` cells, each
+    block sorted once, built on first use.  The median and the oscillation
+    coefficient of every block of a level come out as one vector, by the
+    same index arithmetic, subtraction and `min` as `median` and
+    `local_osc`, so every value has their bits.  One table serves one call;
+    it is never shared between calls.
+    """
+
+    def __init__(self, f: GridFunction, cube=None):
+        self.a0, self.b0 = f.cell_range(cube)
+        m = self.b0 - self.a0
+        if m & (m - 1):
+            raise ValueError("Q0 must contain a power-of-two number of cells")
+        self._values = f.values[self.a0 : self.b0]
+        self._levels: dict[int, np.ndarray] = {}
+
+    def _sorted(self, size: int) -> np.ndarray:
+        blocks = self._levels.get(size)
+        if blocks is None:
+            blocks = np.sort(self._values.reshape(-1, size), axis=1)
+            self._levels[size] = blocks
+        return blocks
+
+    def medians(self, size: int) -> np.ndarray:
+        """`median` of every block of `size` cells, in block order."""
+        blocks = self._sorted(size)
+        lo, hi = blocks[:, (size + 1) // 2 - 1], blocks[:, size // 2]
+        return np.where(np.abs(lo) <= np.abs(hi), lo, hi)
+
+    def osc(self, size: int, lam: Fraction) -> np.ndarray:
+        """`local_osc` at lam of every block of `size` cells, in block order."""
+        k = window_count(lam, size)
+        blocks = self._sorted(size)
+        return (blocks[:, k - 1 :] - blocks[:, : size - k + 1]).min(axis=1) / 2.0
 
 
 def local_sharp_max_dyadic(f: GridFunction, cube=None, lam=Fraction(1, 4)) -> GridFunction:
@@ -221,17 +263,11 @@ def local_sharp_max_dyadic(f: GridFunction, cube=None, lam=Fraction(1, 4)) -> Gr
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
-    a, b = f.cell_range(cube)
-    m = b - a
-    if m & (m - 1):
-        raise ValueError("Q0 must contain a power-of-two number of cells")
+    table = SortedBlocks(f, cube)
+    a, b = table.a0, table.b0
     out = np.zeros(f.ncells)
     size = 2
-    while size <= m:
-        blocks = np.sort(f.values[a:b].reshape(m // size, size), axis=1)
-        k = _window_count(lam, size)
-        if k > 1:
-            osc = (blocks[:, k - 1 :] - blocks[:, : size - k + 1]).min(axis=1) / 2.0
-            np.maximum(out[a:b], np.repeat(osc, size), out=out[a:b])
+    while size <= b - a:
+        np.maximum(out[a:b], np.repeat(table.osc(size, lam), size), out=out[a:b])
         size *= 2
     return f.with_values(out)

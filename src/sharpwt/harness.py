@@ -27,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from sharpwt.decomp import _integral_abs_interval, a_gamma, decompose
-from sharpwt.gridfn import GridFunction, local_osc, median
+from sharpwt.decomp import a_gamma, decompose
+from sharpwt.gridfn import GridFunction, SortedBlocks, local_osc, median
 from sharpwt.intrinsic import ConeQuadrature, intrinsic_engine
 from sharpwt.operators import (
     PSI,
@@ -369,20 +369,24 @@ def _cases_43(seed, s, n):
 
 
 def _local_sharp_ratio(g, eng):
+    """max over the dyadic cubes Q of levels 2-6 of
+    osc_{1/8}(G~^2; Q) / (avg_{15Q} |g|)^2, with 15Q the cells
+    [a - 7|Q|, a + 8|Q|) clipped to the grid and divided by its full width."""
     lam = Fraction(1, 8)
-    gt2f = g.with_values(eng.g_tilde().values ** 2)
+    table = SortedBlocks(g.with_values(eng.g_tilde().values ** 2))
     worst = 0.0
     for lev in range(2, 7):
         size = g.ncells >> lev
         if size < 1:
             continue
-        for a in range(0, g.ncells, size):
-            osc = local_osc(gt2f, (a, a + size), lam)
-            lo = g.origin + Fraction(a, g.ncells) - 7 * Fraction(size, g.ncells)
-            width = 15 * size * g.cell_width
-            avg = _integral_abs_interval(g, lo, lo + width) / float(width)
-            if avg > 1e-9:
-                worst = max(worst, osc / avg**2)
+        a = np.arange(0, g.ncells, size)
+        lo, hi = np.maximum(a - 7 * size, 0), np.minimum(a + 8 * size, g.ncells)
+        avg = g.integral_abs(lo, hi) / float(15 * size * g.cell_width)
+        keep = avg > 1e-9
+        # scalar `v ** 2` is libm pow, which can differ in the last bit from
+        # the array square v * v; the scan's value is defined by the scalar
+        osc = table.osc(size, lam)[keep].tolist()
+        worst = max([worst] + [o / v**2 for o, v in zip(osc, avg[keep].tolist())])
     return worst
 
 

@@ -1,0 +1,94 @@
+"""Per-call reference implementations kept as test oracles for the
+sorted-blocks table: the oscillation window count in Fraction arithmetic,
+the stopping-time decomposition with one `median` and one `local_osc` call
+per cube, and the scan-5.2 value with one `local_osc` call and one
+exact-Fraction 15Q average per dyadic cube."""
+
+from fractions import Fraction
+
+import numpy as np
+
+from sharpwt.decomp import LAMBDA_N, Decomposition, StopCube, _integral_abs_interval, _select_children
+from sharpwt.gridfn import GridFunction, local_osc, median
+
+
+def window_count_fraction(lam, m: int) -> int:
+    """ceil((1 - lam) * m) via exact Fraction arithmetic."""
+    need = (1 - Fraction(lam)) * m
+    k = int(need)
+    if k < need:
+        k += 1
+    return k
+
+
+def decompose_per_call(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
+    lam = Fraction(lam)
+    if not 0 < lam < 1:
+        raise ValueError("lambda must lie in (0, 1)")
+    a0, b0 = f.cell_range(cube)
+    if (b0 - a0) & (b0 - a0 - 1):
+        raise ValueError("Q0 must contain a power-of-two number of cells")
+    root_median = median(f, (a0, b0))
+    generations: list[list[StopCube]] = []
+    current = [(a0, b0, root_median, -1)]
+    while True:
+        next_gen: list[StopCube] = []
+        next_parents = []
+        for parent_idx, (pa, pb, m_p, _) in enumerate(current):
+            m = pb - pa
+            if m < 2:
+                continue
+            g = np.abs(f.values[pa:pb] - m_p)
+            allowed = int(lam * m)  # floor: cells permitted above the threshold
+            tau = 0.0 if allowed >= m else float(np.sort(g)[::-1][allowed])
+            mask = g > tau
+            if not mask.any():
+                continue
+            prefix = np.zeros(pb - pa + 1)
+            prefix[1:] = np.cumsum(mask)
+            for a, b in _select_children(prefix, 0, m):
+                a, b = a + pa, b + pa
+                size2 = 2 * (b - a)
+                qa = a0 + ((a - a0) // size2) * size2
+                next_gen.append(
+                    StopCube(
+                        a=a,
+                        b=b,
+                        osc_coeff=local_osc(f, (qa, qa + size2), lam),
+                        parent_ref=parent_idx,
+                    )
+                )
+                next_parents.append((a, b, median(f, (a, b)), parent_idx))
+        if not next_gen:
+            break
+        generations.append(next_gen)
+        current = next_parents
+    for k, gen in enumerate(generations):
+        child_cells = np.zeros(len(gen), dtype=int)
+        if k + 1 < len(generations):
+            for sc in generations[k + 1]:
+                child_cells[sc.parent_ref] += sc.ncells
+        for j, sc in enumerate(gen):
+            sc.e_cells = sc.ncells - int(child_cells[j])
+    return Decomposition(f, (a0, b0), root_median, lam, generations)
+
+
+def local_sharp_ratio_per_cube(g: GridFunction, gt2: np.ndarray) -> float:
+    """max over the dyadic cubes Q of levels 2-6 of
+    osc_{1/8}(gt2; Q) / (avg_{15Q} |g|)^2, 15Q placed in exact Fraction
+    coordinates at origin + a h - 7 |Q|."""
+    lam = Fraction(1, 8)
+    gt2f = g.with_values(gt2)
+    worst = 0.0
+    for lev in range(2, 7):
+        size = g.ncells >> lev
+        if size < 1:
+            continue
+        for a in range(0, g.ncells, size):
+            osc = local_osc(gt2f, (a, a + size), lam)
+            lo = g.origin + a * g.cell_width - 7 * size * g.cell_width
+            width = 15 * size * g.cell_width
+            avg = _integral_abs_interval(g, lo, lo + width) / float(width)
+            if avg > 1e-9:
+                worst = max(worst, osc / avg**2)
+    return worst

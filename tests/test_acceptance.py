@@ -2,12 +2,20 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  The ratio-scan and exponent-fit reports are written as
-CSV, with the per-criterion lines in acceptance.log, to a fresh pytest
-temporary directory per session, or to SHARPWT_REPORT_DIR when it is set;
-a test run never writes into the source tree otherwise.
+CSV to a fresh pytest temporary directory per session, or to
+SHARPWT_REPORT_DIR when it is set; a test run never writes into the source
+tree otherwise.  acceptance.log, in the same directory, holds one JSON
+object per criterion line: criterion, passed, elapsed_s, each value of the
+line as its own field, the seed and resolution where the criterion has
+them, and the git describe, Python and numpy versions of the run.
 """
 
+import json
+import math
 import os
+import platform
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +29,7 @@ from sharpwt.gridfn import GridFunction, local_osc, median, rearrangement_value
 from sharpwt.harness import (
     ACCEPTANCE_RUNS,
     _corpus_engines,
+    _git_describe,
     corpus_functions,
     emit,
     exponent_experiment,
@@ -40,13 +49,40 @@ def report_dir(tmp_path_factory) -> Path:
     return path
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _detail(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    return str(value)
+
+
+def _json_value(value):
+    # strict JSON has no inf or nan
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
 @pytest.fixture(scope="session")
 def report(report_dir):
-    def write(criterion: str, passed: bool, detail: str = "") -> None:
-        line = f"[{'PASS' if passed else 'FAIL'}] {criterion}  {detail}"
-        print(line)
+    provenance = {
+        "git_describe": _git_describe(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+    def write(criterion: str, passed: bool, elapsed_s: float, **fields) -> None:
+        """Print the PASS/FAIL line and append the criterion's JSON record;
+        `seed` and `resolution_s` go in `fields` where the criterion has them."""
+        detail = " ".join(f"{key}={_detail(value)}" for key, value in fields.items())
+        print(f"[{'PASS' if passed else 'FAIL'}] {criterion}  {detail} time={elapsed_s:.1f}s")
+        record = {"criterion": criterion, "passed": bool(passed), "elapsed_s": elapsed_s}
+        record.update({key: _json_value(value) for key, value in fields.items()})
+        record.update(provenance)
         with open(report_dir / "acceptance.log", "a") as fh:
-            fh.write(line + "\n")
+            fh.write(json.dumps(record, allow_nan=False) + "\n")
 
     return write
 
@@ -122,8 +158,7 @@ def test_criterion_1_dyadic_geometry(report):
 
     elapsed = time.monotonic() - t0
     ok = violations == 0 and elapsed < 10.0
-    report("criterion 1 (Wilson families + companions)",
-           ok, f"violations={violations} time={elapsed:.1f}s")
+    report("criterion 1 (Wilson families + companions)", ok, elapsed, violations=violations)
     assert ok
 
 
@@ -145,8 +180,8 @@ def test_criterion_2_decomposition_corpus(report):
             fails += 1
     elapsed = time.monotonic() - t0
     ok = fails == 0 and elapsed < 300.0
-    report("criterion 2 (Theorem-4.1 decomposition, 1000 fns)",
-           ok, f"fails={fails} worst_(i)_slack={worst_slack:.3g} time={elapsed:.1f}s")
+    report("criterion 2 (Theorem-4.1 decomposition, 1000 fns)", ok, elapsed,
+           fails=fails, worst_i_slack=float(worst_slack), seed=20211, resolution_s=10)
     assert ok
 
 
@@ -156,6 +191,7 @@ def test_criterion_2_decomposition_corpus(report):
 
 
 def test_criterion_3_oscillation_oracles(report):
+    t0 = time.monotonic()
     rng = np.random.default_rng(303)
     lam = Fraction(1, 8)
     n = 64
@@ -204,8 +240,9 @@ def test_criterion_3_oscillation_oracles(report):
                 bad["lemma43"] += 1
 
     ok = worst_osc <= 1e-12 and all(v == 0 for v in bad.values())
-    report("criterion 3 (oscillation calculus oracles, 1000 cases)",
-           ok, f"worst_osc_diff={worst_osc:.2g} failures={bad}")
+    report("criterion 3 (oscillation calculus oracles, 1000 cases)", ok, time.monotonic() - t0,
+           worst_osc_diff=worst_osc, **{f"failures_{key}": v for key, v in bad.items()},
+           seed=303, resolution_s=6)
     assert ok
 
 
@@ -225,8 +262,8 @@ def test_criterion_4_sandwich(report):
         worst_left = max(worst_left, float(np.max(g1 - gt)))
         worst_right = max(worst_right, float(np.max(gt - g4)))
     ok = worst_left <= 1e-12 and worst_right <= 1e-12
-    report("criterion 4 (Lemma 5.1 sandwich, 50 fns, s=8)",
-           ok, f"left={worst_left:.2g} right={worst_right:.2g} time={time.monotonic()-t0:.0f}s")
+    report("criterion 4 (Lemma 5.1 sandwich, 50 fns, s=8)", ok, time.monotonic() - t0,
+           left=worst_left, right=worst_right, seed=51, resolution_s=8)
     assert ok
 
 
@@ -249,6 +286,7 @@ def lattice_sup_q5(c, alpha=0.5, step=1e-3, box=0.85):
 
 
 def test_criterion_5_lp_oracles(report):
+    t0 = time.monotonic()
     rng = np.random.default_rng(55)
     cls5 = _holder_class(0.5, 5)
     cls17 = _holder_class(0.5, 17)
@@ -271,8 +309,9 @@ def test_criterion_5_lp_oracles(report):
             c = hat_coefficients(f, y, t, 17)
             worst_dict = max(worst_dict, cls17.dict_sup(c) - cls17.lp_sup(c))
     ok = worst5 <= 0 and ncases >= 10 and worst_dict <= 1e-9
-    report("criterion 5 (LP vs lattice oracle; dictionary <= LP)",
-           ok, f"lattice_excess={worst5:.2g} on {ncases} cases, dict-lp={worst_dict:.2g}")
+    report("criterion 5 (LP vs lattice oracle; dictionary <= LP)", ok, time.monotonic() - t0,
+           lattice_excess=worst5, lattice_cases=ncases, dict_minus_lp=worst_dict,
+           seed=55, corpus_seed=56, resolution_s=6)
     assert ok
 
 
@@ -290,9 +329,9 @@ def test_criterion_6_ratio_scan(lemma, report, report_dir):
     path = report_dir / f"scan-{lemma.replace('.', '_')}.csv"
     emit(rep, str(path))
     ok = rep.passed and np.isfinite(rep.max_base)
-    report(f"criterion 6 (ratio scan {lemma})",
-           ok, f"max={rep.max_base:.4g} drift={rep.drift:.3f} argmax={rep.argmax} "
-               f"time={time.monotonic()-t0:.0f}s -> {path}")
+    report(f"criterion 6 (ratio scan {lemma})", ok, time.monotonic() - t0,
+           max=rep.max_base, drift=rep.drift, argmax=rep.argmax, path=str(path),
+           seed=rep.seed, resolution_s=rep.resolution_s)
     assert ok
 
 
@@ -311,9 +350,9 @@ def test_criterion_7_exponent(name, report, report_dir):
     ok = lo <= result.slope <= hi and elapsed < 600.0
     # fitted slopes are lower-bound estimates; they must not overshoot
     ok = ok and result.slope <= target + 0.1
-    report(f"criterion 7 (exponent {name})",
-           ok, f"slope={result.slope:.4f} target={target:.3g} window=[{lo},{hi}] "
-               f"r2={result.r2:.3f} time={elapsed:.0f}s")
+    report(f"criterion 7 (exponent {name})", ok, elapsed,
+           slope=result.slope, target=target, window_lo=lo, window_hi=hi, r2=result.r2,
+           seed=spec.seed, resolution_s=spec.resolution_s)
     assert ok
 
 
@@ -323,6 +362,7 @@ def test_criterion_7_exponent(name, report, report_dir):
 
 
 def test_criterion_8_determinism(tmp_path, report):
+    t0 = time.monotonic()
     spec = ACCEPTANCE_RUNS["sd-p3"][0]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit(exponent_experiment(spec), str(a))
@@ -337,5 +377,37 @@ def test_criterion_8_determinism(tmp_path, report):
     emit(r2, str(d))
     same_scan = c.read_bytes() == d.read_bytes()
     ok = same_fit and same_scan
-    report("criterion 8 (determinism)", ok, f"fit={same_fit} scan={same_scan}")
+    report("criterion 8 (determinism)", ok, time.monotonic() - t0,
+           fit=same_fit, scan=same_scan, seed=8, resolution_s=r1.resolution_s)
     assert ok
+
+
+FRESH_RUN = """
+import sys
+from sharpwt.harness import ACCEPTANCE_RUNS, emit, exponent_experiment, ratio_scan
+emit(exponent_experiment(ACCEPTANCE_RUNS["sd-p3"][0]), sys.argv[1])
+emit(ratio_scan("2.2", seed=8, n_random=10), sys.argv[2])
+"""
+
+
+def test_criterion_8_fresh_interpreter(tmp_path, report):
+    """Criterion 8's fit and scan in a new interpreter with PYTHONPATH=src
+    give the bytes of the same run in this process, whatever the process
+    has computed before."""
+    t0 = time.monotonic()
+    emit(exponent_experiment(ACCEPTANCE_RUNS["sd-p3"][0]), str(tmp_path / "fit.csv"))
+    rep = ratio_scan("2.2", seed=8, n_random=10)
+    emit(rep, str(tmp_path / "scan.csv"))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, str(tmp_path / "fresh-fit.csv"), str(tmp_path / "fresh-scan.csv")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=600,
+    )
+    ran = proc.returncode == 0
+    same_fit = ran and (tmp_path / "fit.csv").read_bytes() == (tmp_path / "fresh-fit.csv").read_bytes()
+    same_scan = ran and (tmp_path / "scan.csv").read_bytes() == (tmp_path / "fresh-scan.csv").read_bytes()
+    ok = same_fit and same_scan
+    report("criterion 8 (determinism, fresh interpreter)", ok, time.monotonic() - t0,
+           exit_status=proc.returncode, fit=same_fit, scan=same_scan,
+           seed=8, resolution_s=rep.resolution_s)
+    assert ok, proc.stderr[-2000:]
