@@ -165,3 +165,40 @@ def test_verifier_reports_failure_on_tampered_tree():
     rep = verify_decomposition(f, d)
     assert not rep["i_pointwise"]["passed"]
     assert not rep["passed"]
+
+
+def _hand_tree(first, second):
+    """A tree on f = 0 over 16 cells with the given (a, b, parent, e_cells)
+    cubes in its two generations; f = 0 makes (i) hold for any cubes, so only
+    the structural checks can fail."""
+    from sharpwt.decomp import StopCube
+
+    f = GridFunction(0, 4, np.zeros(16))
+    gens = [[StopCube(a=a, b=b, osc_coeff=0.0, parent_ref=p, e_cells=e) for a, b, p, e in gen]
+            for gen in (first, second)]
+    return f, Decomposition(f, (0, 16), 0.0, Fraction(1, 8), gens)
+
+
+VALID_FIRST = [(0, 4, -1, 2), (8, 12, -1, 4)]
+VALID_SECOND = [(0, 2, 0, 2)]
+CHECKS = ("ii_disjoint", "iii_nested", "iv_half_measure", "sparse_sets", "i_pointwise")
+
+
+@pytest.mark.parametrize("first, second, failing", [
+    (VALID_FIRST, VALID_SECOND, set()),
+    # two overlapping cubes in one generation
+    (VALID_FIRST + [(8, 10, -1, 2)], VALID_SECOND, {"ii_disjoint"}),
+    # a child outside every parent
+    (VALID_FIRST, VALID_SECOND + [(12, 14, 1, 2)], {"iii_nested"}),
+    # a child covering more than half its parent; |E| = |Q| - |Omega cap Q|
+    # is then below |Q|/2, so the sparse-set bound fails with it
+    (VALID_FIRST, [(0, 3, 0, 3)], {"iv_half_measure", "sparse_sets"}),
+    # a stored sparse-set measure off by one
+    ([(0, 4, -1, 2), (8, 12, -1, 3)], VALID_SECOND, {"sparse_sets"}),
+    ([(0, 4, -1, 3), (8, 12, -1, 4)], VALID_SECOND, {"sparse_sets"}),
+])
+def test_verifier_flags_exactly_the_broken_property(first, second, failing):
+    f, d = _hand_tree(first, second)
+    rep = verify_decomposition(f, d)
+    assert {k for k in CHECKS if not rep[k]["passed"]} == failing
+    assert rep["passed"] == (not failing)

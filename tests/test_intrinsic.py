@@ -2,6 +2,8 @@
 oracle, its optimality certificate, dictionary certification, quadrature
 geometry, and the discrete box/cone sandwich."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,34 @@ def test_g_cone_matches_node_loop_bytewise(mode, nodes_per_box):
             for closed in (False, True):
                 got = eng.g_cone(beta, closed=closed).values
                 assert got.tobytes() == g_cone_oracle(eng, beta, closed).tobytes(), (label, beta, closed)
+
+
+def g_tilde_oracle(eng):
+    """The per-box loop that SquareFunctionEngine.g_tilde vectorizes."""
+    centers = eng.f.cell_centers()
+    acc = np.zeros(eng.f.ncells + 1)
+    for k, j, g2 in eng.gamma_sq():
+        side = 2.0**-k
+        lo = (j - 1) * side
+        hi = (j + 2) * side
+        a = int(np.searchsorted(centers, lo, "left"))
+        b = int(np.searchsorted(centers, hi, "left"))
+        if b > a:
+            acc[a] += g2
+            acc[b] -= g2
+    return np.sqrt(np.maximum(np.cumsum(acc[:-1]), 0.0))
+
+
+@pytest.mark.parametrize("nodes_per_box", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["lp", "dictionary"])
+def test_g_tilde_matches_box_loop_bytewise(mode, nodes_per_box):
+    rng = np.random.default_rng(13)
+    fs = [GridFunction(-1, 6, rng.standard_normal(32), origin=Fraction(-3, 4)),
+          GridFunction(0, 5, rng.standard_normal(32), origin=Fraction(-5, 32)),
+          GridFunction(1, 4, rng.standard_normal(32), origin=-1)]
+    for f in fs:
+        eng = intrinsic_engine(f, quad=ConeQuadrature.for_grid(f, nodes_per_box=nodes_per_box), mode=mode)
+        assert eng.g_tilde().values.tobytes() == g_tilde_oracle(eng).tobytes(), (f.level_L, f.origin)
 
 
 def test_g_tilde_double_summation_identity():
