@@ -186,11 +186,11 @@ def main(argv=None) -> int:
     if args.command == "exponent":
         if args.run:
             spec, target, window = ACCEPTANCE_RUNS[args.run]
-            spec = dataclasses.replace(spec, seed=args.seed, out=args.out)
+            spec = dataclasses.replace(spec, seed=args.seed)
         else:
             deltas = tuple(float(x) for x in args.deltas.split(","))
             spec = ExperimentSpec(args.op, args.p, deltas, args.res, max(args.L, 1),
-                                  args.family, seed=args.seed, out=args.out)
+                                  args.family, seed=args.seed)
             target, window = None, None
             if args.window:
                 lo, hi = (float(x) for x in args.window.split(","))

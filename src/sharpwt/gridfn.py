@@ -9,6 +9,11 @@ cell counts, so strict-vs-non-strict decisions in rearrangements are exact,
 never floating point: the oscillation window count on m cells at a rational
 lambda is the integer m - floor(lambda m) = ceil((1 - lambda) m).
 
+`interval_sums` is the one difference array: the square-function engine,
+the decomposition's sums over stopping cubes and its verifier all build
+their sums of weighted indicators with it, so the order of the additions,
+and with it the rounding, is decided in one place.
+
 `SortedBlocks` holds, per dyadic block size of one root range, that size's
 blocks sorted once, and reads the median and the oscillation coefficient of
 every block of a level as one vector; the stopping-time decomposition,
@@ -160,6 +165,17 @@ class GridFunction:
         x0 = float(self.origin)
         for i, v in enumerate(self.values):
             yield x0 + (i + 0.5) * h, float(v)
+
+
+def interval_sums(ncells: int, a, b, c) -> np.ndarray:
+    """sum_i c[i] chi_[a[i], b[i]) per cell, for 0 <= a[i] <= b[i] <= ncells:
+    +c[i] at a[i] and -c[i] at b[i] in the order of i, then one running sum,
+    so the rounding is that of a loop over i."""
+    c = np.asarray(c, dtype=float)
+    acc = np.zeros(ncells + 1)
+    np.add.at(acc, np.stack([a, b], axis=1).astype(np.intp).ravel(),
+              np.stack([c, -c], axis=1).ravel())
+    return np.cumsum(acc[:-1])
 
 
 def rearrangement_value(f: GridFunction, cube, t) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import subprocess
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,7 +63,6 @@ class ExperimentSpec:
     weight_family: str = "buckley"  # "buckley" | "dual-pair"
     fn_family: str = "inverse-power"
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
         d = self.deltas
@@ -112,10 +112,11 @@ class FitResult:
 
 
 def _git_describe() -> str:
+    """git describe of the tree these sources sit in, not of the working directory."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=10,
+            capture_output=True, text=True, timeout=10, cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         return out.stdout.strip() or "unknown"
     except Exception:
@@ -198,36 +199,35 @@ ACCEPTANCE_RUNS = {
 # ---------------------------------------------------------------------------
 
 
-def corpus_functions(seed: int = 0, resolution_s: int = 6, n_random: int = 50,
-                     structured: bool = True) -> list[tuple[str, GridFunction]]:
+def corpus_functions(seed: int = 0, resolution_s: int = 6,
+                     n_random: int = 50) -> list[tuple[str, GridFunction]]:
     """Seeded random step functions plus the structured cases (indicators,
     Haar atoms, power bumps) on [0, 1)."""
     rng = np.random.default_rng(seed)
     n = 2**resolution_s
     out = [(f"rand{i:02d}", GridFunction(0, resolution_s, rng.standard_normal(n)))
            for i in range(n_random)]
-    if structured:
-        probe = GridFunction(0, resolution_s, np.zeros(n))
-        edges = probe.cell_edges()
-        half = np.zeros(n); half[: n // 2] = 1.0
-        block = np.zeros(n); block[n // 4 : 3 * n // 8] = 1.0
-        haar = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
-        haar_q = np.zeros(n); haar_q[n // 2 : 5 * n // 8] = 1.0; haar_q[5 * n // 8 : 3 * n // 4] = -1.0
-        spike = np.zeros(n); spike[0] = float(n)
-        alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        ramp = np.linspace(-1.0, 1.0, n)
-        out += [
-            ("ind-half", probe.with_values(half)),
-            ("ind-block", probe.with_values(block)),
-            ("haar-root", probe.with_values(haar)),
-            ("haar-q3", probe.with_values(haar_q)),
-            ("pow-mid", probe.with_values(power_cell_averages(edges, -0.25, center=0.5))),
-            ("pow-origin", probe.with_values(power_cell_averages(edges, -1.0 / 3.0))),
-            ("spike", probe.with_values(spike)),
-            ("const", probe.with_values(np.ones(n))),
-            ("alt", probe.with_values(alt)),
-            ("ramp", probe.with_values(ramp)),
-        ]
+    probe = GridFunction(0, resolution_s, np.zeros(n))
+    edges = probe.cell_edges()
+    half = np.zeros(n); half[: n // 2] = 1.0
+    block = np.zeros(n); block[n // 4 : 3 * n // 8] = 1.0
+    haar = np.concatenate([np.ones(n // 2), -np.ones(n // 2)])
+    haar_q = np.zeros(n); haar_q[n // 2 : 5 * n // 8] = 1.0; haar_q[5 * n // 8 : 3 * n // 4] = -1.0
+    spike = np.zeros(n); spike[0] = float(n)
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    ramp = np.linspace(-1.0, 1.0, n)
+    out += [
+        ("ind-half", probe.with_values(half)),
+        ("ind-block", probe.with_values(block)),
+        ("haar-root", probe.with_values(haar)),
+        ("haar-q3", probe.with_values(haar_q)),
+        ("pow-mid", probe.with_values(power_cell_averages(edges, -0.25, center=0.5))),
+        ("pow-origin", probe.with_values(power_cell_averages(edges, -1.0 / 3.0))),
+        ("spike", probe.with_values(spike)),
+        ("const", probe.with_values(np.ones(n))),
+        ("alt", probe.with_values(alt)),
+        ("ramp", probe.with_values(ramp)),
+    ]
     return out
 
 

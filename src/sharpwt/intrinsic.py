@@ -20,7 +20,8 @@ from phi = 0 along null-space directions of the rows made tight so far.  An
 engine build solves its nodes one quadrature level at a time, in a fixed
 order, each starting from the best vertex found so far in that build.
 A general-purpose LP solver (scipy's HiGHS interface) is kept only as the
-test oracle.
+test oracle.  The engine keeps all its nodes and boxes in flat arrays and
+sums the cone and box aggregations with `gridfn.interval_sums`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from sharpwt.gridfn import GridFunction
+from sharpwt.gridfn import GridFunction, interval_sums
 
 _MULTIPLIER_TOL = 1e-13  # relative to max |c|: a multiplier below -tol * max|c| is improvable
 _DIRECTION_TOL = 1e-9    # a row blocks a step only if it moves toward its bound by more
@@ -363,6 +364,8 @@ class SquareFunctionEngine:
     closed) and the box version sum_Q gamma_Q^2 chi_3Q; both use the
     identical node set, which makes the discrete sandwich
     G(beta=1) <= G~ <= G(beta=4, closed) exact.
+    Nodes sit in flat arrays in (level, box, y offset, t) order, boxes in
+    (level, box) order.
     """
 
     def __init__(self, f: GridFunction, quad: ConeQuadrature, level_eval):
@@ -371,65 +374,48 @@ class SquareFunctionEngine:
         (box, y offset, t) order."""
         self.f = f
         self.quad = quad
-        # per level: arrays of y, t, weight, value
-        self._levels: list[dict] = []
+        m = quad.nodes_per_box
+        boxes, nodes = [np.zeros((2, 0), dtype=int)], [np.zeros((4, 0))]
         for k, (j_lo, j_hi) in zip(quad.levels, quad.box_ranges):
             side = 2.0**-k
             dy, ts, weight = quad.level_nodes(k)
-            boxes = np.arange(j_lo, j_hi + 1)
-            ys = boxes[:, None] * side + dy[None, :]          # (nboxes, m)
-            shape = (boxes.size, ts.size, ts.size)            # (box, iy, it)
-            node_ys = np.broadcast_to(ys[:, :, None], shape).ravel()
-            node_ts = np.broadcast_to(ts, shape).ravel()
-            vals = np.asarray(level_eval(node_ys, node_ts), dtype=float).reshape(shape)
-            self._levels.append(
-                {"k": k, "side": side, "j_lo": j_lo, "ys": ys, "ts": ts,
-                 "weight": weight, "vals": vals}
-            )
+            j = np.arange(j_lo, j_hi + 1)
+            shape = (j.size, m, m)  # (box, y offset, t)
+            ys = np.broadcast_to((j[:, None] * side + dy[None, :])[:, :, None], shape).ravel()
+            ts = np.broadcast_to(ts, shape).ravel()
+            vals = np.asarray(level_eval(ys, ts), dtype=float).ravel()
+            boxes.append(np.stack([np.full(j.size, k), j]))
+            nodes.append(np.stack([ys, ts, np.full(ys.size, weight), vals]))
+        self.box_k, self.box_j = np.hstack(boxes)
+        self.node_ys, self.node_ts, self.node_weights, self.node_vals = np.hstack(nodes)
+
+    def _box_gamma_sq(self) -> np.ndarray:
+        m = self.quad.nodes_per_box
+        terms = self.node_vals**2 * (self.node_weights / self.node_ts**2)
+        return terms.reshape(-1, m, m).sum(axis=(1, 2))
 
     def gamma_sq(self) -> list[tuple[int, int, float]]:
         """(level k, index j, gamma_Q^2) for every box."""
-        out = []
-        for lev in self._levels:
-            contrib = (lev["vals"] ** 2 * (lev["weight"] / lev["ts"][None, None, :] ** 2)).sum(axis=(1, 2))
-            for i, g2 in enumerate(contrib):
-                out.append((lev["k"], lev["j_lo"] + i, float(g2)))
-        return out
+        return list(zip(self.box_k.tolist(), self.box_j.tolist(), self._box_gamma_sq().tolist()))
 
     def g_tilde(self) -> GridFunction:
         centers = self.f.cell_centers()
-        acc = np.zeros(self.f.ncells + 1)
-        for k, j, g2 in self.gamma_sq():
-            side = 2.0**-k
-            lo = (j - 1) * side
-            hi = (j + 2) * side
-            a = int(np.searchsorted(centers, lo, "left"))
-            b = int(np.searchsorted(centers, hi, "left"))
-            if b > a:
-                acc[a] += g2
-                acc[b] -= g2
-        return self.f.with_values(np.sqrt(np.maximum(np.cumsum(acc[:-1]), 0.0)))
+        side = 2.0**-self.box_k
+        a = np.searchsorted(centers, (self.box_j - 1) * side, "left")
+        b = np.searchsorted(centers, (self.box_j + 2) * side, "left")
+        keep = b > a
+        acc = interval_sums(self.f.ncells, a[keep], b[keep], self._box_gamma_sq()[keep])
+        return self.f.with_values(np.sqrt(np.maximum(acc, 0.0)))
 
     def g_cone(self, beta: float, closed: bool = False) -> GridFunction:
         centers = self.f.cell_centers()
-        acc = np.zeros(self.f.ncells + 1)
-        lo_side = "left" if closed else "right"
-        hi_side = "right" if closed else "left"
-        for lev in self._levels:
-            shape = lev["vals"].shape  # the nodes in (box, iy, it) order
-            vals = lev["vals"].ravel()
-            ys = np.broadcast_to(lev["ys"][:, :, None], shape).ravel()
-            ts = np.broadcast_to(lev["ts"], shape).ravel()
-            a = np.searchsorted(centers, ys - beta * ts, lo_side)
-            b = np.searchsorted(centers, ys + beta * ts, hi_side)
-            keep = (vals != 0.0) & (b > a)
-            v, t = vals[keep], ts[keep]
-            contrib = v * v * lev["weight"] / t**2
-            # +c at a and -c at b node by node, so the cumsum sees the
-            # additions in the order of a loop over the nodes
-            np.add.at(acc, np.stack([a[keep], b[keep]], axis=1).ravel(),
-                      np.stack([contrib, -contrib], axis=1).ravel())
-        return self.f.with_values(np.sqrt(np.maximum(np.cumsum(acc[:-1]), 0.0)))
+        ys, ts, vals = self.node_ys, self.node_ts, self.node_vals
+        a = np.searchsorted(centers, ys - beta * ts, "left" if closed else "right")
+        b = np.searchsorted(centers, ys + beta * ts, "right" if closed else "left")
+        keep = (vals != 0.0) & (b > a)
+        v, t = vals[keep], ts[keep]
+        acc = interval_sums(self.f.ncells, a[keep], b[keep], v * v * self.node_weights[keep] / t**2)
+        return self.f.with_values(np.sqrt(np.maximum(acc, 0.0)))
 
 
 def _lp_engine(f: GridFunction, quad: ConeQuadrature, alpha: float, q: int, mode: str) -> SquareFunctionEngine:

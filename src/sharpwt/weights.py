@@ -17,7 +17,6 @@ import numpy as np
 from sharpwt.gridfn import GridFunction
 from sharpwt.operators import _trailing_max
 
-DYADIC_TEST_FAMILY = "grid-aligned intervals of dyadic length, any position"
 _FUJII_CHUNK = 1 << 17  # float64 entries per (positions x slice) chunk of chopped rows, ~1 MB
 
 
@@ -52,8 +51,8 @@ class PowerWeightSpec:
 
 
 class Weight:
-    """Strictly positive grid function with cached prefix sums of w and of
-    w^(-1/(p-1)) for every requested p.
+    """Strictly positive grid function; the prefix sums of w are its base's,
+    and those of w^(-1/(p-1)) are cached for every requested p.
 
     For a generic weight the dual side is formed cell-wise from the stored
     step values.  A weight declared through a PowerWeightSpec keeps its
@@ -65,7 +64,6 @@ class Weight:
             raise ValueError("weights must be strictly positive")
         self.base = base
         self.power = power
-        self._prefix = np.concatenate(([0.0], np.cumsum(base.values)))
         self._sigma_prefix: dict[float, np.ndarray] = {}
 
     @property
@@ -78,7 +76,7 @@ class Weight:
 
     def mass(self, a: int, b: int) -> float:
         """w(Q) = integral of w over the cell range [a, b)."""
-        return float(self.base.cell_width) * (self._prefix[b] - self._prefix[a])
+        return float(self.base.cell_width) * (self.base._prefix[b] - self.base._prefix[a])
 
     def scaled(self, c: float) -> "Weight":
         return Weight(
@@ -111,7 +109,7 @@ def ap_characteristic(w: Weight, p: float) -> float:
     """sup over the test family of (avg_Q w) (avg_Q w^(-1/(p-1)))^(p-1)."""
     if p <= 1:
         raise ValueError("A_p requires p > 1")
-    pw = w._prefix
+    pw = w.base._prefix
     ps = w.sigma_prefix(p)
     best = 1.0
     for ln in _dyadic_lengths(w.ncells):
@@ -125,7 +123,7 @@ def ap_characteristic_full(w: Weight, p: float) -> float:
     """O(N^2) oracle: the same supremum over ALL grid-aligned intervals."""
     if p <= 1:
         raise ValueError("A_p requires p > 1")
-    pw = w._prefix
+    pw = w.base._prefix
     ps = w.sigma_prefix(p)
     best = 1.0
     for ln in range(1, w.ncells + 1):

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharpwt.dyadic import DyadicCube
 from sharpwt.gridfn import (
     GridFunction,
+    interval_sums,
     local_osc,
     local_sharp_max_dyadic,
     median,
@@ -257,3 +260,35 @@ def test_grid_function_accepts_finite_values_whose_sum_overflows():
         warnings.simplefilter("error")
         f = GridFunction(0, 1, [1e308, 1e308])
     assert f.values.tolist() == [1e308, 1e308]
+
+
+@st.composite
+def weighted_intervals(draw):
+    """(ncells, a, b, c) with 0 <= a <= b <= ncells; small ncells and a
+    narrow value pool make a == b, repeated endpoints and b == ncells common."""
+    ncells = draw(st.integers(1, 12))
+    count = draw(st.integers(0, 20))
+    ends = [sorted(draw(st.tuples(st.integers(0, ncells), st.integers(0, ncells)))) for _ in range(count)]
+    c = draw(st.lists(st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.1, 1e-17, 3.0])),
+                      min_size=count, max_size=count))
+    return ncells, [e[0] for e in ends], [e[1] for e in ends], c
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_intervals())
+def test_interval_sums_is_the_sequential_loop_bytewise(case):
+    ncells, a, b, c = case
+    acc = np.zeros(ncells + 1)
+    for ai, bi, ci in zip(a, b, c):
+        acc[ai] += ci
+        acc[bi] -= ci
+    want = np.cumsum(acc[:-1])
+    assert interval_sums(ncells, a, b, c).tobytes() == want.tobytes()
+    assert interval_sums(ncells, np.array(a), np.array(b), np.array(c)).tobytes() == want.tobytes()
+
+
+def test_interval_sums_edge_cases():
+    assert interval_sums(4, [], [], []).tobytes() == np.zeros(4).tobytes()
+    # a == b adds and removes the same value at one cell
+    assert interval_sums(3, [1], [1], [0.1]).tobytes() == np.cumsum([0.0, 0.1 - 0.1, 0.0]).tobytes()
+    assert np.array_equal(interval_sums(4, [0, 2, 2], [4, 4, 3], [1.0, 2.0, 4.0]), [1.0, 1.0, 7.0, 3.0])

@@ -2,14 +2,19 @@
 report contract."""
 
 import json
+import os
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
+import sharpwt.harness
 from sharpwt.gridfn import GridFunction
 from sharpwt.harness import (
     ACCEPTANCE_RUNS,
     ExperimentSpec,
+    _git_describe,
     _corpus_engines,
     corpus_functions,
     corpus_weights,
@@ -77,6 +82,15 @@ def test_determinism_byte_identical(tmp_path):
     emit(r1, str(q1))
     emit(r2, str(q2))
     assert q1.read_bytes() == q2.read_bytes()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+def test_git_describe_names_the_source_tree_not_the_working_directory(tmp_path, monkeypatch):
+    src = os.path.dirname(os.path.abspath(sharpwt.harness.__file__))
+    want = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"],
+                          capture_output=True, text=True).stdout.strip() or "unknown"
+    monkeypatch.chdir(tmp_path)
+    assert _git_describe() == want
 
 
 def test_emit_csv_shape(tmp_path):

@@ -151,9 +151,7 @@ def test_lp_engine_nodes_match_per_node_oracle():
     f = GridFunction(0, 6, np.random.default_rng(61).standard_normal(64))
     quad = ConeQuadrature.for_grid(f, nodes_per_box=2)
     eng = intrinsic_engine(f, quad=quad)
-    nodes = [(float(y), float(t), v) for lev in eng._levels
-             for ys, vs in zip(lev["ys"], lev["vals"])
-             for y, row in zip(ys, vs) for t, v in zip(lev["ts"], row)]
+    nodes = list(zip(eng.node_ys.tolist(), eng.node_ts.tolist(), eng.node_vals.tolist()))
     assert 0 < len(nodes) <= 300
     for y, t, v in nodes:
         c = hat_coefficients(f, y, t, 17)
@@ -282,18 +280,22 @@ def test_discrete_sandwich_pointwise():
 
 
 def g_cone_oracle(eng, beta, closed=False):
-    """The per-node loop that SquareFunctionEngine.g_cone vectorizes."""
+    """The per-node loop that SquareFunctionEngine.g_cone vectorizes, on
+    node geometry rebuilt from the quadrature; the node values are read in
+    the engine's (level, box, y offset, t) order."""
     centers = eng.f.cell_centers()
     acc = np.zeros(eng.f.ncells + 1)
     lo_side = "left" if closed else "right"
     hi_side = "right" if closed else "left"
-    for lev in eng._levels:
-        ys, ts, weight, vals = lev["ys"], lev["ts"], lev["weight"], lev["vals"]
-        for bi in range(ys.shape[0]):
+    vals = iter(eng.node_vals)
+    for k, (j_lo, j_hi) in zip(eng.quad.levels, eng.quad.box_ranges):
+        side = 2.0**-k
+        dy, ts, weight = eng.quad.level_nodes(k)
+        for j in range(j_lo, j_hi + 1):
             for iy in range(ts.size):
-                y = ys[bi, iy]
+                y = j * side + dy[iy]
                 for it in range(ts.size):
-                    v = vals[bi, iy, it]
+                    v = next(vals)
                     if v == 0.0:
                         continue
                     reach = beta * ts[it]
@@ -303,6 +305,7 @@ def g_cone_oracle(eng, beta, closed=False):
                         contrib = v * v * weight / ts[it] ** 2
                         acc[a] += contrib
                         acc[b] -= contrib
+    assert next(vals, None) is None
     return np.sqrt(np.maximum(np.cumsum(acc[:-1]), 0.0))
 
 

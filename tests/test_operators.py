@@ -203,12 +203,8 @@ def test_psi_engine_nodes_match_pointwise(nodes_per_box):
     for label, f in corpus_functions(seed=12, resolution_s=6, n_random=2):
         eng = psi_engine(f, ConeQuadrature.for_grid(f, nodes_per_box=nodes_per_box))
         tol = 1e-14 * float(np.sum(np.abs(f.values))) * float(f.cell_width)
-        for lev in eng._levels:
-            shape = lev["vals"].shape
-            ys = np.broadcast_to(lev["ys"][:, :, None], shape).ravel()
-            ts = np.broadcast_to(lev["ts"], shape).ravel()
-            want = [abs(psi_convolve_at(f, y, t)) for y, t in zip(ys.tolist(), ts.tolist())]
-            assert np.max(np.abs(lev["vals"].ravel() - want)) <= tol, (label, lev["k"])
+        want = [abs(psi_convolve_at(f, y, t)) for y, t in zip(eng.node_ys.tolist(), eng.node_ts.tolist())]
+        assert np.max(np.abs(eng.node_vals - want)) <= tol, label
 
 
 def test_s_psi_zero_and_jump_locality():
