@@ -80,9 +80,14 @@ def parse_weight(spec: str, level_L: int, resolution_s: int, origin=0) -> Weight
     raise ValueError(f"cannot parse weight spec {spec!r}")
 
 
-# the cone operators take --alpha/--q/--beta/--mode and the quadrature flags
+# the cone operators take --alpha/--q/--beta/--mode and --nodes-per-box
 CONE_OPS = ("spsi", "galpha", "gtilde")
 APPLY_OPS = ("maximal", "sd", "hilbert", "hilbert-max", "gpsi", *CONE_OPS)
+
+# the exponent fit's spec flags and their defaults; --run fixes the spec, so
+# it rejects every one of them
+EXPONENT_SPEC = {"op": "maximal", "p": 2.0, "deltas": "0.5,0.25,0.125,0.0625",
+                 "res": 8, "L": 1, "family": "buckley", "window": None}
 
 
 def _apply_operator(name: str, f: GridFunction, args) -> GridFunction:
@@ -90,23 +95,11 @@ def _apply_operator(name: str, f: GridFunction, args) -> GridFunction:
         return g_psi(f)
     if name not in CONE_OPS:
         return OPERATOR_REGISTRY[name](f)
-    quad = ConeQuadrature.for_grid(f, args.nodes_per_box, args.t_min_level, args.t_max_level)
+    quad = ConeQuadrature.for_grid(f, args.nodes_per_box)
     if name == "spsi":
         return s_psi(f, args.beta, quad)
     engine = intrinsic_engine(f, args.alpha, args.q, quad, args.mode)
     return engine.g_cone(args.beta) if name == "galpha" else engine.g_tilde()
-
-
-def _read_config(path: str) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
 
 
 def _write_csv_function(g: GridFunction, path: str) -> None:
@@ -116,43 +109,55 @@ def _write_csv_function(g: GridFunction, path: str) -> None:
             fh.write(f"{x!r},{v!r}\n")
 
 
+def _report_flags(p, fmt: bool = True) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+    if fmt:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _grid_flags(p) -> None:
+    p.add_argument("--res", type=int, default=8, help="resolution s")
+    p.add_argument("--L", type=int, default=0, help="domain level (side 2^L)")
+    p.add_argument("--origin", default="0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sharpwt")
-    ap.add_argument("--config", help="flat key=value defaults file")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--res", type=int, default=8, help="resolution s")
-        p.add_argument("--L", type=int, default=0, help="domain level (side 2^L)")
-        p.add_argument("--origin", default="0")
-
     pe = sub.add_parser("exponent", help="extremal-family exponent fit")
-    common(pe)
-    pe.add_argument("--run", choices=sorted(ACCEPTANCE_RUNS), help="frozen acceptance run")
-    pe.add_argument("--op", choices=sorted(OPERATOR_REGISTRY), default="maximal")
-    pe.add_argument("--p", type=float, default=2.0)
-    pe.add_argument("--deltas", default="0.5,0.25,0.125,0.0625")
-    pe.add_argument("--family", choices=("buckley", "dual-pair"), default="buckley")
-    pe.add_argument("--window", default=None, help="lo,hi slope assertion")
+    _report_flags(pe)
+    pe.add_argument("--run", choices=sorted(ACCEPTANCE_RUNS), help="frozen acceptance run; fixes the spec")
+    defaults = ", ".join(f"--{key} {val}" for key, val in EXPONENT_SPEC.items() if val is not None)
+    spec = pe.add_argument_group("spec", f"rejected with --run; defaults {defaults}")
+    # SUPPRESS keeps a flag that was not given out of the namespace
+    unset = {"default": argparse.SUPPRESS}
+    spec.add_argument("--res", type=int, help="resolution s", **unset)
+    spec.add_argument("--L", type=int, help="domain level, >= 1", **unset)
+    spec.add_argument("--op", choices=sorted(OPERATOR_REGISTRY), **unset)
+    spec.add_argument("--p", type=float, **unset)
+    spec.add_argument("--deltas", **unset)
+    spec.add_argument("--family", choices=("buckley", "dual-pair"), **unset)
+    spec.add_argument("--window", help="lo,hi slope assertion", **unset)
 
     pr = sub.add_parser("ratio-scan", help="lemma inequality scan over the corpus")
-    common(pr)
+    _report_flags(pr)
     pr.add_argument("--lemma", choices=sorted(SCANS), required=True)
     pr.add_argument("--n", type=int, default=None, help="random corpus size")
-    pr.add_argument("--scan-res", type=int, default=None, help="override scan base resolution")
+    pr.add_argument("--res", type=int, default=None, help="scan base resolution (default: the lemma's)")
 
     pd = sub.add_parser("decompose", help="stopping-time decomposition to JSON")
-    common(pd)
+    _report_flags(pd, fmt=False)
+    _grid_flags(pd)
     pd.add_argument("--fn", required=True)
 
     pv = sub.add_parser("verify", help="re-read a decomposition dump and re-check it")
     pv.add_argument("--in", dest="infile", required=True)
 
     pa = sub.add_parser("apply", help="apply an operator, emit CSV")
-    common(pa)
+    _report_flags(pa, fmt=False)
+    _grid_flags(pa)
     pa.add_argument("--op", choices=APPLY_OPS, required=True)
     pa.add_argument("--fn", required=True)
     pa.add_argument("--alpha", type=float, default=0.5)
@@ -160,11 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--beta", type=float, default=1.0)
     pa.add_argument("--mode", choices=("lp", "dictionary"), default="lp")
     pa.add_argument("--nodes-per-box", type=int, default=1)
-    pa.add_argument("--t-min-level", type=int, default=None)
-    pa.add_argument("--t-max-level", type=int, default=None)
 
     pw = sub.add_parser("ap", help="A_p characteristic of a weight")
-    common(pw)
+    _grid_flags(pw)
     pw.add_argument("--weight", required=True)
     pw.add_argument("--p", type=float, default=2.0)
     return ap
@@ -172,28 +175,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     args, failures = ap.parse_args(argv), []
-    if args.config:
-        # config pairs become subcommand flags placed right after the
-        # command token, so explicit CLI flags still win
-        pairs = []
-        for key, val in _read_config(args.config).items():
-            pairs += [f"--{key}", val]
-        idx = argv.index(args.command) + 1
-        args = ap.parse_args(argv[:idx] + pairs + argv[idx:])
 
     if args.command == "exponent":
+        given = [f"--{key}" for key in EXPONENT_SPEC if key in vars(args)]
         if args.run:
-            spec, target, window = ACCEPTANCE_RUNS[args.run]
+            if given:
+                ap.error(f"exponent --run fixes the spec; drop {' '.join(given)}")
+            spec, _, window = ACCEPTANCE_RUNS[args.run]
             spec = dataclasses.replace(spec, seed=args.seed)
         else:
-            deltas = tuple(float(x) for x in args.deltas.split(","))
-            spec = ExperimentSpec(args.op, args.p, deltas, args.res, max(args.L, 1),
-                                  args.family, seed=args.seed)
-            target, window = None, None
-            if args.window:
-                lo, hi = (float(x) for x in args.window.split(","))
+            opt = argparse.Namespace(**{**EXPONENT_SPEC, **vars(args)})
+            deltas = tuple(float(x) for x in opt.deltas.split(","))
+            spec = ExperimentSpec(opt.op, opt.p, deltas, opt.res, opt.L, opt.family, seed=args.seed)
+            window = None
+            if opt.window:
+                lo, hi = (float(x) for x in opt.window.split(","))
                 window = (lo, hi)
         result = exponent_experiment(spec)
         print(f"slope={result.slope:.6g} intercept={result.intercept:.6g} r2={result.r2:.6g}")
@@ -203,7 +200,7 @@ def main(argv=None) -> int:
             failures.append(f"slope {result.slope:.4f} outside window [{window[0]}, {window[1]}]")
 
     elif args.command == "ratio-scan":
-        report = ratio_scan(args.lemma, seed=args.seed, resolution_s=args.scan_res,
+        report = ratio_scan(args.lemma, seed=args.seed, resolution_s=args.res,
                             n_random=args.n)
         print(f"lemma {report.lemma}: max={report.max_base:.6g} drift={report.drift:.4g} "
               f"argmax={report.argmax} passed={report.passed}")

@@ -7,7 +7,9 @@ origin is an integer multiple of h, and every function is extended by zero
 outside its domain.  All measure-threshold comparisons are done in integer
 cell counts, so strict-vs-non-strict decisions in rearrangements are exact,
 never floating point: the oscillation window count on m cells at a rational
-lambda is the integer m - floor(lambda m) = ceil((1 - lambda) m).
+lambda is the integer m - floor(lambda m) = ceil((1 - lambda) m).  A
+subinterval is addressed by its cell index range (a, b), or None for the
+whole domain.
 
 `interval_sums` is the one difference array: the square-function engine,
 the decomposition's sums over stopping cubes and its verifier all build
@@ -28,8 +30,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-
-from sharpwt.dyadic import DyadicCube
 
 
 class GridFunction:
@@ -81,32 +81,15 @@ class GridFunction:
         return float(self.origin) + h * (np.arange(self.ncells) + 0.5)
 
     def cell_range(self, cube) -> tuple[int, int]:
-        """Cell index range [a, b) of a resolution-aligned subinterval.
-
-        `cube` may be a DyadicCube (n=1), an (a, b) index pair, or None for
-        the whole domain.
-        """
+        """Cell index range [a, b) of `cube`: an (a, b) index pair, or None
+        for the whole domain."""
         if cube is None:
             return 0, self.ncells
-        if isinstance(cube, DyadicCube):
-            if cube.dim != 1:
-                raise ValueError("grid functions are one-dimensional")
-            lo, hi = cube.lower()[0], cube.upper()[0]
-        elif isinstance(cube, tuple) and len(cube) == 2 and all(isinstance(v, (int, np.integer)) for v in cube):
-            a, b = int(cube[0]), int(cube[1])
-            if not 0 <= a < b <= self.ncells:
-                raise ValueError(f"cell range ({a}, {b}) outside domain")
-            return a, b
-        else:
-            raise TypeError(f"cannot interpret {cube!r} as a subinterval")
-        h = self.cell_width
-        a = (lo - self.origin) / h
-        b = (hi - self.origin) / h
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError(f"{cube} is not aligned to the grid")
-        a, b = int(a), int(b)
+        if not (isinstance(cube, tuple) and len(cube) == 2 and all(isinstance(v, (int, np.integer)) for v in cube)):
+            raise TypeError(f"cannot interpret {cube!r} as a cell range")
+        a, b = int(cube[0]), int(cube[1])
         if not 0 <= a < b <= self.ncells:
-            raise ValueError(f"{cube} is not contained in the domain")
+            raise ValueError(f"cell range ({a}, {b}) outside domain")
         return a, b
 
     # ---- integrals ----
@@ -127,10 +110,6 @@ class GridFunction:
 
     def integral_abs(self, a: int, b: int) -> float:
         return float(self.cell_width) * (self._prefix_abs[b] - self._prefix_abs[a])
-
-    def average(self, cube=None) -> float:
-        a, b = self.cell_range(cube)
-        return (self._prefix[b] - self._prefix[a]) / (b - a)
 
     # ---- serialization ----
 

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -61,10 +61,13 @@ class ExperimentSpec:
     resolution_s: int
     level_L: int = 1
     weight_family: str = "buckley"  # "buckley" | "dual-pair"
-    fn_family: str = "inverse-power"
     seed: int = 0
 
     def __post_init__(self):
+        if self.level_L < 1:
+            # f_delta lives on (0, 1) and its norm is taken in closed form,
+            # so the domain [-2^(L-1), 2^(L-1)) must contain (0, 1)
+            raise ValueError("level_L must be >= 1")
         d = self.deltas
         if len(d) < 4:
             raise ValueError("need at least 4 ladder points for a slope fit")
@@ -92,23 +95,7 @@ class FitResult:
     points: list[FitPoint]
 
     def to_json(self) -> dict:
-        return {
-            "spec": {
-                "operator": self.spec.operator,
-                "p": self.spec.p,
-                "deltas": list(self.spec.deltas),
-                "resolution_s": self.spec.resolution_s,
-                "level_L": self.spec.level_L,
-                "weight_family": self.spec.weight_family,
-                "fn_family": self.spec.fn_family,
-                "seed": self.spec.seed,
-            },
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "points": [vars(pt) for pt in self.points],
-            "git_describe": _git_describe(),
-        }
+        return {**asdict(self), "git_describe": _git_describe()}
 
 
 def _git_describe() -> str:
@@ -300,19 +287,7 @@ class ScanReport:
             self.passed = (not flagged) and math.isfinite(self.max_base) and self.drift <= 1.5
 
     def to_json(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "seed": self.seed,
-            "resolution_s": self.resolution_s,
-            "max_base": self.max_base,
-            "max_refined": self.max_refined,
-            "argmax": self.argmax,
-            "drift": self.drift,
-            "exact_tolerance": self.exact_tolerance,
-            "passed": self.passed,
-            "cases": [vars(c) for c in self.cases],
-            "git_describe": _git_describe(),
-        }
+        return {**asdict(self), "git_describe": _git_describe()}
 
 
 def _ratio_max(num: np.ndarray, den: np.ndarray, floor: float) -> float:

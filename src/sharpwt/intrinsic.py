@@ -20,8 +20,10 @@ from phi = 0 along null-space directions of the rows made tight so far.  An
 engine build solves its nodes one quadrature level at a time, in a fixed
 order, each starting from the best vertex found so far in that build.
 A general-purpose LP solver (scipy's HiGHS interface) is kept only as the
-test oracle.  The engine keeps all its nodes and boxes in flat arrays and
-sums the cone and box aggregations with `gridfn.interval_sums`.
+test oracle.  `holder_sup` and `intrinsic_engine` take the evaluator by
+name ("lp" or "dictionary") and reject any other.  The engine keeps all its
+nodes and boxes in flat arrays and sums the cone and box aggregations with
+`gridfn.interval_sums`.
 """
 
 from __future__ import annotations
@@ -296,13 +298,22 @@ def hat_coefficients(f: GridFunction, y: float, t: float, q: int) -> np.ndarray:
     return _hat_rows(f, np.array([y], dtype=float), np.array([t], dtype=float), q)[0]
 
 
+def _sup_rows(alpha: float, q: int, mode: str):
+    """The class supremum of |c . phi| per row of c: exact, by the simplex
+    with a vertex pool local to the returned function ("lp"), or the
+    dictionary's certified lower bound ("dictionary")."""
+    if mode not in ("lp", "dictionary"):
+        raise ValueError("mode must be 'lp' or 'dictionary'")
+    cls = _holder_class(float(alpha), int(q))
+    return _VertexPool(cls).sup_rows if mode == "lp" else cls._dict_rows
+
+
 def holder_sup(f: GridFunction, y: float, t: float, alpha: float = 0.5, q: int = 17, mode: str = "lp") -> float:
     """A_alpha(f)(y, t): the class supremum of |f * phi_t(y)|."""
     if t <= 0:
         raise ValueError("t must be positive")
-    cls = _holder_class(float(alpha), int(q))
-    c = hat_coefficients(f, y, t, q)
-    return cls.lp_sup(c) if mode == "lp" else cls.dict_sup(c)
+    sup_rows = _sup_rows(alpha, q, mode)
+    return float(sup_rows(hat_coefficients(f, y, t, q)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +333,13 @@ class ConeQuadrature:
     nodes_per_box: int = 1
 
     @staticmethod
-    def for_grid(f: GridFunction, nodes_per_box: int = 1,
-                 t_min_level: int | None = None, t_max_level: int | None = None) -> "ConeQuadrature":
-        k_fine = f.resolution_s - 1 if t_min_level is None else t_min_level
-        k_coarse = -f.level_L if t_max_level is None else t_max_level
-        levels, ranges = [], []
-        for k in range(k_coarse, k_fine + 1):
-            side = 2.0**-k
-            # 3Q = [(j-1) side, (j+2) side) must meet [origin, origin + 2^L)
-            j_lo = int(np.floor(float(f.origin) / side)) - 1
-            j_hi = int(np.ceil(float(f.domain_end) / side))
-            while (j_lo + 2) * side <= float(f.origin):
-                j_lo += 1
-            while (j_hi - 1) * side >= float(f.domain_end):
-                j_hi -= 1
-            levels.append(k)
-            ranges.append((j_lo, j_hi))
-        return ConeQuadrature(tuple(levels), tuple(ranges), nodes_per_box)
+    def for_grid(f: GridFunction, nodes_per_box: int = 1) -> "ConeQuadrature":
+        levels = tuple(range(-f.level_L, f.resolution_s))
+        # 3Q = [(j-1) side, (j+2) side) meets [origin, end) iff
+        # origin/side - 2 < j < end/side + 1
+        lo, hi = float(f.origin), float(f.domain_end)
+        ranges = tuple((int(np.floor(lo / 2.0**-k)) - 1, int(np.ceil(hi / 2.0**-k))) for k in levels)
+        return ConeQuadrature(levels, ranges, nodes_per_box)
 
     def refined(self, factor: int = 2) -> "ConeQuadrature":
         return ConeQuadrature(self.levels, self.box_ranges, self.nodes_per_box * factor)
@@ -418,21 +419,14 @@ class SquareFunctionEngine:
         return self.f.with_values(np.sqrt(np.maximum(acc, 0.0)))
 
 
-def _lp_engine(f: GridFunction, quad: ConeQuadrature, alpha: float, q: int, mode: str) -> SquareFunctionEngine:
-    cls = _holder_class(float(alpha), int(q))
-    # the vertex pool is local to this build
-    sup_rows = _VertexPool(cls).sup_rows if mode == "lp" else cls._dict_rows
-    return SquareFunctionEngine(f, quad, lambda ys, ts: sup_rows(_hat_rows(f, ys, ts, q)))
-
-
 def intrinsic_engine(f: GridFunction, alpha: float = 0.5, q: int = 17, quad: ConeQuadrature | None = None,
                      mode: str = "lp") -> SquareFunctionEngine:
-    """Engine whose node functional is the Hölder-class supremum A_alpha."""
-    if mode not in ("lp", "dictionary"):
-        raise ValueError("mode must be 'lp' or 'dictionary'")
+    """Engine whose node functional is the Hölder-class supremum A_alpha;
+    in "lp" mode the vertex pool is local to this build."""
+    sup_rows = _sup_rows(alpha, q, mode)
     if quad is None:
         quad = ConeQuadrature.for_grid(f)
-    return _lp_engine(f, quad, alpha, q, mode)
+    return SquareFunctionEngine(f, quad, lambda ys, ts: sup_rows(_hat_rows(f, ys, ts, q)))
 
 
 def g_cone(f: GridFunction, alpha: float = 0.5, beta: float = 1.0, quad: ConeQuadrature | None = None,

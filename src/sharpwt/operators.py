@@ -7,11 +7,12 @@ Every operator evaluates at cell centers.  Convolutions against the step
 function are exact closed forms (polynomial antiderivatives, log terms), and
 translation invariance of the grid turns each into one discrete convolution:
 np.convolve up to 4096 cells, a zero-padded numpy FFT above.
+
+Every psi square function uses the one bump PSI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -108,12 +109,11 @@ def _even_poly_integral(m: int) -> Fraction:
     return sum(Fraction((-1) ** j * comb(m, j) * 2, 2 * j + 1) for j in range(m + 1))
 
 
-@dataclass(frozen=True)
 class PsiKernel:
-    """psi(x) = (1-x^2)^2 - kappa (1-x^2)^3 on [-1,1], kappa fixed at build
-    time so that the mean vanishes exactly (kappa = (16/15)/(32/35) = 7/6)."""
+    """psi(x) = (1-x^2)^2 - kappa (1-x^2)^3 on [-1,1], kappa the constant
+    that makes the mean vanish exactly (kappa = (16/15)/(32/35) = 7/6)."""
 
-    kappa: Fraction = field(default_factory=lambda: _even_poly_integral(2) / _even_poly_integral(3))
+    kappa = _even_poly_integral(2) / _even_poly_integral(3)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -146,23 +146,23 @@ class PsiKernel:
 PSI = PsiKernel()
 
 
-def psi_convolve_at(f: GridFunction, y: float, t: float, psi: PsiKernel = PSI) -> float:
+def psi_convolve_at(f: GridFunction, y: float, t: float) -> float:
     """Exact f * psi_t(y) for step f, psi_t(x) = t^-1 psi(x/t)."""
     edges = f.cell_edges()
     a = max(int(np.searchsorted(edges, y - t, "right")) - 1, 0)
     b = min(int(np.searchsorted(edges, y + t, "left")), f.ncells)
     if b <= a:
         return 0.0
-    w = psi.cumulative((y - edges[a : b + 1]) / t)
+    w = PSI.cumulative((y - edges[a : b + 1]) / t)
     return float(np.dot(f.values[a:b], -np.diff(w)))
 
 
-def psi_convolve_grid(f: GridFunction, t: float, psi: PsiKernel = PSI) -> np.ndarray:
+def psi_convolve_grid(f: GridFunction, t: float) -> np.ndarray:
     """f * psi_t at every cell center, via one translation-invariant kernel."""
     h = float(f.cell_width)
     reach = int(np.ceil(t / h)) + 1
     d = np.arange(-reach, reach + 1)
-    w = psi.cumulative((d[:, None] + np.array([0.5, -0.5])[None, :]) * h / t)
+    w = PSI.cumulative((d[:, None] + np.array([0.5, -0.5])[None, :]) * h / t)
     return _conv_wide(f.values, w[:, 0] - w[:, 1])
 
 
@@ -179,29 +179,29 @@ def _conv_wide(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum, length)[start : start + n]
 
 
-def _psi_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray, psi: PsiKernel) -> np.ndarray:
+def _psi_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """psi_convolve_at at every node (ys[n], ts[n]), one row-wise dot per
     chunk of nodes."""
     out = np.zeros(ys.size)
     for part, edges, vals in _node_cells(f, ys - ts, ys + ts, 1):
-        cdf = psi.cumulative((ys[part, None] - edges) / ts[part, None])
+        cdf = PSI.cumulative((ys[part, None] - edges) / ts[part, None])
         out[part] = np.einsum("ij,ij->i", vals, -np.diff(cdf, axis=1))
     return out
 
 
-def psi_engine(f: GridFunction, quad, psi: PsiKernel = PSI):
+def psi_engine(f: GridFunction, quad):
     """SquareFunctionEngine whose node functional is |f * psi_t(y)|, exact
     per node (psi_convolve_at is the one-node oracle)."""
-    return SquareFunctionEngine(f, quad, lambda ys, ts: np.abs(_psi_rows(f, ys, ts, psi)))
+    return SquareFunctionEngine(f, quad, lambda ys, ts: np.abs(_psi_rows(f, ys, ts)))
 
 
-def s_psi(f: GridFunction, beta: float, quad, psi: PsiKernel = PSI, closed: bool = False) -> GridFunction:
+def s_psi(f: GridFunction, beta: float, quad) -> GridFunction:
     """Continuous square function over the cone of aperture beta, using the
     shared Carleson-box quadrature."""
-    return psi_engine(f, quad, psi).g_cone(beta, closed=closed)
+    return psi_engine(f, quad).g_cone(beta)
 
 
-def g_psi(f: GridFunction, psi: PsiKernel = PSI, t_levels: tuple[int, int] | None = None) -> GridFunction:
+def g_psi(f: GridFunction, t_levels: tuple[int, int] | None = None) -> GridFunction:
     """Vertical square function g_psi: log-midpoint quadrature of
     int |f * psi_t(x)|^2 dt/t over the dyadic t-ladder."""
     if t_levels is None:
@@ -211,7 +211,7 @@ def g_psi(f: GridFunction, psi: PsiKernel = PSI, t_levels: tuple[int, int] | Non
     ln2 = np.log(2.0)
     for k in range(k_top, k_bot):  # octave [2^-k-1?, ...): t in [2^-k-1 .. ]
         t = float(np.sqrt(2.0) * 0.5**(k + 1))  # log-midpoint of [2^-(k+1), 2^-k)
-        conv = psi_convolve_grid(f, t, psi)
+        conv = psi_convolve_grid(f, t)
         acc += conv * conv * ln2
     return f.with_values(np.sqrt(acc))
 
@@ -221,10 +221,11 @@ def g_psi(f: GridFunction, psi: PsiKernel = PSI, t_levels: tuple[int, int] | Non
 # ---------------------------------------------------------------------------
 
 
-def truncation_ladder(f: GridFunction, extra_octaves: int = 1) -> list[Fraction]:
-    """delta values: cell-width multiples h * 2^m spanning the domain."""
+def truncation_ladder(f: GridFunction) -> list[Fraction]:
+    """delta values: cell-width multiples h * 2^m from h to twice the
+    domain length."""
     h = f.cell_width
-    return [h * 2**m for m in range(f.level_L + f.resolution_s + 1 + extra_octaves)]
+    return [h * 2**m for m in range(f.level_L + f.resolution_s + 2)]
 
 
 def _hilbert_kernel(n: int, h: float, delta: float) -> np.ndarray:

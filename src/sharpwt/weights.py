@@ -52,7 +52,8 @@ class PowerWeightSpec:
 
 class Weight:
     """Strictly positive grid function; the prefix sums of w are its base's,
-    and those of w^(-1/(p-1)) are cached for every requested p.
+    and those of w^(-1/(p-1)) are formed on each request.  It holds no
+    mutable state.
 
     For a generic weight the dual side is formed cell-wise from the stored
     step values.  A weight declared through a PowerWeightSpec keeps its
@@ -64,7 +65,6 @@ class Weight:
             raise ValueError("weights must be strictly positive")
         self.base = base
         self.power = power
-        self._sigma_prefix: dict[float, np.ndarray] = {}
 
     @property
     def values(self) -> np.ndarray:
@@ -92,10 +92,7 @@ class Weight:
         return self.values ** (-1.0 / (p - 1.0))
 
     def sigma_prefix(self, p: float) -> np.ndarray:
-        key = float(p)
-        if key not in self._sigma_prefix:
-            self._sigma_prefix[key] = np.concatenate(([0.0], np.cumsum(self.sigma_values(key))))
-        return self._sigma_prefix[key]
+        return np.concatenate(([0.0], np.cumsum(self.sigma_values(p))))
 
 
 def _dyadic_lengths(ncells: int):

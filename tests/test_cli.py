@@ -1,5 +1,6 @@
 """End-to-end CLI coverage through main(argv)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sharpwt.cli import main, parse_function, parse_weight
+from sharpwt.cli import build_parser, main, parse_function, parse_weight
 
 
 def test_parse_function_specs():
@@ -119,14 +120,6 @@ def test_cli_apply_gtilde_dictionary(capsys):
     assert "gtilde" in capsys.readouterr().out
 
 
-def test_cli_config_file(tmp_path, capsys):
-    cfg = tmp_path / "conf"
-    cfg.write_text("res=6\np=2\n")
-    rc = main(["--config", str(cfg), "ap", "--weight", "const:2"])
-    assert rc == 0
-    assert "1.0" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_cli_file_weight_rejects_non_finite(tmp_path, bad):
     path = tmp_path / "w.json"
@@ -142,3 +135,58 @@ def test_cli_file_weight_rejects_non_finite(tmp_path, bad):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert "finite" in proc.stderr
+
+
+FLAGS = {
+    "exponent": "--seed --out --format --res --L --run --op --p --deltas --family --window",
+    "ratio-scan": "--seed --out --format --lemma --n --res",
+    "decompose": "--seed --out --res --L --origin --fn",
+    "verify": "--in",
+    "apply": "--seed --out --res --L --origin --op --fn --alpha --q --beta --mode --nodes-per-box",
+    "ap": "--res --L --origin --weight --p",
+}
+
+
+def test_cli_flag_sets():
+    """Each subcommand has exactly the flags it reads, and there are no global ones."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [a.option_strings for a in parser._actions if a is not sub] == [["-h", "--help"]]
+    got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == {name: set(flags.split()) for name, flags in FLAGS.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "conf", "ap", "--weight", "const:2"],
+    ["ratio-scan", "--lemma", "4.3", "--L", "3"],
+    ["ratio-scan", "--lemma", "4.3", "--origin", "5"],
+    ["ratio-scan", "--lemma", "4.3", "--scan-res", "5"],
+    ["decompose", "--fn", "const:1", "--format", "json"],
+    ["apply", "--op", "maximal", "--fn", "const:1", "--format", "json"],
+    ["apply", "--op", "maximal", "--fn", "const:1", "--t-min-level", "2"],
+    ["apply", "--op", "maximal", "--fn", "const:1", "--t-max-level", "2"],
+    ["ap", "--weight", "const:2", "--out", "x"],
+    ["ap", "--weight", "const:2", "--seed", "9"],
+    ["ap", "--weight", "const:2", "--format", "json"],
+    ["exponent", "--origin", "1"],
+    ["exponent", "--run", "maximal-p4", "--p", "9"],
+    ["exponent", "--run", "maximal-p4", "--res", "3"],
+    ["exponent", "--run", "maximal-p4", "--L", "1"],
+    ["exponent", "--run", "maximal-p4", "--op", "sd"],
+    ["exponent", "--run", "maximal-p4", "--deltas", "0.5,0.25,0.125,0.0625"],
+    ["exponent", "--run", "maximal-p4", "--family", "buckley"],
+    ["exponent", "--run", "maximal-p4", "--window", "5,6"],
+])
+def test_cli_rejects_flags_it_would_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_cli_ratio_scan_res_sets_scan_resolution(tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    rc = main(["ratio-scan", "--lemma", "4.3", "--n", "4", "--res", "7", "--format", "json", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["resolution_s"] == 7

@@ -31,6 +31,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec("maximal", 2.0, (0.25, 0.5, 0.125, 0.0625), 8)  # not decreasing
     with pytest.raises(ValueError):
+        ExperimentSpec("maximal", 2.0, (0.5, 0.25, 0.125, 0.0625), 8, level_L=0)  # (1/2, 1) off the domain
+    with pytest.raises(ValueError):
         exponent_experiment(ExperimentSpec("nope", 2.0, (0.5, 0.25, 0.125, 0.0625), 8))
 
 

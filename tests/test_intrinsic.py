@@ -53,6 +53,8 @@ def test_holder_sup_validates_input():
         holder_sup(f, 0.5, 0.2, alpha=1.5)
     with pytest.raises(ValueError):
         holder_sup(f, 0.5, 0.2, q=2)
+    with pytest.raises(ValueError):
+        holder_sup(f, 0.5, 0.2, mode="LP")
 
 
 def lattice_sup_q5(c, alpha, step=1e-3, box=0.85):
@@ -245,6 +247,23 @@ def test_quadrature_node_geometry():
             assert weight * m * m == pytest.approx(side * side / 2)
             # triples must meet the domain
             assert (j_lo + 2) * side > 0 and (j_hi - 1) * side < 1
+
+
+def test_quadrature_boxes_are_those_whose_triple_meets_the_domain():
+    """for_grid's closed-form box ranges against enumeration in cell units:
+    3Q = [(j-1) side, (j+2) side) meets [origin, end) exactly for j_lo..j_hi."""
+    for L in range(-3, 4):
+        for s in range(max(-L, 0), 9):
+            n = 2 ** (L + s)
+            for o in range(-40, 41):  # origin in cells of width 2^-s
+                f = GridFunction(L, s, np.zeros(n), origin=Fraction(o, 2**s))
+                quad = ConeQuadrature.for_grid(f)
+                assert quad.levels == tuple(range(-L, s))
+                for k, (j_lo, j_hi) in zip(quad.levels, quad.box_ranges):
+                    side = 2 ** (s - k)  # in cells
+                    j = np.arange(o // side - 4, (o + n) // side + 5)
+                    meets = j[((j - 1) * side < o + n) & ((j + 2) * side > o)]
+                    assert (j_lo, j_hi) == (meets[0], meets[-1]) and meets.size == j_hi - j_lo + 1, (L, s, o, k)
 
 
 def test_quadrature_levels_span_ladder():
