@@ -12,7 +12,7 @@ from sharpwt.weights import (
     weighted_lp_norm,
 )
 from sharpwt.decomp import Decomposition, StopCube, a_gamma, decompose, verify_decomposition
-from sharpwt.intrinsic import ConeQuadrature, HolderKernel, g_cone, g_tilde, holder_sup, intrinsic_engine
+from sharpwt.intrinsic import ConeQuadrature, HolderKernel, g_tilde, intrinsic_engine
 from sharpwt.operators import (
     PsiKernel,
     dyadic_square,
@@ -21,7 +21,6 @@ from sharpwt.operators import (
     hilbert_max,
     hilbert_truncated,
     maximal,
-    maximal_centered,
     s_psi,
 )
 from sharpwt.harness import ExperimentSpec, FitResult, exponent_experiment, ratio_scan
@@ -33,8 +32,8 @@ __all__ = [
     "Weight", "PowerWeightSpec", "ap_characteristic", "ap_characteristic_full",
     "ainfty_fujii", "weighted_lp_norm", "power_weight",
     "Decomposition", "StopCube", "decompose", "verify_decomposition", "a_gamma",
-    "ConeQuadrature", "HolderKernel", "holder_sup", "g_cone", "g_tilde", "intrinsic_engine",
-    "PsiKernel", "maximal", "maximal_centered", "dyadic_square",
+    "ConeQuadrature", "HolderKernel", "g_tilde", "intrinsic_engine",
+    "PsiKernel", "maximal", "dyadic_square",
     "s_psi", "g_psi", "hilbert", "hilbert_truncated", "hilbert_max",
     "ExperimentSpec", "FitResult", "exponent_experiment", "ratio_scan",
 ]

@@ -1,14 +1,15 @@
 """Command-line driver: exponent experiments, lemma ratio scans,
 decomposition dump/verify, operator application, and A_p evaluation.
 
-Exit status is 0 iff every asserted window or report check passed; failures
-are listed one per line on stderr.
+Exit status is 0 iff every asserted window or report check passed, 1 if
+one failed (each failure is listed on its own line on stderr), and 2 for
+a flag the subcommand does not read or a value the library rejects
+(ValueError or OSError), with a one-line message and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ from sharpwt.harness import (
     exponent_experiment,
     ratio_scan,
 )
-from sharpwt.intrinsic import ConeQuadrature, intrinsic_engine
+from sharpwt.intrinsic import intrinsic_engine
 from sharpwt.operators import g_psi, s_psi
 from sharpwt.weights import Weight, ap_characteristic, power_cell_averages, power_weight
 
@@ -80,9 +81,15 @@ def parse_weight(spec: str, level_L: int, resolution_s: int, origin=0) -> Weight
     raise ValueError(f"cannot parse weight spec {spec!r}")
 
 
-# the cone operators take --alpha/--q/--beta/--mode and --nodes-per-box
-CONE_OPS = ("spsi", "galpha", "gtilde")
-APPLY_OPS = ("maximal", "sd", "hilbert", "hilbert-max", "gpsi", *CONE_OPS)
+# the cone flags and their defaults, and per apply operator the cone flags
+# it reads; apply rejects every other one
+CONE_FLAGS = {"alpha": 0.5, "q": 17, "beta": 1.0, "mode": "lp", "nodes_per_box": 1}
+APPLY_OPS = {
+    "maximal": (), "sd": (), "hilbert": (), "hilbert-max": (), "gpsi": (),
+    "spsi": ("beta", "nodes_per_box"),
+    "galpha": ("alpha", "q", "beta", "mode", "nodes_per_box"),
+    "gtilde": ("alpha", "q", "mode", "nodes_per_box"),
+}
 
 # the exponent fit's spec flags and their defaults; --run fixes the spec, so
 # it rejects every one of them
@@ -90,16 +97,15 @@ EXPONENT_SPEC = {"op": "maximal", "p": 2.0, "deltas": "0.5,0.25,0.125,0.0625",
                  "res": 8, "L": 1, "family": "buckley", "window": None}
 
 
-def _apply_operator(name: str, f: GridFunction, args) -> GridFunction:
+def _apply_operator(name: str, f: GridFunction, opt) -> GridFunction:
     if name == "gpsi":
         return g_psi(f)
-    if name not in CONE_OPS:
-        return OPERATOR_REGISTRY[name](f)
-    quad = ConeQuadrature.for_grid(f, args.nodes_per_box)
     if name == "spsi":
-        return s_psi(f, args.beta, quad)
-    engine = intrinsic_engine(f, args.alpha, args.q, quad, args.mode)
-    return engine.g_cone(args.beta) if name == "galpha" else engine.g_tilde()
+        return s_psi(f, opt.beta, opt.nodes_per_box)
+    if name in ("galpha", "gtilde"):
+        engine = intrinsic_engine(f, opt.alpha, opt.q, opt.nodes_per_box, opt.mode)
+        return engine.g_cone(opt.beta) if name == "galpha" else engine.g_tilde()
+    return OPERATOR_REGISTRY[name](f)
 
 
 def _write_csv_function(g: GridFunction, path: str) -> None:
@@ -109,11 +115,12 @@ def _write_csv_function(g: GridFunction, path: str) -> None:
             fh.write(f"{x!r},{v!r}\n")
 
 
-def _report_flags(p, fmt: bool = True) -> None:
+REPORT_OUT = "report path; JSON if it ends in .json, else CSV"
+
+
+def _seed_out_flags(p, out_help: str | None = None) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    if fmt:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help=out_help)
 
 
 def _grid_flags(p) -> None:
@@ -127,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("exponent", help="extremal-family exponent fit")
-    _report_flags(pe)
+    pe.add_argument("--out", default=None, help=REPORT_OUT)
     pe.add_argument("--run", choices=sorted(ACCEPTANCE_RUNS), help="frozen acceptance run; fixes the spec")
     defaults = ", ".join(f"--{key} {val}" for key, val in EXPONENT_SPEC.items() if val is not None)
     spec = pe.add_argument_group("spec", f"rejected with --run; defaults {defaults}")
@@ -142,13 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--window", help="lo,hi slope assertion", **unset)
 
     pr = sub.add_parser("ratio-scan", help="lemma inequality scan over the corpus")
-    _report_flags(pr)
+    _seed_out_flags(pr, REPORT_OUT)
     pr.add_argument("--lemma", choices=sorted(SCANS), required=True)
     pr.add_argument("--n", type=int, default=None, help="random corpus size")
     pr.add_argument("--res", type=int, default=None, help="scan base resolution (default: the lemma's)")
 
     pd = sub.add_parser("decompose", help="stopping-time decomposition to JSON")
-    _report_flags(pd, fmt=False)
+    _seed_out_flags(pd)
     _grid_flags(pd)
     pd.add_argument("--fn", required=True)
 
@@ -156,15 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--in", dest="infile", required=True)
 
     pa = sub.add_parser("apply", help="apply an operator, emit CSV")
-    _report_flags(pa, fmt=False)
+    _seed_out_flags(pa)
     _grid_flags(pa)
     pa.add_argument("--op", choices=APPLY_OPS, required=True)
     pa.add_argument("--fn", required=True)
-    pa.add_argument("--alpha", type=float, default=0.5)
-    pa.add_argument("--q", type=int, default=17)
-    pa.add_argument("--beta", type=float, default=1.0)
-    pa.add_argument("--mode", choices=("lp", "dictionary"), default="lp")
-    pa.add_argument("--nodes-per-box", type=int, default=1)
+    defaults = ", ".join(f"--{key.replace('_', '-')} {val}" for key, val in CONE_FLAGS.items())
+    cone = pa.add_argument_group("cone", f"read by spsi, galpha and gtilde only; defaults {defaults}")
+    cone.add_argument("--alpha", type=float, **unset)
+    cone.add_argument("--q", type=int, **unset)
+    cone.add_argument("--beta", type=float, **unset)
+    cone.add_argument("--mode", choices=("lp", "dictionary"), **unset)
+    cone.add_argument("--nodes-per-box", type=int, **unset)
 
     pw = sub.add_parser("ap", help="A_p characteristic of a weight")
     _grid_flags(pw)
@@ -175,19 +184,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args, failures = ap.parse_args(argv), []
+    args = ap.parse_args(argv)
+    try:
+        failures = _run(ap, args)
+    except (ValueError, OSError) as exc:
+        ap.error(str(exc))
+    for msg in failures:
+        print(f"ASSERTION FAILED: {msg}", file=sys.stderr)
+    return 1 if failures else 0
 
+
+def _run(ap: argparse.ArgumentParser, args) -> list[str]:
+    """Run one parsed subcommand; returns the failed checks."""
+    failures = []
     if args.command == "exponent":
         given = [f"--{key}" for key in EXPONENT_SPEC if key in vars(args)]
         if args.run:
             if given:
                 ap.error(f"exponent --run fixes the spec; drop {' '.join(given)}")
             spec, _, window = ACCEPTANCE_RUNS[args.run]
-            spec = dataclasses.replace(spec, seed=args.seed)
         else:
             opt = argparse.Namespace(**{**EXPONENT_SPEC, **vars(args)})
             deltas = tuple(float(x) for x in opt.deltas.split(","))
-            spec = ExperimentSpec(opt.op, opt.p, deltas, opt.res, opt.L, opt.family, seed=args.seed)
+            spec = ExperimentSpec(opt.op, opt.p, deltas, opt.res, opt.L, opt.family)
             window = None
             if opt.window:
                 lo, hi = (float(x) for x in opt.window.split(","))
@@ -195,7 +214,7 @@ def main(argv=None) -> int:
         result = exponent_experiment(spec)
         print(f"slope={result.slope:.6g} intercept={result.intercept:.6g} r2={result.r2:.6g}")
         if args.out:
-            emit(result, args.out, args.format)
+            emit(result, args.out)
         if window is not None and not window[0] <= result.slope <= window[1]:
             failures.append(f"slope {result.slope:.4f} outside window [{window[0]}, {window[1]}]")
 
@@ -205,7 +224,7 @@ def main(argv=None) -> int:
         print(f"lemma {report.lemma}: max={report.max_base:.6g} drift={report.drift:.4g} "
               f"argmax={report.argmax} passed={report.passed}")
         if args.out:
-            emit(report, args.out, args.format)
+            emit(report, args.out)
         if not report.passed:
             failures.append(f"ratio scan {args.lemma} failed (max={report.max_base}, drift={report.drift})")
 
@@ -232,8 +251,13 @@ def main(argv=None) -> int:
             failures.append("re-checked decomposition failed verification")
 
     elif args.command == "apply":
+        unread = [f"--{key.replace('_', '-')}" for key in CONE_FLAGS
+                  if key in vars(args) and key not in APPLY_OPS[args.op]]
+        if unread:
+            ap.error(f"apply --op {args.op} does not read {' '.join(unread)}")
+        opt = argparse.Namespace(**{**CONE_FLAGS, **vars(args)})
         f = parse_function(args.fn, args.L, args.res, Fraction(args.origin), args.seed)
-        g = _apply_operator(args.op, f, args)
+        g = _apply_operator(args.op, f, opt)
         if args.out:
             _write_csv_function(g, args.out)
         print(f"{args.op}: n={g.ncells} min={g.values.min():.6g} max={g.values.max():.6g}")
@@ -242,10 +266,7 @@ def main(argv=None) -> int:
         w = parse_weight(args.weight, args.L, args.res, Fraction(args.origin))
         val = ap_characteristic(w, args.p)
         print(f"A_p(p={args.p:g}) = {val!r}")
-
-    for msg in failures:
-        print(f"ASSERTION FAILED: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return failures
 
 
 if __name__ == "__main__":

@@ -105,9 +105,6 @@ class GridFunction:
     def _prefix_abs(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(np.abs(self.values))))
 
-    def integral(self, a: int, b: int) -> float:
-        return float(self.cell_width) * (self._prefix[b] - self._prefix[a])
-
     def integral_abs(self, a: int, b: int) -> float:
         return float(self.cell_width) * (self._prefix_abs[b] - self._prefix_abs[a])
 

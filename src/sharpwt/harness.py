@@ -30,7 +30,7 @@ import numpy as np
 
 from sharpwt.decomp import a_gamma, decompose
 from sharpwt.gridfn import GridFunction, SortedBlocks, local_osc, median
-from sharpwt.intrinsic import ConeQuadrature, intrinsic_engine
+from sharpwt.intrinsic import intrinsic_engine
 from sharpwt.operators import (
     PSI,
     dyadic_square,
@@ -61,7 +61,6 @@ class ExperimentSpec:
     resolution_s: int
     level_L: int = 1
     weight_family: str = "buckley"  # "buckley" | "dual-pair"
-    seed: int = 0
 
     def __post_init__(self):
         if self.level_L < 1:
@@ -412,7 +411,7 @@ def _cases_23(seed, s, n):
     rho = PSI.holder_seminorm(0.5)
 
     def value(g, eng):
-        spsi = psi_engine(g, ConeQuadrature.for_grid(g)).g_cone(1.0).values
+        spsi = psi_engine(g).g_cone(1.0).values
         return _ratio_max(spsi / rho, eng.g_cone(1.0).values, 1e-6)
 
     return _engine_cases(seed, s, n, value)
@@ -427,7 +426,7 @@ def _cases_513(seed, s, n):
 def _cases_55(seed, s, n):
     cases = []
     for label, pair in _corpus_engines(seed, s, n):
-        psi = [psi_engine(hilbert(g), ConeQuadrature.for_grid(g)) for g, _ in pair]
+        psi = [psi_engine(hilbert(g)) for g, _ in pair]
         for beta in (1.0, 3.0):
             cases.append(ScanCase(f"{label}|beta{beta:g}", *(
                 _ratio_max(p.g_cone(beta).values, eng.g_cone(1.0).values, 1e-6)
@@ -466,11 +465,11 @@ def ratio_scan(lemma: str, seed: int = 0, resolution_s: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def emit(result, path: str, fmt: str = "csv") -> str:
-    """Write a FitResult or ScanReport; CSV rows plus '#'-prefixed footer, or
-    a JSON document with the full report."""
+def emit(result, path: str) -> str:
+    """Write a FitResult or ScanReport: a JSON document with the full report
+    when path ends in .json, else CSV rows plus a '#'-prefixed footer."""
     try:
-        if fmt == "json":
+        if path.endswith(".json"):
             payload = result.to_json()
             with open(path, "w") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
@@ -482,7 +481,7 @@ def emit(result, path: str, fmt: str = "csv") -> str:
             lines.append(f"# slope={result.slope!r} intercept={result.intercept!r} r2={result.r2!r}")
             s = result.spec
             lines.append(f"# spec: op={s.operator} p={s.p!r} s={s.resolution_s} L={s.level_L} "
-                         f"family={s.weight_family} seed={s.seed}")
+                         f"family={s.weight_family}")
             flagged = [q.delta for q in result.points if q.flagged]
             if flagged:
                 lines.append(f"# flagged (first-cell share > 10%): {flagged!r}")

@@ -20,9 +20,10 @@ from phi = 0 along null-space directions of the rows made tight so far.  An
 engine build solves its nodes one quadrature level at a time, in a fixed
 order, each starting from the best vertex found so far in that build.
 A general-purpose LP solver (scipy's HiGHS interface) is kept only as the
-test oracle.  `holder_sup` and `intrinsic_engine` take the evaluator by
-name ("lp" or "dictionary") and reject any other.  The engine keeps all its
-nodes and boxes in flat arrays and sums the cone and box aggregations with
+test oracle.  `intrinsic_engine` takes the evaluator by name ("lp" or
+"dictionary") and rejects any other, and builds the quadrature of its own
+grid from `nodes_per_box`.  The engine keeps all its nodes and boxes in
+flat arrays and sums the cone and box aggregations with
 `gridfn.interval_sums`.
 """
 
@@ -169,6 +170,9 @@ class HolderClass:
         return float(_VertexPool(self).sup_rows(np.asarray(c, dtype=float)[None, :])[0])
 
     def _build_dictionary(self) -> np.ndarray:
+        """8 feasible kernels: scaled odd sine bumps and mean-zero
+        differences of even ones; values are certified lower bounds for the
+        class supremum by feasibility."""
         u = self.nodes
         raw = [np.sin(k * np.pi * u) for k in (1, 2, 3, 4)]
         evens = {k: np.sin(k * np.pi * u) ** 2 for k in (1, 2, 3, 4)}
@@ -189,12 +193,6 @@ class HolderClass:
             )
             entries.append(v / rho if rho > 0 else v)  # q = 3: the class is {0}
         return np.array(entries)
-
-    def dictionary(self) -> np.ndarray:
-        """8 precomputed feasible kernels: scaled odd sine bumps and
-        mean-zero differences of even ones; values are certified lower
-        bounds for the class supremum by feasibility."""
-        return self._dictionary
 
     def dict_sup(self, c: np.ndarray) -> float:
         return float(self._dict_rows(np.asarray(c, dtype=float)[None, :])[0])
@@ -295,6 +293,8 @@ def _hat_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray, q: int) -> np.nda
 def hat_coefficients(f: GridFunction, y: float, t: float, q: int) -> np.ndarray:
     """c_i = int f(y - t u) B_i(u) du for the piecewise-linear hat basis;
     exact for step f (hat CDF evaluated at transported cell edges)."""
+    if not t > 0:
+        raise ValueError("t must be positive")
     return _hat_rows(f, np.array([y], dtype=float), np.array([t], dtype=float), q)[0]
 
 
@@ -306,14 +306,6 @@ def _sup_rows(alpha: float, q: int, mode: str):
         raise ValueError("mode must be 'lp' or 'dictionary'")
     cls = _holder_class(float(alpha), int(q))
     return _VertexPool(cls).sup_rows if mode == "lp" else cls._dict_rows
-
-
-def holder_sup(f: GridFunction, y: float, t: float, alpha: float = 0.5, q: int = 17, mode: str = "lp") -> float:
-    """A_alpha(f)(y, t): the class supremum of |f * phi_t(y)|."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    sup_rows = _sup_rows(alpha, q, mode)
-    return float(sup_rows(hat_coefficients(f, y, t, q)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +332,6 @@ class ConeQuadrature:
         lo, hi = float(f.origin), float(f.domain_end)
         ranges = tuple((int(np.floor(lo / 2.0**-k)) - 1, int(np.ceil(hi / 2.0**-k))) for k in levels)
         return ConeQuadrature(levels, ranges, nodes_per_box)
-
-    def refined(self, factor: int = 2) -> "ConeQuadrature":
-        return ConeQuadrature(self.levels, self.box_ranges, self.nodes_per_box * factor)
 
     def level_nodes(self, k: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Per-box node offsets (dy from the box's left edge), t values and
@@ -419,23 +408,17 @@ class SquareFunctionEngine:
         return self.f.with_values(np.sqrt(np.maximum(acc, 0.0)))
 
 
-def intrinsic_engine(f: GridFunction, alpha: float = 0.5, q: int = 17, quad: ConeQuadrature | None = None,
+def intrinsic_engine(f: GridFunction, alpha: float = 0.5, q: int = 17, nodes_per_box: int = 1,
                      mode: str = "lp") -> SquareFunctionEngine:
-    """Engine whose node functional is the Hölder-class supremum A_alpha;
-    in "lp" mode the vertex pool is local to this build."""
+    """Engine on f's own quadrature whose node functional is the
+    Hölder-class supremum A_alpha; in "lp" mode the vertex pool is local to
+    this build."""
     sup_rows = _sup_rows(alpha, q, mode)
-    if quad is None:
-        quad = ConeQuadrature.for_grid(f)
+    quad = ConeQuadrature.for_grid(f, nodes_per_box)
     return SquareFunctionEngine(f, quad, lambda ys, ts: sup_rows(_hat_rows(f, ys, ts, q)))
 
 
-def g_cone(f: GridFunction, alpha: float = 0.5, beta: float = 1.0, quad: ConeQuadrature | None = None,
-           q: int = 17, mode: str = "lp", closed: bool = False) -> GridFunction:
-    """Intrinsic square function over the aperture-beta cone."""
-    return intrinsic_engine(f, alpha, q, quad, mode).g_cone(beta, closed=closed)
-
-
-def g_tilde(f: GridFunction, alpha: float = 0.5, quad: ConeQuadrature | None = None,
+def g_tilde(f: GridFunction, alpha: float = 0.5, nodes_per_box: int = 1,
             q: int = 17, mode: str = "lp") -> GridFunction:
-    """Carleson-box variant: sum over boxes of gamma_Q^2 chi_3Q, same nodes."""
-    return intrinsic_engine(f, alpha, q, quad, mode).g_tilde()
+    """Carleson-box variant: sum over boxes of gamma_Q^2 chi_3Q."""
+    return intrinsic_engine(f, alpha, q, nodes_per_box, mode).g_tilde()

@@ -1,14 +1,15 @@
-"""Classical operators on grid functions: Hardy-Littlewood and weighted
-centered maximal functions, the dyadic (martingale) square function, the
-continuous square functions built on a fixed polynomial bump, and truncated
-/ maximal Hilbert transforms.
+"""Classical operators on grid functions: the Hardy-Littlewood maximal
+function, the dyadic (martingale) square function, the continuous square
+functions built on a fixed polynomial bump, and truncated / maximal Hilbert
+transforms.
 
 Every operator evaluates at cell centers.  Convolutions against the step
 function are exact closed forms (polynomial antiderivatives, log terms), and
 translation invariance of the grid turns each into one discrete convolution:
 np.convolve up to 4096 cells, a zero-padded numpy FFT above.
 
-Every psi square function uses the one bump PSI.
+Every psi square function uses the one bump PSI, and the cone version
+builds the quadrature of its own grid from `nodes_per_box`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from sharpwt.gridfn import GridFunction
-from sharpwt.intrinsic import SquareFunctionEngine, _node_cells
+from sharpwt.intrinsic import ConeQuadrature, SquareFunctionEngine, _node_cells
 
 
 # ---------------------------------------------------------------------------
@@ -28,20 +29,20 @@ from sharpwt.intrinsic import SquareFunctionEngine, _node_cells
 
 def _trailing_max(s: np.ndarray, w: int) -> np.ndarray:
     """out[..., x] = max(s[..., max(0, x-w+1) : x+1]) along the last axis,
-    block prefix/suffix trick (van Herk 1992, Gil-Werman 1993): per block of
-    w, the window ending at offset r < w-1 is the prefix max of its block up
-    to r and the suffix max of the previous block from r+1."""
-    rows, n = s.shape[:-1], s.shape[-1]
-    if w <= 1:
-        return s.copy()
-    nblocks = -(-n // w)
-    if nblocks * w != n:
-        s = np.concatenate([s, np.full(rows + (nblocks * w - n,), -np.inf)], axis=-1)
-    a = s.reshape(rows + (nblocks, w))
-    left = np.maximum.accumulate(a, axis=-1)
-    right = np.maximum.accumulate(a[..., ::-1], axis=-1)  # right[j] = max(a[w-1-j:])
-    np.maximum(left[..., 1:, : w - 1], right[..., :-1, w - 2 :: -1], out=left[..., 1:, : w - 1])
-    return left.reshape(rows + (-1,))[..., :n]
+    by doubling between two buffers: T_1 = s and
+    T_{k+j}[x] = max(T_k[x], T_k[x-j]) with j = min(k, w-k), the cells
+    x < j keeping T_k[x].  Max is exact, so this is the window max bit for
+    bit."""
+    cur = s.copy()
+    nxt = np.empty_like(cur)
+    k = 1
+    while k < w:
+        j = min(k, w - k)
+        nxt[..., :j] = cur[..., :j]
+        np.maximum(cur[..., j:], cur[..., :-j], out=nxt[..., j:])
+        cur, nxt = nxt, cur
+        k += j
+    return cur
 
 
 def maximal(f: GridFunction) -> GridFunction:
@@ -59,23 +60,6 @@ def maximal(f: GridFunction) -> GridFunction:
         avg[n - w + 1 :] = -np.inf
         np.maximum(out, _trailing_max(avg, w), out=out)
         w *= 2
-    return f.with_values(out)
-
-
-def maximal_centered(f: GridFunction, nu) -> GridFunction:
-    """M^c_nu f: per cell, sup over windows centered at the cell (dyadic
-    radii, clipped to the domain) of (1/nu(Q)) int_Q |f| nu."""
-    n = f.ncells
-    num_pre = np.concatenate(([0.0], np.cumsum(np.abs(f.values) * nu.values)))
-    den_pre = np.concatenate(([0.0], np.cumsum(nu.values)))
-    idx = np.arange(n)
-    out = np.abs(f.values).copy()  # radius 0
-    r = 1
-    while r < n:
-        lo = np.clip(idx - r, 0, n)
-        hi = np.clip(idx + r + 1, 0, n)
-        np.maximum(out, (num_pre[hi] - num_pre[lo]) / (den_pre[hi] - den_pre[lo]), out=out)
-        r *= 2
     return f.with_values(out)
 
 
@@ -189,16 +173,17 @@ def _psi_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def psi_engine(f: GridFunction, quad):
-    """SquareFunctionEngine whose node functional is |f * psi_t(y)|, exact
-    per node (psi_convolve_at is the one-node oracle)."""
+def psi_engine(f: GridFunction, nodes_per_box: int = 1) -> SquareFunctionEngine:
+    """SquareFunctionEngine on f's own quadrature whose node functional is
+    |f * psi_t(y)|, exact per node (psi_convolve_at is the one-node oracle)."""
+    quad = ConeQuadrature.for_grid(f, nodes_per_box)
     return SquareFunctionEngine(f, quad, lambda ys, ts: np.abs(_psi_rows(f, ys, ts)))
 
 
-def s_psi(f: GridFunction, beta: float, quad) -> GridFunction:
-    """Continuous square function over the cone of aperture beta, using the
-    shared Carleson-box quadrature."""
-    return psi_engine(f, quad).g_cone(beta)
+def s_psi(f: GridFunction, beta: float, nodes_per_box: int = 1) -> GridFunction:
+    """Continuous square function over the cone of aperture beta, on the
+    Carleson-box quadrature the intrinsic engines use."""
+    return psi_engine(f, nodes_per_box).g_cone(beta)
 
 
 def g_psi(f: GridFunction, t_levels: tuple[int, int] | None = None) -> GridFunction:

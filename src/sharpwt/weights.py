@@ -46,9 +46,6 @@ class PowerWeightSpec:
             return None
         return PowerWeightSpec(a, self.center, self.coeff ** (-1.0 / (p - 1.0)))
 
-    def scaled(self, c: float) -> "PowerWeightSpec":
-        return PowerWeightSpec(self.exponent, self.center, self.coeff * c)
-
 
 class Weight:
     """Strictly positive grid function; the prefix sums of w are its base's,
@@ -77,12 +74,6 @@ class Weight:
     def mass(self, a: int, b: int) -> float:
         """w(Q) = integral of w over the cell range [a, b)."""
         return float(self.base.cell_width) * (self.base._prefix[b] - self.base._prefix[a])
-
-    def scaled(self, c: float) -> "Weight":
-        return Weight(
-            self.base.with_values(c * self.values),
-            self.power.scaled(c) if self.power is not None else None,
-        )
 
     def sigma_values(self, p: float) -> np.ndarray:
         if self.power is not None:

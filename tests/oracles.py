@@ -1,14 +1,15 @@
 """Per-call reference implementations kept as test oracles for the
 sorted-blocks table: the oscillation window count in Fraction arithmetic,
 the stopping-time decomposition with one `median` and one `local_osc` call
-per cube, and the scan-5.2 value with one `local_osc` call and one
-exact-Fraction 15Q average per dyadic cube."""
+per cube and its child selection taken from the definition, and the
+scan-5.2 value with one `local_osc` call and one exact-Fraction 15Q average
+per dyadic cube."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from sharpwt.decomp import LAMBDA_N, Decomposition, StopCube, _integral_abs_interval, _select_children
+from sharpwt.decomp import LAMBDA_N, Decomposition, StopCube, _integral_abs_interval
 from sharpwt.gridfn import GridFunction, local_osc, median
 
 
@@ -19,6 +20,26 @@ def window_count_fraction(lam, m: int) -> int:
     if k < need:
         k += 1
     return k
+
+
+def dense_children(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Every proper dyadic subinterval of [0, mask.size) in which more than
+    half of the cells are masked and no proper ancestor inside [0, mask.size)
+    is, in order of start; each interval is tested on its own cells."""
+    m = mask.size
+
+    def dense(a, size):
+        return 2 * int(np.count_nonzero(mask[a : a + size])) > size
+
+    out = []
+    size = m // 2
+    while size >= 1:
+        for a in range(0, m, size):
+            ancestors = (size << k for k in range(1, (m // size).bit_length() - 1))
+            if dense(a, size) and not any(dense(a - a % big, big) for big in ancestors):
+                out.append((a, a + size))
+        size //= 2
+    return sorted(out)
 
 
 def decompose_per_call(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
@@ -44,9 +65,7 @@ def decompose_per_call(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decompositio
             mask = g > tau
             if not mask.any():
                 continue
-            prefix = np.zeros(pb - pa + 1)
-            prefix[1:] = np.cumsum(mask)
-            for a, b in _select_children(prefix, 0, m):
+            for a, b in dense_children(mask):
                 a, b = a + pa, b + pa
                 size2 = 2 * (b - a)
                 qa = a0 + ((a - a0) // size2) * size2

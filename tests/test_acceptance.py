@@ -352,7 +352,7 @@ def test_criterion_7_exponent(name, report, report_dir):
     ok = ok and result.slope <= target + 0.1
     report(f"criterion 7 (exponent {name})", ok, elapsed,
            slope=result.slope, target=target, window_lo=lo, window_hi=hi, r2=result.r2,
-           seed=spec.seed, resolution_s=spec.resolution_s)
+           resolution_s=spec.resolution_s)
     assert ok
 
 

@@ -138,8 +138,8 @@ def test_cli_file_weight_rejects_non_finite(tmp_path, bad):
 
 
 FLAGS = {
-    "exponent": "--seed --out --format --res --L --run --op --p --deltas --family --window",
-    "ratio-scan": "--seed --out --format --lemma --n --res",
+    "exponent": "--out --res --L --run --op --p --deltas --family --window",
+    "ratio-scan": "--seed --out --lemma --n --res",
     "decompose": "--seed --out --res --L --origin --fn",
     "verify": "--in",
     "apply": "--seed --out --res --L --origin --op --fn --alpha --q --beta --mode --nodes-per-box",
@@ -155,6 +155,16 @@ def test_cli_flag_sets():
     got = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
            for name, p in sub.choices.items()}
     assert got == {name: set(flags.split()) for name, flags in FLAGS.items()}
+
+
+# apply: the cone flags, each with an operator that does not read it
+CONE_VALUES = {"--alpha": "0.9", "--q": "5", "--beta": "7", "--mode": "dictionary", "--nodes-per-box": "4"}
+APPLY_UNREAD = [
+    *((op, flag, value) for op in ("maximal", "sd", "hilbert", "hilbert-max", "gpsi")
+      for flag, value in CONE_VALUES.items()),
+    *(("spsi", flag, CONE_VALUES[flag]) for flag in ("--alpha", "--q", "--mode")),
+    ("gtilde", "--beta", "7"),
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -177,6 +187,11 @@ def test_cli_flag_sets():
     ["exponent", "--run", "maximal-p4", "--deltas", "0.5,0.25,0.125,0.0625"],
     ["exponent", "--run", "maximal-p4", "--family", "buckley"],
     ["exponent", "--run", "maximal-p4", "--window", "5,6"],
+    ["exponent", "--op", "identity", "--seed", "5"],
+    ["exponent", "--op", "identity", "--format", "json"],
+    ["ratio-scan", "--lemma", "4.3", "--format", "json"],
+    *(["apply", "--op", op, "--fn", "random:3", "--res", "5", flag, value]
+      for op, flag, value in APPLY_UNREAD),
 ])
 def test_cli_rejects_flags_it_would_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -187,6 +202,37 @@ def test_cli_rejects_flags_it_would_not_read(argv, capsys):
 
 def test_cli_ratio_scan_res_sets_scan_resolution(tmp_path, capsys):
     out = tmp_path / "scan.json"
-    rc = main(["ratio-scan", "--lemma", "4.3", "--n", "4", "--res", "7", "--format", "json", "--out", str(out)])
+    rc = main(["ratio-scan", "--lemma", "4.3", "--n", "4", "--res", "7", "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["resolution_s"] == 7
+
+
+@pytest.mark.parametrize("op, flags", [
+    ("maximal", ""), ("sd", ""), ("hilbert", ""), ("hilbert-max", ""), ("gpsi", ""),
+    ("spsi", "--beta 2 --nodes-per-box 2"),
+    ("galpha", "--alpha 0.9 --q 5 --beta 2 --mode dictionary --nodes-per-box 2"),
+    ("gtilde", "--alpha 0.9 --q 5 --mode dictionary --nodes-per-box 2"),
+])
+def test_cli_apply_takes_the_flags_its_operator_reads(op, flags, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    rc = main(["apply", "--op", op, "--fn", "random:3", "--res", "4", "--out", str(out), *flags.split()])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 17
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponent", "--L", "0"],
+    ["ap", "--weight", "const:2", "--origin", "1/3"],
+    ["decompose", "--fn", "bogus:1"],
+    ["verify", "--in", "missing.json"],
+    ["apply", "--op", "maximal", "--fn", "const:1", "--res", "3", "--out", "no/such/dir/g.csv"],
+    ["exponent", "--op", "identity", "--out", "no/such/dir/fit.csv"],
+])
+def test_cli_library_errors_exit_2_without_traceback(argv, tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sharpwt.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("sharpwt: error:")

@@ -231,7 +231,7 @@ def test_gridfn_geometry_and_cube_addressing():
     assert f.cell_range(None) == (0, 16)
     with pytest.raises(TypeError):
         f.cell_range(DyadicCube(0, (0,)))  # cubes are addressed by cell ranges only
-    assert f.integral(0, 16) == pytest.approx(np.sum(f.values) / 8)
+    assert f.integral_abs(0, 16) == pytest.approx(np.sum(f.values) / 8)
 
 
 def test_gridfn_json_roundtrip(tmp_path):

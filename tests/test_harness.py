@@ -72,7 +72,7 @@ def test_acceptance_runs_registry_shape():
 
 
 def test_determinism_byte_identical(tmp_path):
-    spec = ExperimentSpec("sd", 2.0, (0.5, 0.25, 0.125, 0.0625), 9, seed=7)
+    spec = ExperimentSpec("sd", 2.0, (0.5, 0.25, 0.125, 0.0625), 9)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit(exponent_experiment(spec), str(p1))
     emit(exponent_experiment(spec), str(p2))
@@ -106,16 +106,18 @@ def test_emit_csv_shape(tmp_path):
     footer = [ln for ln in lines[1:] if ln.startswith("#")]
     assert len(data) == 6
     assert any("slope=" in ln for ln in footer)
+    assert footer[1] == "# spec: op=identity p=2.0 s=8 L=1 family=buckley"  # no seed: nothing reads one
 
 
 def test_emit_json_roundtrip(tmp_path):
     spec = ExperimentSpec("identity", 2.0, (0.5, 0.25, 0.125, 0.0625), 8)
     result = exponent_experiment(spec)
     path = tmp_path / "fit.json"
-    emit(result, str(path), fmt="json")
+    emit(result, str(path))
     payload = json.loads(path.read_text())
     assert payload["slope"] == result.slope
     assert payload["spec"]["operator"] == "identity"
+    assert "seed" not in payload["spec"]
     assert len(payload["points"]) == 4
     assert "git_describe" in payload
 
@@ -144,7 +146,7 @@ def test_refine_preserves_function():
     f = GridFunction(0, 5, np.arange(32, dtype=float))
     g = refine(f)
     assert g.resolution_s == 6
-    assert g.integral(0, 64) == pytest.approx(f.integral(0, 32))
+    assert g.integral_abs(0, 64) == pytest.approx(f.integral_abs(0, 32))
     assert np.all(g.values[::2] == f.values)
 
 

@@ -16,15 +16,19 @@ from sharpwt.intrinsic import (
     ConeQuadrature,
     HolderClass,
     HolderKernel,
+    SquareFunctionEngine,
     _holder_class,
-    g_cone,
     g_tilde,
     hat_coefficients,
-    holder_sup,
     intrinsic_engine,
 )
 
 RNG = np.random.default_rng(11)
+
+
+def holder_sup(f, y, t, alpha=0.5, q=17):
+    """A_alpha(f)(y, t): the class supremum of |f * phi_t(y)|."""
+    return HolderClass(alpha, q).lp_sup(hat_coefficients(f, y, t, q))
 
 
 def test_holder_sup_zero_function():
@@ -47,14 +51,16 @@ def test_holder_sup_positive_on_jump():
 
 def test_holder_sup_validates_input():
     f = GridFunction(0, 4, np.ones(16))
+    # t <= 0 has no kernel; all-zero coefficients would read as a supremum of 0
+    for t in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="t must be positive"):
+            hat_coefficients(f, 0.5, t, 17)
     with pytest.raises(ValueError):
-        holder_sup(f, 0.5, -1.0)
+        HolderClass(1.5, 17)
     with pytest.raises(ValueError):
-        holder_sup(f, 0.5, 0.2, alpha=1.5)
+        HolderClass(0.5, 2)
     with pytest.raises(ValueError):
-        holder_sup(f, 0.5, 0.2, q=2)
-    with pytest.raises(ValueError):
-        holder_sup(f, 0.5, 0.2, mode="LP")
+        intrinsic_engine(f, mode="LP")
 
 
 def lattice_sup_q5(c, alpha, step=1e-3, box=0.85):
@@ -151,8 +157,7 @@ def test_simplex_pivot_cap_raises():
 
 def test_lp_engine_nodes_match_per_node_oracle():
     f = GridFunction(0, 6, np.random.default_rng(61).standard_normal(64))
-    quad = ConeQuadrature.for_grid(f, nodes_per_box=2)
-    eng = intrinsic_engine(f, quad=quad)
+    eng = intrinsic_engine(f, nodes_per_box=2)
     nodes = list(zip(eng.node_ys.tolist(), eng.node_ts.tolist(), eng.node_vals.tolist()))
     assert 0 < len(nodes) <= 300
     for y, t, v in nodes:
@@ -222,7 +227,7 @@ def test_lp_matches_lattice_oracle_q5():
 
 def test_dictionary_feasible_and_below_lp():
     cls = _holder_class(0.5, 17)
-    for row in cls.dictionary():
+    for row in cls._dictionary:
         kernel = HolderKernel(0.5, row)
         assert kernel.holder_excess() <= 1e-12
         assert abs(kernel.trapezoid_mean()) <= 1e-12
@@ -275,7 +280,7 @@ def test_quadrature_levels_span_ladder():
 
 def test_g_cone_zero_function():
     f = GridFunction(0, 5, np.zeros(32))
-    assert np.all(g_cone(f).values == 0.0)
+    assert np.all(intrinsic_engine(f).g_cone(1.0).values == 0.0)
     assert np.all(g_tilde(f).values == 0.0)
 
 
@@ -332,7 +337,7 @@ def g_cone_oracle(eng, beta, closed=False):
 @pytest.mark.parametrize("mode", ["lp", "dictionary"])
 def test_g_cone_matches_node_loop_bytewise(mode, nodes_per_box):
     for label, f in corpus_functions(seed=12, resolution_s=6, n_random=2):
-        eng = intrinsic_engine(f, quad=ConeQuadrature.for_grid(f, nodes_per_box=nodes_per_box), mode=mode)
+        eng = intrinsic_engine(f, nodes_per_box=nodes_per_box, mode=mode)
         for beta in (1.0, 3.0, 4.0):
             for closed in (False, True):
                 got = eng.g_cone(beta, closed=closed).values
@@ -363,7 +368,7 @@ def test_g_tilde_matches_box_loop_bytewise(mode, nodes_per_box):
           GridFunction(0, 5, rng.standard_normal(32), origin=Fraction(-5, 32)),
           GridFunction(1, 4, rng.standard_normal(32), origin=-1)]
     for f in fs:
-        eng = intrinsic_engine(f, quad=ConeQuadrature.for_grid(f, nodes_per_box=nodes_per_box), mode=mode)
+        eng = intrinsic_engine(f, nodes_per_box=nodes_per_box, mode=mode)
         assert eng.g_tilde().values.tobytes() == g_tilde_oracle(eng).tobytes(), (f.level_L, f.origin)
 
 
@@ -384,7 +389,9 @@ def test_single_box_quadrature():
     vals = RNG.standard_normal(64)
     f = GridFunction(0, 6, vals)
     quad = ConeQuadrature((2,), ((1, 1),))  # only Q = [1/4, 1/2)
-    eng = intrinsic_engine(f, quad=quad)
+    cls = HolderClass(0.5, 17)
+    eng = SquareFunctionEngine(f, quad, lambda ys, ts: [
+        cls.lp_sup(hat_coefficients(f, y, t, 17)) for y, t in zip(ys, ts)])
     [(k, j, g2)] = eng.gamma_sq()
     gt = eng.g_tilde().values
     centers = f.cell_centers()
@@ -400,7 +407,7 @@ def test_refinement_drift_of_g_cone():
     vals[:32] = 1.0
     f = GridFunction(0, 6, vals)
     base = intrinsic_engine(f).g_cone(1.0).values
-    fine = intrinsic_engine(f, quad=ConeQuadrature.for_grid(f).refined(2)).g_cone(1.0).values
+    fine = intrinsic_engine(f, nodes_per_box=2).g_cone(1.0).values
     assert fine[30:34].min() > 0 and base[30:34].min() > 0
     assert abs(np.linalg.norm(fine) / np.linalg.norm(base) - 1.0) <= 0.45
     mask = base > 1e-6
@@ -414,8 +421,7 @@ def test_property_22_ratio_bounded_and_stable():
         for seed in range(6):
             rng = np.random.default_rng(seed)
             f = GridFunction(0, 6, rng.standard_normal(64))
-            quad = ConeQuadrature.for_grid(f, nodes_per_box=nodes)
-            eng = intrinsic_engine(f, quad=quad)
+            eng = intrinsic_engine(f, nodes_per_box=nodes)
             g1 = eng.g_cone(1.0).values
             g4 = eng.g_cone(4.0).values
             mask = g1 > 1e-6
