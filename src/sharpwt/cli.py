@@ -118,9 +118,20 @@ def _write_csv_function(g: GridFunction, path: str) -> None:
 REPORT_OUT = "report path; JSON if it ends in .json, else CSV"
 
 
-def _seed_out_flags(p, out_help: str | None = None) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help=out_help)
+def _fn_flags(p) -> None:
+    p.add_argument("--fn", required=True)
+    # None lets _parse_fn tell an unread --seed from an absent one
+    p.add_argument("--seed", type=int, default=None, help="seed of --fn random: (default 0)")
+    p.add_argument("--out", default=None)
+
+
+def _parse_fn(ap: argparse.ArgumentParser, args) -> GridFunction:
+    """--fn on the grid flags; only a random: spec without a seed of its own
+    reads --seed, and any other spec rejects it."""
+    kind, _, rest = args.fn.partition(":")
+    if args.seed is not None and (kind != "random" or rest):
+        ap.error(f"--fn {args.fn} does not read --seed")
+    return parse_function(args.fn, args.L, args.res, Fraction(args.origin), args.seed or 0)
 
 
 def _grid_flags(p) -> None:
@@ -149,24 +160,23 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--window", help="lo,hi slope assertion", **unset)
 
     pr = sub.add_parser("ratio-scan", help="lemma inequality scan over the corpus")
-    _seed_out_flags(pr, REPORT_OUT)
+    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--out", default=None, help=REPORT_OUT)
     pr.add_argument("--lemma", choices=sorted(SCANS), required=True)
     pr.add_argument("--n", type=int, default=None, help="random corpus size")
     pr.add_argument("--res", type=int, default=None, help="scan base resolution (default: the lemma's)")
 
     pd = sub.add_parser("decompose", help="stopping-time decomposition to JSON")
-    _seed_out_flags(pd)
+    _fn_flags(pd)
     _grid_flags(pd)
-    pd.add_argument("--fn", required=True)
 
     pv = sub.add_parser("verify", help="re-read a decomposition dump and re-check it")
     pv.add_argument("--in", dest="infile", required=True)
 
     pa = sub.add_parser("apply", help="apply an operator, emit CSV")
-    _seed_out_flags(pa)
+    _fn_flags(pa)
     _grid_flags(pa)
     pa.add_argument("--op", choices=APPLY_OPS, required=True)
-    pa.add_argument("--fn", required=True)
     defaults = ", ".join(f"--{key.replace('_', '-')} {val}" for key, val in CONE_FLAGS.items())
     cone = pa.add_argument_group("cone", f"read by spsi, galpha and gtilde only; defaults {defaults}")
     cone.add_argument("--alpha", type=float, **unset)
@@ -229,7 +239,7 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
             failures.append(f"ratio scan {args.lemma} failed (max={report.max_base}, drift={report.drift})")
 
     elif args.command == "decompose":
-        f = parse_function(args.fn, args.L, args.res, Fraction(args.origin), args.seed)
+        f = _parse_fn(ap, args)
         d = decompose(f)
         payload = d.to_json()
         if args.out:
@@ -256,7 +266,7 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
         if unread:
             ap.error(f"apply --op {args.op} does not read {' '.join(unread)}")
         opt = argparse.Namespace(**{**CONE_FLAGS, **vars(args)})
-        f = parse_function(args.fn, args.L, args.res, Fraction(args.origin), args.seed)
+        f = _parse_fn(ap, args)
         g = _apply_operator(args.op, f, opt)
         if args.out:
             _write_csv_function(g, args.out)

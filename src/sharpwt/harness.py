@@ -30,7 +30,7 @@ import numpy as np
 
 from sharpwt.decomp import a_gamma, decompose
 from sharpwt.gridfn import GridFunction, SortedBlocks, local_osc, median
-from sharpwt.intrinsic import intrinsic_engine
+from sharpwt.intrinsic import intrinsic_engine, intrinsic_engines
 from sharpwt.operators import (
     PSI,
     dyadic_square,
@@ -299,10 +299,15 @@ def _ratio_max(num: np.ndarray, den: np.ndarray, floor: float) -> float:
 @functools.lru_cache(maxsize=1)
 def _corpus_engines(seed: int, s: int, n: int) -> tuple:
     """(label, ((f, engine), (refine(f), engine))) for every corpus function,
-    with its lp engine at both resolutions.  Consecutive scans of one corpus
-    share these engines; the one entry is dropped when another corpus comes."""
-    return tuple((label, tuple((g, intrinsic_engine(g)) for g in (f, refine(f))))
-                 for label, f in corpus_functions(seed, s, n_random=n))
+    with its lp engine at both resolutions.  One `intrinsic_engines` call
+    builds them all in the order f0, refine(f0), f1, refine(f1), ..., so one
+    vertex pool serves the corpus and each refined build meets the base
+    build's nodes at pooled optima.  Consecutive scans of one corpus share
+    these engines; the one entry is dropped when another corpus comes."""
+    corpus = corpus_functions(seed, s, n_random=n)
+    grids = [g for _, f in corpus for g in (f, refine(f))]
+    built = list(zip(grids, intrinsic_engines(grids)))
+    return tuple((label, tuple(built[2 * i : 2 * i + 2])) for i, (label, _) in enumerate(corpus))
 
 
 def _engine_cases(seed: int, s: int, n: int, value) -> list[ScanCase]:

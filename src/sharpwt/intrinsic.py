@@ -16,15 +16,19 @@ Hölder rows plus the mean-zero row; the simplex walks between vertices
 (largest-coefficient rule, then Bland's rule from the first degenerate step
 on, so it cannot cycle) and stops at one whose Hölder-row multipliers are
 all >= 0, which certifies it optimal.  The class finds its first vertex by walking
-from phi = 0 along null-space directions of the rows made tight so far.  An
-engine build solves its nodes one quadrature level at a time, in a fixed
-order, each starting from the best vertex found so far in that build.
-A general-purpose LP solver (scipy's HiGHS interface) is kept only as the
-test oracle.  `intrinsic_engine` takes the evaluator by name ("lp" or
-"dictionary") and rejects any other, and builds the quadrature of its own
-grid from `nodes_per_box`.  The engine keeps all its nodes and boxes in
-flat arrays and sums the cone and box aggregations with
-`gridfn.interval_sums`.
+from phi = 0 along null-space directions of the rows made tight so far.
+`intrinsic_engines` builds the engines of a sequence of grids in order
+through one vertex pool, which lives for that call only: each engine solves
+its nodes one quadrature level at a time, in a fixed order, each starting
+from the best vertex found so far in the call, with that vertex's cached
+basis inverse.  `intrinsic_engine` is its one-grid case.  Every solved node
+gets a weak-duality interval that holds whatever vertex the simplex stopped
+at, and a build raises if one is wider than 1e-12 * max|c|.  A
+general-purpose LP solver (scipy's HiGHS interface) is kept only as the test
+oracle.  Both take the evaluator by name ("lp" or "dictionary") and reject
+any other, and build the quadrature of each grid from `nodes_per_box`.  The
+engine keeps all its nodes and boxes in flat arrays and sums the cone and
+box aggregations with `gridfn.interval_sums`.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from sharpwt.gridfn import GridFunction, interval_sums
 _MULTIPLIER_TOL = 1e-13  # relative to max |c|: a multiplier below -tol * max|c| is improvable
 _DIRECTION_TOL = 1e-9    # a row blocks a step only if it moves toward its bound by more
 _RATIO_TIE = 1e-12       # step lengths this close are ties, broken by the smallest row index
+_WIDTH_TOL = 1e-12       # relative to max |c|: widest certified interval a solved node may have
 _NODE_CHUNK = 1 << 17    # float64 entries per chunk of a per-node cell tensor (nodes x q x cells for hats), ~1 MB
 
 
@@ -132,26 +137,29 @@ class HolderClass:
             basis.append(row)
         return np.array(basis)
 
-    def _solve(self, c: np.ndarray, basis: np.ndarray | None = None,
-               max_pivots: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _solve(self, c: np.ndarray, basis: np.ndarray | None = None, inv: np.ndarray | None = None,
+               max_pivots: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         """Primal simplex for max c . phi from the vertex of `basis` (the
-        class's first vertex by default).  Returns the optimal vertex x
-        (phi_1..phi_{q-2}), the multipliers y with A_B^T y = c (y[0] belongs
-        to the mean-zero row and is free; the rest are >= 0, which certifies
-        optimality) and the basis.  Raises if the pivot cap is reached."""
+        class's first vertex by default), whose basis inverse may be passed
+        as `inv`.  Returns the optimal vertex x (phi_1..phi_{q-2}), the
+        multipliers y with A_B^T y = c (y[0] belongs to the mean-zero row and
+        is free; the rest are >= 0, which certifies optimality), the basis,
+        its inverse and the number of pivots taken.  Raises if the pivot cap
+        is reached."""
         a, b = self._a, self._b
         ci = np.asarray(c, dtype=float)[1:-1]
-        tol = _MULTIPLIER_TOL * float(np.max(np.abs(ci), initial=0.0))
+        tol = _MULTIPLIER_TOL * float(np.abs(ci).max(initial=0.0))
         basis = (self._start if basis is None else basis).copy()
         cap = a.shape[0] if max_pivots is None else max_pivots
         bland = False
         for pivots in range(cap + 1):
-            inv = np.linalg.inv(a[basis])
+            if inv is None:
+                inv = np.linalg.inv(a[basis])
             y = ci @ inv
             x = inv @ b[basis]
-            improving = np.flatnonzero(y[1:] < -tol) + 1
+            improving = (y[1:] < -tol).nonzero()[0] + 1
             if improving.size == 0:
-                return x, y, basis
+                return x, y, basis, inv, pivots
             if pivots == cap:
                 break
             # release the most negative multiplier's row while every step
@@ -159,9 +167,10 @@ class HolderClass:
             # degenerate step on, Bland's rule (the improving row of smallest
             # index; the ratio test admits the blocking row of smallest
             # index), which cannot cycle
-            r = improving[np.argmin(basis[improving] if bland else y[improving])]
+            r = improving[(basis[improving] if bland else y[improving]).argmin()]
             step, basis[r] = _ratio_test(a, b, x, -inv[:, r], basis)
             bland = bland or step <= _RATIO_TIE
+            inv = None
         raise RuntimeError(f"holder-class simplex reached its pivot cap ({cap}) at alpha={self.alpha}, q={self.q}")
 
     def lp_sup(self, c: np.ndarray) -> float:
@@ -206,40 +215,87 @@ def _ratio_test(a: np.ndarray, b: np.ndarray, x: np.ndarray, d: np.ndarray, basi
     blocks it (the smallest index among ties)."""
     ad = a @ d
     ad[basis] = 0.0
-    rows = np.flatnonzero(ad > _DIRECTION_TOL)
+    rows = (ad > _DIRECTION_TOL).nonzero()[0]
     steps = np.maximum(b[rows] - a[rows] @ x, 0.0) / ad[rows]
-    step = float(np.min(steps))
-    return step, int(rows[np.argmax(steps <= step + _RATIO_TIE)])
+    step = float(steps.min())
+    return step, int(rows[(steps <= step + _RATIO_TIE).argmax()])
 
 
 class _VertexPool:
-    """Optimal vertices found during one engine build (or one lp_sup call),
-    starting from the class's first vertex.  Each solve starts from the
-    pooled vertex best for its objective, chosen by one matmul.  The pool
-    lives only as long as the build, so values do not depend on what ran
-    before."""
+    """Optimal vertices found during one `intrinsic_engines` call (or one
+    lp_sup call), starting from the class's first vertex, each kept with its
+    basis and basis inverse in arrays that grow by doubling.  Each solve
+    starts from the pooled vertex best for its objective, chosen by one
+    matmul, so a node whose start is already optimal costs two products with
+    the cached inverse and no inversion.  The pool lives only as long as the
+    call, so values depend on the grids of that call and their order, and on
+    nothing that ran before.
+
+    Every solved row gets a weak-duality interval (Neumaier and Shcherbina,
+    Math. Program. 99 (2004)) that does not depend on the path the simplex
+    took.  Upper: sum_j |y_j| b_{B_j} + ||c - A_B^T y||_1, since every
+    Hölder row comes in both signs (|A_j phi| <= b_j) and |phi_i| <= 1 on
+    the class.  Lower: c . x' / (1 + v) for x shifted to mean zero (x') and v
+    its worst relative row violation, as x' / (1 + v) is feasible.  A width
+    above _WIDTH_TOL * max|c| raises, as the pivot cap does."""
 
     def __init__(self, cls: HolderClass):
         self.cls = cls
-        self.bases = [cls._start]
-        self.xs = np.linalg.solve(cls._a[cls._start], cls._b[cls._start])[None, :]
-        self.seen = {np.sort(cls._start).tobytes()}
+        n = cls.q - 2
+        self.size = 0
+        self.bases = np.empty((8, n), dtype=np.intp)
+        self.xs = np.empty((8, n))
+        self.invs = np.empty((8, n, n))
+        self.seen: set[bytes] = set()
+        self.widest = 0.0  # widest certified interval so far, relative to max|c|
+        start = cls._start
+        self._add(start, np.linalg.solve(cls._a[start], cls._b[start]), np.linalg.inv(cls._a[start]))
+
+    def _add(self, basis: np.ndarray, x: np.ndarray, inv: np.ndarray) -> None:
+        key = np.sort(basis).tobytes()
+        if key in self.seen:
+            return
+        self.seen.add(key)
+        if self.size == len(self.xs):
+            self.bases, self.xs, self.invs = (np.concatenate([arr, np.empty_like(arr)])
+                                              for arr in (self.bases, self.xs, self.invs))
+        self.bases[self.size], self.xs[self.size], self.invs[self.size] = basis, x, inv
+        self.size += 1
 
     def sup_rows(self, rows: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("LP objective coefficients must be finite")
         out = np.zeros(len(rows))
-        for i, c in enumerate(rows):
-            ci = c[1:-1]
-            if not ci.any():
-                continue
-            start = int(np.argmax(self.xs @ ci))
-            x, _, basis = self.cls._solve(c, self.bases[start])
-            key = np.sort(basis).tobytes()
-            if key not in self.seen:
-                self.seen.add(key)
-                self.bases.append(basis)
-                self.xs = np.vstack([self.xs, x])
+        solved = np.flatnonzero(rows[:, 1:-1].any(axis=1))
+        c = rows[solved, 1:-1]
+        xs, ys = np.empty_like(c), np.empty_like(c)
+        bases = np.empty(c.shape, dtype=np.intp)
+        for k, (i, ci) in enumerate(zip(solved, c)):
+            start = int((self.xs[: self.size] @ ci).argmax())
+            x, y, basis, inv, pivots = self.cls._solve(rows[i], self.bases[start], self.invs[start])
+            if pivots:
+                self._add(basis, x, inv)
             out[i] = max(float(ci @ x), 0.0)
+            xs[k], ys[k], bases[k] = x, y, basis
+        if solved.size:
+            self._certify(c, xs, ys, bases)
         return out
+
+    def _certify(self, c: np.ndarray, xs: np.ndarray, ys: np.ndarray, bases: np.ndarray) -> None:
+        """The weak-duality interval of every row of c at its vertex xs,
+        multipliers ys and basis bases, in a few array ops."""
+        a, b = self.cls._a, self.cls._b
+        resid = c - np.einsum("nij,ni->nj", a[bases], ys)                       # c - A_B^T y
+        upper = np.sum(np.abs(ys) * b[bases], axis=1) + np.sum(np.abs(resid), axis=1)  # b[0] = 0
+        shifted = xs - np.mean(xs, axis=1, keepdims=True)
+        violation = np.max((shifted @ a[1:].T - b[1:]) / b[1:], axis=1)
+        lower = np.maximum(np.sum(c * shifted, axis=1) / (1.0 + np.maximum(violation, 0.0)), 0.0)
+        width = (upper - lower) / np.max(np.abs(c), axis=1)
+        worst = float(np.max(width))
+        if not worst <= _WIDTH_TOL:
+            raise RuntimeError(f"holder-class simplex certified interval {worst:.3g} * max|c| exceeds "
+                               f"{_WIDTH_TOL:g} at alpha={self.cls.alpha}, q={self.cls.q}")
+        self.widest = max(self.widest, worst)
 
 
 @lru_cache(maxsize=8)
@@ -295,17 +351,9 @@ def hat_coefficients(f: GridFunction, y: float, t: float, q: int) -> np.ndarray:
     exact for step f (hat CDF evaluated at transported cell edges)."""
     if not t > 0:
         raise ValueError("t must be positive")
+    if not (np.isfinite(y) and np.isfinite(t)):
+        raise ValueError("y and t must be finite")
     return _hat_rows(f, np.array([y], dtype=float), np.array([t], dtype=float), q)[0]
-
-
-def _sup_rows(alpha: float, q: int, mode: str):
-    """The class supremum of |c . phi| per row of c: exact, by the simplex
-    with a vertex pool local to the returned function ("lp"), or the
-    dictionary's certified lower bound ("dictionary")."""
-    if mode not in ("lp", "dictionary"):
-        raise ValueError("mode must be 'lp' or 'dictionary'")
-    cls = _holder_class(float(alpha), int(q))
-    return _VertexPool(cls).sup_rows if mode == "lp" else cls._dict_rows
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +371,10 @@ class ConeQuadrature:
     levels: tuple[int, ...]          # k values; box side = 2^-k
     box_ranges: tuple[tuple[int, int], ...]  # per level: j in [j_lo, j_hi]
     nodes_per_box: int = 1
+
+    def __post_init__(self):
+        if not self.nodes_per_box >= 1:
+            raise ValueError("nodes_per_box must be >= 1")
 
     @staticmethod
     def for_grid(f: GridFunction, nodes_per_box: int = 1) -> "ConeQuadrature":
@@ -357,6 +409,8 @@ class SquareFunctionEngine:
     Nodes sit in flat arrays in (level, box, y offset, t) order, boxes in
     (level, box) order.
     """
+
+    widest_interval: float | None = None  # set by intrinsic_engines in "lp" mode
 
     def __init__(self, f: GridFunction, quad: ConeQuadrature, level_eval):
         """level_eval(ys, ts) returns the node functional at the nodes
@@ -408,14 +462,37 @@ class SquareFunctionEngine:
         return self.f.with_values(np.sqrt(np.maximum(acc, 0.0)))
 
 
+def intrinsic_engines(fs, alpha: float = 0.5, q: int = 17, nodes_per_box: int = 1,
+                      mode: str = "lp") -> list[SquareFunctionEngine]:
+    """Engines on the quadratures of the grids fs, built in order through
+    one evaluator whose node functional is the Hölder-class supremum
+    A_alpha: exact, by the simplex ("lp"), or the dictionary's certified
+    lower bound ("dictionary").  In "lp" mode one vertex pool serves every
+    build of the call, so a grid whose nodes repeat an earlier grid's, as
+    refine(f) after f does, finds them at pooled optima; each engine's
+    `widest_interval` is the widest certified node interval of its build,
+    relative to max|c|."""
+    if mode not in ("lp", "dictionary"):
+        raise ValueError("mode must be 'lp' or 'dictionary'")
+    cls = _holder_class(float(alpha), int(q))
+    pool = _VertexPool(cls) if mode == "lp" else None
+    sup_rows = cls._dict_rows if pool is None else pool.sup_rows
+    engines = []
+    for f in fs:
+        quad = ConeQuadrature.for_grid(f, nodes_per_box)
+        if pool is not None:
+            pool.widest = 0.0
+        eng = SquareFunctionEngine(f, quad, lambda ys, ts, f=f: sup_rows(_hat_rows(f, ys, ts, q)))
+        if pool is not None:
+            eng.widest_interval = pool.widest
+        engines.append(eng)
+    return engines
+
+
 def intrinsic_engine(f: GridFunction, alpha: float = 0.5, q: int = 17, nodes_per_box: int = 1,
                      mode: str = "lp") -> SquareFunctionEngine:
-    """Engine on f's own quadrature whose node functional is the
-    Hölder-class supremum A_alpha; in "lp" mode the vertex pool is local to
-    this build."""
-    sup_rows = _sup_rows(alpha, q, mode)
-    quad = ConeQuadrature.for_grid(f, nodes_per_box)
-    return SquareFunctionEngine(f, quad, lambda ys, ts: sup_rows(_hat_rows(f, ys, ts, q)))
+    """The one-grid case of `intrinsic_engines`."""
+    return intrinsic_engines([f], alpha, q, nodes_per_box, mode)[0]
 
 
 def g_tilde(f: GridFunction, alpha: float = 0.5, nodes_per_box: int = 1,

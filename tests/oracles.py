@@ -1,9 +1,10 @@
-"""Per-call reference implementations kept as test oracles for the
-sorted-blocks table: the oscillation window count in Fraction arithmetic,
+"""Per-call reference implementations kept as test oracles: for the
+sorted-blocks table, the oscillation window count in Fraction arithmetic,
 the stopping-time decomposition with one `median` and one `local_osc` call
 per cube and its child selection taken from the definition, and the
 scan-5.2 value with one `local_osc` call and one exact-Fraction 15Q average
-per dyadic cube."""
+per dyadic cube; for the shared vertex pool, the "lp" evaluator of one
+engine build with a pool of its own and every basis inverted afresh."""
 
 from fractions import Fraction
 
@@ -11,6 +12,34 @@ import numpy as np
 
 from sharpwt.decomp import LAMBDA_N, Decomposition, StopCube, _integral_abs_interval
 from sharpwt.gridfn import GridFunction, local_osc, median
+
+
+def sup_rows_per_build(cls):
+    """The Hölder-class supremum per row of c, by the simplex with a vertex
+    pool local to the returned function: each solve starts from the pooled
+    vertex best for its objective and inverts its basis itself."""
+    bases = [cls._start]
+    xs = np.linalg.solve(cls._a[cls._start], cls._b[cls._start])[None, :]
+    seen = {np.sort(cls._start).tobytes()}
+
+    def sup_rows(rows: np.ndarray) -> np.ndarray:
+        nonlocal xs
+        out = np.zeros(len(rows))
+        for i, c in enumerate(rows):
+            ci = c[1:-1]
+            if not ci.any():
+                continue
+            start = int(np.argmax(xs @ ci))
+            x, _, basis, _, _ = cls._solve(c, bases[start])
+            key = np.sort(basis).tobytes()
+            if key not in seen:
+                seen.add(key)
+                bases.append(basis)
+                xs = np.vstack([xs, x])
+            out[i] = max(float(ci @ x), 0.0)
+        return out
+
+    return sup_rows
 
 
 def window_count_fraction(lam, m: int) -> int:

@@ -35,7 +35,7 @@ from sharpwt.harness import (
     exponent_experiment,
     ratio_scan,
 )
-from sharpwt.intrinsic import _holder_class, hat_coefficients, intrinsic_engine
+from sharpwt.intrinsic import _holder_class, hat_coefficients, intrinsic_engines
 
 
 @pytest.fixture(scope="session")
@@ -254,16 +254,20 @@ def test_criterion_3_oscillation_oracles(report):
 def test_criterion_4_sandwich(report):
     t0 = time.monotonic()
     worst_left, worst_right = -np.inf, -np.inf
-    for label, f in corpus_functions(seed=51, resolution_s=8, n_random=40):
-        eng = intrinsic_engine(f, alpha=0.5, q=17, mode="lp")
+    engines = intrinsic_engines([f for _, f in corpus_functions(seed=51, resolution_s=8, n_random=40)],
+                                alpha=0.5, q=17, mode="lp")
+    for eng in engines:
         g1 = eng.g_cone(1.0).values
         gt = eng.g_tilde().values
         g4 = eng.g_cone(4.0, closed=True).values
         worst_left = max(worst_left, float(np.max(g1 - gt)))
         worst_right = max(worst_right, float(np.max(gt - g4)))
     ok = worst_left <= 1e-12 and worst_right <= 1e-12
+    # every node value lies within its certified interval; the builds raise
+    # on any interval wider than _WIDTH_TOL * max|c|
+    widest = max(eng.widest_interval for eng in engines)
     report("criterion 4 (Lemma 5.1 sandwich, 50 fns, s=8)", ok, time.monotonic() - t0,
-           left=worst_left, right=worst_right, seed=51, resolution_s=8)
+           left=worst_left, right=worst_right, widest_interval=widest, seed=51, resolution_s=8)
     assert ok
 
 

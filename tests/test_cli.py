@@ -236,3 +236,47 @@ def test_cli_library_errors_exit_2_without_traceback(argv, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines()[-1].startswith("sharpwt: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "--op", "gtilde", "--fn", "random:1", "--res", "4", "--nodes-per-box", "0"],
+    ["apply", "--op", "spsi", "--fn", "random:1", "--res", "4", "--nodes-per-box", "-1"],
+])
+def test_cli_rejects_nodes_per_box_below_one(argv, tmp_path):
+    # unchecked, 0 ends in a ZeroDivisionError (status 1, kept for failed
+    # checks) and -1 in numpy's broadcast-shape message
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sharpwt.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "sharpwt: error: nodes_per_box must be >= 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "--op", "maximal", "--fn", "const:1", "--res", "3"],
+    ["apply", "--op", "maximal", "--fn", "random:2", "--res", "3"],
+    ["decompose", "--fn", "spike:1", "--res", "4"],
+    ["decompose", "--fn", "random:4", "--res", "4"],
+])
+def test_cli_seed_is_read_only_by_a_random_spec_without_one(argv, tmp_path, capsys):
+    # the spec fixes the function, so --seed would be ignored: any value exits 2
+    for seed in ("5", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", seed])
+        assert exc.value.code == 2
+        assert "does not read --seed" in capsys.readouterr().err
+    # without --seed the same call runs
+    assert main([*argv, "--out", str(tmp_path / "g.out")]) == 0
+
+
+def test_cli_seed_picks_the_random_function(tmp_path, capsys):
+    def run(*seed):
+        out = tmp_path / f"g{''.join(seed)}.csv"
+        assert main(["apply", "--op", "maximal", "--fn", "random:", "--res", "3", "--out", str(out),
+                     *seed]) == 0
+        return out.read_bytes()
+
+    assert run("--seed", "5") != run("--seed", "0")
+    assert run("--seed", "0") == run()

@@ -1,7 +1,10 @@
 """Hölder-class simplex evaluator vs a linprog oracle and the lattice
-oracle, its optimality certificate, dictionary certification, quadrature
+oracle, its optimality certificate and certified interval, the shared
+vertex pool vs per-build pools, dictionary certification, quadrature
 geometry, and the discrete box/cone sandwich."""
 
+import inspect
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -10,17 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from oracles import sup_rows_per_build
+
+import sharpwt.intrinsic as intrinsic
 from sharpwt.gridfn import GridFunction
-from sharpwt.harness import corpus_functions
+from sharpwt.harness import corpus_functions, refine
 from sharpwt.intrinsic import (
     ConeQuadrature,
     HolderClass,
     HolderKernel,
     SquareFunctionEngine,
+    _hat_rows,
     _holder_class,
     g_tilde,
     hat_coefficients,
     intrinsic_engine,
+    intrinsic_engines,
 )
 
 RNG = np.random.default_rng(11)
@@ -61,6 +69,26 @@ def test_holder_sup_validates_input():
         HolderClass(0.5, 2)
     with pytest.raises(ValueError):
         intrinsic_engine(f, mode="LP")
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: hat_coefficients(f, float("nan"), 0.5, 17),
+    lambda f: hat_coefficients(f, 0.5, float("inf"), 17),
+    lambda f: HolderClass(0.5, 17).lp_sup(np.full(17, np.nan)),
+], ids=["nan-y", "inf-t", "nan-objective"])
+def test_lp_path_rejects_non_finite_input(call):
+    # unchecked, each comes back as a plausible number: all-zero
+    # coefficients read as a supremum of 0, or nan
+    f = GridFunction(0, 4, np.ones(16))
+    with pytest.raises(ValueError, match="finite"):
+        call(f)
+
+
+def test_quadrature_rejects_fewer_than_one_node_per_box():
+    f = GridFunction(0, 4, np.ones(16))
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="nodes_per_box"):
+            ConeQuadrature.for_grid(f, m)
 
 
 def lattice_sup_q5(c, alpha, step=1e-3, box=0.85):
@@ -135,7 +163,7 @@ def test_simplex_matches_linprog_with_certificate(case):
     # it stops that far short; the certificate below is exact on every input
     agree = 1e-9 if kind == "floats" else 1e-12
     assert abs(cls.lp_sup(c) - linprog_sup(c, alpha)) <= agree * max(scale, 1e-300)
-    x, y, basis = cls._solve(c)
+    x, y, basis, _, _ = cls._solve(c)
     phi = np.concatenate([[0.0], x, [0.0]])
     kernel = HolderKernel(alpha, phi)
     assert kernel.holder_excess() <= 1e-12
@@ -163,6 +191,75 @@ def test_lp_engine_nodes_match_per_node_oracle():
     for y, t, v in nodes:
         c = hat_coefficients(f, y, t, 17)
         assert abs(v - linprog_sup(c, 0.5)) <= 1e-12 * max(float(np.max(np.abs(c))), 1.0)
+
+
+def corpus_grids(seed, n_random=2):
+    """A scan corpus's grids in the order the scans build them: f0,
+    refine(f0), f1, refine(f1), ..."""
+    return [g for _, f in corpus_functions(seed, 6, n_random=n_random) for g in (f, refine(f))]
+
+
+def test_single_grid_engine_is_bytewise_the_per_build_pool():
+    """intrinsic_engine(f) starts from cached basis inverses; a per-build
+    pool that inverts every basis itself gives the same bytes."""
+    cls = _holder_class(0.5, 17)
+    for g in corpus_grids(seed=3):
+        sup_rows = sup_rows_per_build(cls)
+        want = SquareFunctionEngine(g, ConeQuadrature.for_grid(g),
+                                    lambda ys, ts: sup_rows(_hat_rows(g, ys, ts, 17)))
+        assert intrinsic_engine(g).node_vals.tobytes() == want.node_vals.tobytes()
+
+
+def test_shared_pool_nodes_lie_within_their_certified_width():
+    """A shared pool may land on another optimal vertex than a fresh build,
+    but each node value stays within its certified interval, and so within
+    the sum of the two widths of the fresh one; a sample is checked
+    against HiGHS."""
+    grids = corpus_grids(seed=6)
+    shared = intrinsic_engines(grids)
+    rng = np.random.default_rng(64)
+    moved = 0
+    for g, eng in zip(grids, shared):
+        fresh = intrinsic_engine(g)
+        assert 0.0 <= eng.widest_interval <= intrinsic._WIDTH_TOL
+        scale = np.max(np.abs(_hat_rows(g, eng.node_ys, eng.node_ts, 17)), axis=1)
+        gap = np.abs(eng.node_vals - fresh.node_vals)
+        assert np.all(gap <= (eng.widest_interval + fresh.widest_interval) * scale)
+        moved += int(np.count_nonzero(gap))
+        for n in rng.choice(eng.node_vals.size, 2, replace=False):
+            c = hat_coefficients(g, eng.node_ys[n], eng.node_ts[n], 17)
+            assert abs(eng.node_vals[n] - linprog_sup(c, 0.5)) <= 1e-12 * float(np.max(np.abs(c)))
+    assert moved > 0  # the pool is shared: some degenerate optimum lands elsewhere
+
+
+def test_shared_pool_sequence_is_deterministic():
+    grids = corpus_grids(seed=3)
+
+    def fingerprint():
+        return b"".join(eng.node_vals.tobytes() for eng in intrinsic_engines(grids))
+
+    assert fingerprint() == fingerprint()
+
+
+def test_build_raises_when_the_simplex_stops_one_pivot_early(monkeypatch):
+    """A mutant of HolderClass._solve that returns the vertex it stood at
+    before its last pivot: the certified interval must catch it."""
+    src = textwrap.dedent(inspect.getsource(HolderClass._solve))
+    edits = {
+        "        if improving.size == 0:\n":
+            "        if improving.size == 0 and pivots:\n            return before\n"
+            "        if improving.size == 0:\n",
+        "        step, basis[r] = ":
+            "        before = (x, y, basis.copy(), inv, pivots)\n        step, basis[r] = ",
+    }
+    for old, new in edits.items():
+        assert src.count(old) == 1
+        src = src.replace(old, new)
+    scope = {}
+    exec(src, vars(intrinsic), scope)
+    monkeypatch.setattr(HolderClass, "_solve", scope["_solve"])
+    with pytest.raises(RuntimeError, match="certified interval"):
+        intrinsic_engines(corpus_grids(seed=3)[:2])
 
 
 def hat_oracle(f, y, t, q):
