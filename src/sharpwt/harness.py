@@ -36,10 +36,12 @@ from sharpwt.operators import (
     dyadic_square,
     hilbert,
     hilbert_max,
+    hilbert_on,
     maximal,
     psi_engine,
 )
 from sharpwt.weights import (
+    PowerWeightSpec,
     Weight,
     ainfty_fujii,
     ap_characteristic,
@@ -131,30 +133,46 @@ OPERATOR_REGISTRY = {
 }
 
 
-def _extremal_pair(spec: ExperimentSpec, delta: float):
-    """(f, eval weight, eval exponent, x-axis weight) for one ladder point."""
+def _extremal_pair(spec: ExperimentSpec, grid: GridFunction, edges: np.ndarray, delta: float):
+    """(f, eval weight, eval exponent, x-axis weight) for one ladder point on
+    the run's grid, whose cell edges are `edges`."""
     p = spec.p
     dual = spec.weight_family == "dual-pair"
     p_eval = p / (p - 1.0) if dual else p
-    probe = GridFunction(spec.level_L, spec.resolution_s,
-                         np.zeros(2 ** (spec.level_L + spec.resolution_s)), origin=-(2 ** (spec.level_L - 1)))
-    edges = probe.cell_edges()
-    w_eval = power_weight(spec.level_L, spec.resolution_s, (1 - delta) * (p_eval - 1),
-                          origin=probe.origin)
-    inside = (edges[:-1] >= 0) & (edges[1:] <= 1)
-    f = probe.with_values(np.where(inside, power_cell_averages(edges, -1 + delta), 0.0))
-    w_axis = w_eval if not dual else power_weight(spec.level_L, spec.resolution_s,
-                                                  -(1 - delta), origin=probe.origin)
+    w_eval = _power_weight(grid, edges, (1 - delta) * (p_eval - 1))
+    # f lives on the cells of (0, 1), which are contiguous
+    i0 = int(np.searchsorted(edges, 0.0))
+    i1 = int(np.searchsorted(edges, 1.0, "right")) - 1
+    vals = np.zeros(grid.ncells)
+    vals[i0:i1] = power_cell_averages(edges[i0 : i1 + 1], -1 + delta)
+    f = grid.with_values(vals)
+    w_axis = w_eval if not dual else _power_weight(grid, edges, -(1 - delta))
     return f, w_eval, p_eval, w_axis
+
+
+def _power_weight(grid: GridFunction, edges: np.ndarray, a: float) -> Weight:
+    """power_weight(..., a) on `grid`, from its precomputed cell edges."""
+    spec = PowerWeightSpec(a)
+    return Weight(grid.with_values(spec.cell_averages(edges)), power=spec)
+
+
+def _operator_on(name: str, grid: GridFunction):
+    """The registry operator for functions on `grid`'s cells.  The Hilbert
+    transform's kernel depends only on the grid, so its spectrum is built
+    here once for the whole run."""
+    return hilbert_on(grid) if name == "hilbert" else OPERATOR_REGISTRY[name]
 
 
 def exponent_experiment(spec: ExperimentSpec) -> FitResult:
     if spec.operator not in OPERATOR_REGISTRY:
         raise ValueError(f"unknown operator {spec.operator!r}")
-    op = OPERATOR_REGISTRY[spec.operator]
+    grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(2 ** (spec.level_L + spec.resolution_s)),
+                        origin=-(2 ** (spec.level_L - 1)))
+    edges = grid.cell_edges()
+    op = _operator_on(spec.operator, grid)
     points = []
     for delta in spec.deltas:
-        f, w_eval, p_eval, w_axis = _extremal_pair(spec, delta)
+        f, w_eval, p_eval, w_axis = _extremal_pair(spec, grid, edges, delta)
         den = (1.0 / delta) ** (1.0 / p_eval)  # closed form: integrand is |x|^(delta-1)
         ratio = 1.0 if op is None else weighted_lp_norm(op(f), w_eval, p_eval) / den
         ap = ap_characteristic(w_axis, spec.p)

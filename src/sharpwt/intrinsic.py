@@ -15,8 +15,11 @@ free node values.  A vertex is given by a basis of q - 3 tight signed
 Hölder rows plus the mean-zero row; the simplex walks between vertices
 (largest-coefficient rule, then Bland's rule from the first degenerate step
 on, so it cannot cycle) and stops at one whose Hölder-row multipliers are
-all >= 0, which certifies it optimal.  The class finds its first vertex by walking
-from phi = 0 along null-space directions of the rows made tight so far.
+all >= 0, which certifies it optimal, up to a floor: no multiplier below
+-1e-13 * max|c|, and the negative ones together adding at most half the
+width bound below to the node's certified interval.  The class finds its
+first vertex by walking from phi = 0 along null-space directions of the
+rows made tight so far.
 `intrinsic_engines` builds the engines of a sequence of grids in order
 through one vertex pool, which lives for that call only: each engine solves
 its nodes one quadrature level at a time, in a fixed order, each starting
@@ -143,12 +146,14 @@ class HolderClass:
         class's first vertex by default), whose basis inverse may be passed
         as `inv`.  Returns the optimal vertex x (phi_1..phi_{q-2}), the
         multipliers y with A_B^T y = c (y[0] belongs to the mean-zero row and
-        is free; the rest are >= 0, which certifies optimality), the basis,
+        is free; the rest are >= -_MULTIPLIER_TOL * max|c|, and the negative
+        ones sum to 2 |y_j| b_j <= _WIDTH_TOL / 2 * max|c|), the basis,
         its inverse and the number of pivots taken.  Raises if the pivot cap
         is reached."""
         a, b = self._a, self._b
         ci = np.asarray(c, dtype=float)[1:-1]
-        tol = _MULTIPLIER_TOL * float(np.abs(ci).max(initial=0.0))
+        scale = float(np.abs(ci).max(initial=0.0))
+        tol = _MULTIPLIER_TOL * scale
         basis = (self._start if basis is None else basis).copy()
         cap = a.shape[0] if max_pivots is None else max_pivots
         bland = False
@@ -159,7 +164,11 @@ class HolderClass:
             x = inv @ b[basis]
             improving = (y[1:] < -tol).nonzero()[0] + 1
             if improving.size == 0:
-                return x, y, basis, inv, pivots
+                # each negative multiplier adds up to 2 |y_j| b_j to the
+                # certified width; stop only once they leave it half the bound
+                if -2.0 * float(np.minimum(y[1:], 0.0) @ b[basis[1:]]) <= 0.5 * _WIDTH_TOL * scale:
+                    return x, y, basis, inv, pivots
+                improving = (y[1:] < 0.0).nonzero()[0] + 1
             if pivots == cap:
                 break
             # release the most negative multiplier's row while every step

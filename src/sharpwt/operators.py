@@ -8,12 +8,20 @@ function are exact closed forms (polynomial antiderivatives, log terms), and
 translation invariance of the grid turns each into one discrete convolution:
 np.convolve up to 4096 cells, a zero-padded numpy FFT above.
 
+Every truncated Hilbert kernel on a grid comes from one table of the logs
+of its cell edges, log((j + 1/2) h): a cell's log difference, or the log of
+delta for the cell that holds it, bitwise what the per-cell sum of the two
+pieces gives.  `hilbert_on` builds the kernel and its spectrum once for
+every function on one grid, and `hilbert_max` transforms f once and builds
+each truncation's kernel from one table.
+
 Every psi square function uses the one bump PSI, and the cone version
 builds the quadrature of its own grid from `nodes_per_box`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,14 +35,14 @@ from sharpwt.intrinsic import ConeQuadrature, SquareFunctionEngine, _node_cells
 # ---------------------------------------------------------------------------
 
 
-def _trailing_max(s: np.ndarray, w: int) -> np.ndarray:
+def _trailing_max(s: np.ndarray, spare: np.ndarray, w: int) -> np.ndarray:
     """out[..., x] = max(s[..., max(0, x-w+1) : x+1]) along the last axis,
-    by doubling between two buffers: T_1 = s and
-    T_{k+j}[x] = max(T_k[x], T_k[x-j]) with j = min(k, w-k), the cells
-    x < j keeping T_k[x].  Max is exact, so this is the window max bit for
+    by doubling between the two buffers s and spare (same shape), which it
+    overwrites: T_1 = s and T_{k+j}[x] = max(T_k[x], T_k[x-j]) with
+    j = min(k, w-k), the cells x < j keeping T_k[x].  Returns the buffer
+    that holds the result.  Max is exact, so this is the window max bit for
     bit."""
-    cur = s.copy()
-    nxt = np.empty_like(cur)
+    cur, nxt = s, spare
     k = 1
     while k < w:
         j = min(k, w - k)
@@ -48,17 +56,28 @@ def _trailing_max(s: np.ndarray, w: int) -> np.ndarray:
 def maximal(f: GridFunction) -> GridFunction:
     """Grid Hardy-Littlewood maximal function: per cell, the sup of averages
     of |f| over grid-aligned dyadic-length intervals containing the cell."""
-    v = np.abs(f.values)
-    n = v.size
-    out = v.copy()
-    prefix = np.concatenate(([0.0], np.cumsum(v)))
+    out = np.abs(f.values)
+    n = out.size
+    prefix = np.concatenate(([0.0], np.cumsum(out)))
     avg = np.empty(n)  # avg[a] = mean of |f| over [a, a+w), -inf past the last window
+    spare = np.empty(n)
     w = 2
     while w <= n:
-        np.subtract(prefix[w:], prefix[:-w], out=avg[: n - w + 1])
-        avg[: n - w + 1] /= w
-        avg[n - w + 1 :] = -np.inf
-        np.maximum(out, _trailing_max(avg, w), out=out)
+        m = n - w + 1  # windows of length w
+        np.subtract(prefix[w:], prefix[:-w], out=avg[:m])
+        avg[:m] /= w
+        if m <= w + 1:
+            # cell x < w lies in the windows starting at 0 .. min(x, m-1), a
+            # running max from the left; cell x >= w in those starting at
+            # x-w+1 .. m-1, a running max from the right
+            k = min(w, m)
+            head = np.maximum.accumulate(avg[:k])
+            np.maximum(out[:k], head, out=out[:k])
+            np.maximum(out[k:w], head[-1], out=out[k:w])
+            np.maximum(out[w:], np.maximum.accumulate(avg[m - 1 : 0 : -1])[::-1], out=out[w:])
+        else:
+            avg[m:] = -np.inf
+            np.maximum(out, _trailing_max(avg, spare, w), out=out)
         w *= 2
     return f.with_values(out)
 
@@ -73,8 +92,9 @@ def dyadic_square(f: GridFunction) -> GridFunction:
     size = n // 2
     while size >= 1:
         avg = v.reshape(n // size, size).mean(axis=1)
-        diff = avg - np.repeat(parent, 2)
-        acc += np.repeat(diff * diff, size)
+        diff = avg.reshape(-1, 2) - parent[:, None]  # each child minus its parent
+        rows = acc.reshape(-1, size)  # a view of acc, one row per cube of this size
+        rows += (diff * diff).reshape(-1, 1)
         parent = avg
         size //= 2
     return f.with_values(np.sqrt(acc))
@@ -83,6 +103,8 @@ def dyadic_square(f: GridFunction) -> GridFunction:
 # ---------------------------------------------------------------------------
 # the fixed polynomial bump and its square functions
 # ---------------------------------------------------------------------------
+
+_LAG_CHUNK = 32  # lags per 2-D pass of PsiKernel.holder_seminorm, a 1 MB buffer at 4001 samples
 
 
 def _even_poly_integral(m: int) -> Fraction:
@@ -117,14 +139,24 @@ class PsiKernel:
         return anti - at_m1
 
     def holder_seminorm(self, alpha: float, samples: int = 4001) -> float:
-        """Numerical sup of |psi(u)-psi(v)| / |u-v|^alpha on a dense grid."""
+        """Numerical sup of |psi(u)-psi(v)| / |u-v|^alpha on a dense grid,
+        per chunk of lags as one 2-D array: row j holds
+        psi(u[i + lag_j]) - psi(u[i]) for every i, NaN past the grid's end,
+        which np.fmax skips."""
         u = np.linspace(-1.0, 1.0, samples)
         vals = self(u)
-        best = 0.0
-        for lag in range(1, samples):
-            num = np.abs(vals[lag:] - vals[:-lag])
-            best = max(best, float(np.max(num)) / (u[lag] - u[0]) ** alpha)
-        return best
+        padded = np.concatenate([vals, np.full(_LAG_CHUNK, np.nan)])
+        peaks = np.empty(samples - 1)  # per lag, max |psi(u[i + lag]) - psi(u[i])|
+        buf = np.empty((_LAG_CHUNK, samples))
+        for lo in range(1, samples, _LAG_CHUNK):
+            hi = min(lo + _LAG_CHUNK, samples)
+            rows = np.lib.stride_tricks.sliding_window_view(padded[lo:], samples - lo)[: hi - lo]
+            diff = np.subtract(rows, vals[: samples - lo], out=buf[: hi - lo, : samples - lo])
+            np.abs(diff, out=diff)
+            peaks[lo - 1 : hi - 1] = np.fmax.reduce(diff, axis=1)
+        # the scalar ** of each lag, as a per-lag loop takes it
+        spans = np.array([(u[lag] - u[0]) ** alpha for lag in range(1, samples)])
+        return float(np.max(peaks / spans, initial=0.0))
 
 
 PSI = PsiKernel()
@@ -150,17 +182,34 @@ def psi_convolve_grid(f: GridFunction, t: float) -> np.ndarray:
     return _conv_wide(f.values, w[:, 0] - w[:, 1])
 
 
+class _WideConvolution:
+    """The middle n entries of the full convolution of n cell values with a
+    kernel of k entries, the ones centered on each cell: np.convolve up to
+    4096 cells, a zero-padded numpy FFT above, over L >= n + k - 1 - start
+    points, where the circular wrap-around lands only outside them.  Each
+    side enters through `transform`, so a side shared by several
+    convolutions is transformed once."""
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.start = (k - 1) // 2
+        self.length = 0 if n <= 4096 else 1 << (n + k - 2 - self.start).bit_length()
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(x, self.length) if self.length else x
+
+    def __call__(self, values_t: np.ndarray, kernel_t: np.ndarray) -> np.ndarray:
+        """The convolution from the transforms of the values and the kernel."""
+        if self.length:
+            full = np.fft.irfft(values_t * kernel_t, self.length)
+        else:
+            full = np.convolve(values_t, kernel_t)
+        return full[self.start : self.start + self.n]
+
+
 def _conv_wide(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The middle values.size entries of the full convolution, the ones
-    centered on each cell.  Above 4096 cells by FFT over L >= N + K - 1 -
-    start points: the circular wrap-around lands only outside them."""
-    n, k = values.size, kernel.size
-    start = (k - 1) // 2
-    if n <= 4096:  # direct sum for small grids
-        return np.convolve(values, kernel)[start : start + n]
-    length = 1 << (n + k - 2 - start).bit_length()  # smallest power of two >= n + k - 1 - start
-    spectrum = np.fft.rfft(values, length) * np.fft.rfft(kernel, length)
-    return np.fft.irfft(spectrum, length)[start : start + n]
+    conv = _WideConvolution(values.size, kernel.size)
+    return conv(conv.transform(values), conv.transform(kernel))
 
 
 def _psi_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -213,21 +262,41 @@ def truncation_ladder(f: GridFunction) -> list[Fraction]:
     return [h * 2**m for m in range(f.level_L + f.resolution_s + 2)]
 
 
-def _hilbert_kernel(n: int, h: float, delta: float) -> np.ndarray:
-    """k[d] = int over u in [(d-1/2)h, (d+1/2)h], |u|>delta, of du/u."""
-    d = np.arange(-n, n + 1, dtype=float)
-    a = (d - 0.5) * h
-    b = (d + 0.5) * h
-    out = np.zeros(d.size)
-    # negative piece [a, min(b, -delta)]
-    hi = np.minimum(b, -delta)
-    m = a < hi
-    out[m] += np.log(-hi[m]) - np.log(-a[m])
-    # positive piece [max(a, delta), b]
-    lo = np.maximum(a, delta)
-    m = lo < b
-    out[m] += np.log(b[m]) - np.log(lo[m])
-    return out
+def _log_table(n: int, h: float) -> np.ndarray:
+    """log((j + 1/2) h) for j = 0 .. n: the logs of the right half's cell
+    edges of a kernel on n cells."""
+    return np.log((np.arange(n + 1) + 0.5) * h)
+
+
+def _hilbert_kernel(table: np.ndarray, h: float, delta: float) -> np.ndarray:
+    """k[d] = int over u in [(d-1/2)h, (d+1/2)h], |u|>delta, of du/u, for
+    d = -n .. n, from table = _log_table(n, h).
+
+    A right-half cell d >= 1 whose left edge is at least delta takes
+    table[d] - table[d-1], the cell holding delta inside it takes
+    table[d] - log(delta), and the cells inside |u| <= delta take 0.  The
+    centre cell takes 0 too: for delta < h/2 its two pieces cancel exactly.
+    The kernel is odd, and the left half is written as 0.0 - k so that its
+    zeros keep the sign the direct sum of the two pieces gives them."""
+    n = table.size - 1
+    kernel = np.zeros(2 * n + 1)
+    right = kernel[n:]  # d = 0 .. n
+    j = max(math.ceil(Fraction(delta) / Fraction(h) - Fraction(1, 2)), 0)  # first edge (j + 1/2) h >= delta
+    np.subtract(table[j + 1 :], table[j:-1], out=right[j + 1 :])
+    if 1 <= j <= n and Fraction(delta) < (j + Fraction(1, 2)) * Fraction(h):
+        right[j] = table[j] - np.log(delta)
+    np.subtract(0.0, right[:0:-1], out=kernel[:n])
+    return kernel
+
+
+def _hilbert_convolution(grid: GridFunction, delta: float):
+    """values -> the truncated transform at delta of the step function with
+    those values on `grid`'s cells; the kernel is transformed once."""
+    h = float(grid.cell_width)
+    kernel = _hilbert_kernel(_log_table(grid.ncells, h), h, delta)
+    conv = _WideConvolution(grid.ncells, kernel.size)
+    kernel_t = conv.transform(kernel)
+    return lambda values: conv(conv.transform(values), kernel_t)
 
 
 def hilbert_truncated(f: GridFunction, delta) -> GridFunction:
@@ -235,9 +304,7 @@ def hilbert_truncated(f: GridFunction, delta) -> GridFunction:
     delta = float(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    h = float(f.cell_width)
-    kernel = _hilbert_kernel(f.ncells, h, delta)
-    return f.with_values(_conv_wide(f.values, kernel))
+    return f.with_values(_hilbert_convolution(f, delta)(f.values))
 
 
 def hilbert(f: GridFunction) -> GridFunction:
@@ -245,9 +312,29 @@ def hilbert(f: GridFunction) -> GridFunction:
     return hilbert_truncated(f, float(f.cell_width))
 
 
+def hilbert_on(grid: GridFunction):
+    """`hilbert` for functions on `grid`'s cells, with the kernel and its
+    spectrum built once for all of them."""
+    conv = _hilbert_convolution(grid, float(grid.cell_width))
+
+    def apply(f: GridFunction) -> GridFunction:
+        if f.ncells != grid.ncells or f.cell_width != grid.cell_width:
+            raise ValueError("function and bound operator live on different grids")
+        return f.with_values(conv(f.values))
+
+    return apply
+
+
 def hilbert_max(f: GridFunction) -> GridFunction:
-    """T* f: max of |truncated transforms| over the delta ladder."""
+    """T* f: max of |truncated transforms| over the delta ladder.  f is
+    transformed once and every truncation's kernel comes from one log
+    table."""
+    h = float(f.cell_width)
+    table = _log_table(f.ncells, h)
+    conv = _WideConvolution(f.ncells, 2 * f.ncells + 1)
+    values_t = conv.transform(f.values)
     out = np.zeros(f.ncells)
     for delta in truncation_ladder(f):
-        np.maximum(out, np.abs(hilbert_truncated(f, float(delta)).values), out=out)
+        kernel_t = conv.transform(_hilbert_kernel(table, h, float(delta)))
+        np.maximum(out, np.abs(conv(values_t, kernel_t)), out=out)
     return f.with_values(out)

@@ -6,6 +6,19 @@ The supremum in every characteristic runs over the fixed test family of
 grid-aligned intervals of dyadic length (2^m cells, any position); the full
 O(N^2) enumeration over all grid intervals is kept available as an oracle
 for small N.
+
+`ap_characteristic` evaluates (avg w)(avg sigma)^(p-1) only where the
+supremum can be.  From length 16 on, on grids with more windows of a
+length than one chunk of 2^15 starts, the window starts of a length are
+grouped in blocks of ln // 8; the cells [lo, hi - 1 + ln) hold every
+window of the block [lo, hi), and their prefix-sum difference over ln,
+carried through the same expression and times 1 + 1e-12, bounds every
+window's computed value: prefix sums of positive cells do not decrease in
+floating point, subtraction, division and the product round monotonically,
+and the slack covers the few ulps of `**`.  A block whose bound is below
+the best value so far is skipped.  Every other window is computed by the
+same operations as a pass over the whole length, so the result is bitwise
+that of evaluating every window (tests/oracles.py keeps that loop).
 """
 
 from __future__ import annotations
@@ -18,6 +31,9 @@ from sharpwt.gridfn import GridFunction
 from sharpwt.operators import _trailing_max
 
 _FUJII_CHUNK = 1 << 17  # float64 entries per (positions x slice) chunk of chopped rows, ~1 MB
+_AP_CHUNK = 1 << 15  # window starts per pass of ap_characteristic, two 256 KB buffers
+_PRUNE_FROM = 16  # shortest window length whose starts are pruned in blocks of ln // 8
+_POW_SLACK = 1.0 + 1e-12  # a few ulps of `**` in a block bound
 
 
 @dataclass(frozen=True)
@@ -37,7 +53,9 @@ class PowerWeightSpec:
             raise ValueError("coefficient must be positive")
 
     def cell_averages(self, edges: np.ndarray) -> np.ndarray:
-        return self.coeff * power_cell_averages(edges, self.exponent, self.center)
+        avg = power_cell_averages(edges, self.exponent, self.center)
+        avg *= self.coeff
+        return avg
 
     def dual(self, p: float) -> "PowerWeightSpec | None":
         """The family of w^(-1/(p-1)), when it is again locally integrable."""
@@ -83,7 +101,9 @@ class Weight:
         return self.values ** (-1.0 / (p - 1.0))
 
     def sigma_prefix(self, p: float) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(self.sigma_values(p))))
+        prefix = np.zeros(self.ncells + 1)
+        np.cumsum(self.sigma_values(p), out=prefix[1:])
+        return prefix
 
 
 def _dyadic_lengths(ncells: int):
@@ -94,17 +114,67 @@ def _dyadic_lengths(ncells: int):
 
 
 def ap_characteristic(w: Weight, p: float) -> float:
-    """sup over the test family of (avg_Q w) (avg_Q w^(-1/(p-1)))^(p-1)."""
+    """sup over the test family of (avg_Q w) (avg_Q w^(-1/(p-1)))^(p-1).
+
+    Lengths below _PRUNE_FROM, and lengths whose windows fit in one chunk
+    of starts, where the bookkeeping would cost more than it saves, are
+    evaluated at every position.  The others first evaluate their block of
+    highest bound, then skip each block whose bound lies below the best
+    value so far, and evaluate each run of consecutive surviving blocks as
+    one slice (see the module docstring).
+    """
     if p <= 1:
         raise ValueError("A_p requires p > 1")
     pw = w.base._prefix
     ps = w.sigma_prefix(p)
+    n = w.ncells
+    e = p - 1.0
+    buf_w, buf_s = np.empty(min(n, _AP_CHUNK)), np.empty(min(n, _AP_CHUNK))
+
+    def window_max(ln: int, a0: int, a1: int):
+        """max of the expression over the windows [a, a + ln), a0 <= a < a1,
+        each evaluated as a whole-length pass would; chunks of starts keep
+        the passes in cache, and np.maximum keeps a NaN."""
+        m = -np.inf
+        for c0 in range(a0, a1, _AP_CHUNK):
+            c1 = min(c0 + _AP_CHUNK, a1)
+            avg_w = np.subtract(pw[c0 + ln : c1 + ln], pw[c0:c1], out=buf_w[: c1 - c0])
+            avg_w /= ln
+            avg_s = np.subtract(ps[c0 + ln : c1 + ln], ps[c0:c1], out=buf_s[: c1 - c0])
+            avg_s /= ln
+            avg_s **= e
+            avg_w *= avg_s
+            m = np.maximum(m, np.max(avg_w))
+        return m
+
     best = 1.0
-    for ln in _dyadic_lengths(w.ncells):
-        avg_w = (pw[ln:] - pw[:-ln]) / ln
-        avg_s = (ps[ln:] - ps[:-ln]) / ln
-        best = max(best, float(np.max(avg_w * avg_s ** (p - 1.0))))
+    for ln in _dyadic_lengths(n):
+        if ln < _PRUNE_FROM or n - ln + 1 <= _AP_CHUNK:
+            best = max(best, float(window_max(ln, 0, n - ln + 1)))
+            continue
+        size = ln // 8
+        bound = _block_averages(pw, ln, size) * _block_averages(ps, ln, size) ** e * _POW_SLACK
+        top = int(np.argmax(bound))
+        m = window_max(ln, top * size, min((top + 1) * size, n - ln + 1))
+        keep = ~(bound < max(best, m))  # a NaN bound keeps its block
+        keep[top] = False
+        flips = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+        for k0, k1 in zip(flips[::2].tolist(), flips[1::2].tolist()):
+            # np.maximum keeps a NaN, so a length with a NaN window counts
+            # for nothing, as np.max and max() make it in the dense loop
+            m = np.maximum(m, window_max(ln, k0 * size, min(k1 * size, n - ln + 1)))
+        best = max(best, float(m))
     return best
+
+
+def _block_averages(prefix: np.ndarray, ln: int, size: int) -> np.ndarray:
+    """Per block of `size` window starts [lo, hi) (the last block is the one
+    start n - ln), the sum over the cells [lo, hi - 1 + ln) that hold every
+    window of the block, divided by ln: at least each window's computed
+    average, as the module docstring shows."""
+    n = prefix.size - 1
+    upper = np.append(prefix[size - 1 + ln :: size], prefix[n])
+    return (upper - prefix[: n - ln + 1 : size]) / ln
 
 
 def ap_characteristic_full(w: Weight, p: float) -> float:
@@ -155,7 +225,7 @@ def ainfty_fujii(w: Weight) -> float:
             while m <= ln:
                 # the windows of length m meeting Q start at columns ln - m .. 2 ln - 2
                 sums = (prefix[:, ln : 2 * ln - 1 + m] - prefix[:, ln - m : 2 * ln - 1]) / m
-                np.maximum(mf, _trailing_max(sums, m)[:, m - 1 :], out=mf)
+                np.maximum(mf, _trailing_max(sums, np.empty_like(sums), m)[:, m - 1 :], out=mf)
                 m *= 2
             a = np.arange(lo, lo + part.shape[0])
             ratio = h * mf.sum(axis=1) / w.mass(a, a + ln)
@@ -187,8 +257,13 @@ def power_cell_averages(edges: np.ndarray, a: float, center: float = 0.0) -> np.
     if a <= -1:
         raise ValueError("|x|^a is locally integrable only for a > -1")
     u = np.asarray(edges, dtype=float) - center
-    anti = np.sign(u) * np.abs(u) ** (a + 1.0) / (a + 1.0)
-    return np.diff(anti) / np.diff(edges)
+    anti = np.abs(u)
+    anti **= a + 1.0
+    np.negative(anti, out=anti, where=u < 0)  # sign(u) |u|^(a+1)
+    anti /= a + 1.0
+    avg = np.diff(anti)
+    avg /= np.diff(edges)
+    return avg
 
 
 def power_weight(level_L: int, resolution_s: int, a: float, origin=0, center: float = 0.0) -> Weight:

@@ -4,7 +4,10 @@ the stopping-time decomposition with one `median` and one `local_osc` call
 per cube and its child selection taken from the definition, and the
 scan-5.2 value with one `local_osc` call and one exact-Fraction 15Q average
 per dyadic cube; for the shared vertex pool, the "lp" evaluator of one
-engine build with a pool of its own and every basis inverted afresh."""
+engine build with a pool of its own and every basis inverted afresh; the
+A_p characteristic evaluated at every window of every length; the Hilbert
+kernel summed directly per cell, and T* as one truncated transform per
+delta; and the psi Hölder seminorm as one pass per lag."""
 
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ import numpy as np
 
 from sharpwt.decomp import LAMBDA_N, Decomposition, StopCube, _integral_abs_interval
 from sharpwt.gridfn import GridFunction, local_osc, median
+from sharpwt.operators import hilbert_truncated, truncation_ladder
 
 
 def sup_rows_per_build(cls):
@@ -140,3 +144,57 @@ def local_sharp_ratio_per_cube(g: GridFunction, gt2: np.ndarray) -> float:
             if avg > 1e-9:
                 worst = max(worst, osc / avg**2)
     return worst
+
+
+def ap_characteristic_dense(w, p: float) -> float:
+    """sup over the test family of (avg_Q w) (avg_Q w^(-1/(p-1)))^(p-1),
+    every window of every dyadic length evaluated."""
+    if p <= 1:
+        raise ValueError("A_p requires p > 1")
+    pw = w.base._prefix
+    ps = w.sigma_prefix(p)
+    best = 1.0
+    ln = 1
+    while ln <= w.ncells:
+        avg_w = (pw[ln:] - pw[:-ln]) / ln
+        avg_s = (ps[ln:] - ps[:-ln]) / ln
+        best = max(best, float(np.max(avg_w * avg_s ** (p - 1.0))))
+        ln *= 2
+    return best
+
+
+def hilbert_kernel_direct(n: int, h: float, delta: float) -> np.ndarray:
+    """k[d] = int over u in [(d-1/2)h, (d+1/2)h], |u|>delta, of du/u, for
+    d = -n .. n, each cell's two pieces summed from their own logs."""
+    d = np.arange(-n, n + 1, dtype=float)
+    a = (d - 0.5) * h
+    b = (d + 0.5) * h
+    out = np.zeros(d.size)
+    # negative piece [a, min(b, -delta)]
+    hi = np.minimum(b, -delta)
+    m = a < hi
+    out[m] += np.log(-hi[m]) - np.log(-a[m])
+    # positive piece [max(a, delta), b]
+    lo = np.maximum(a, delta)
+    m = lo < b
+    out[m] += np.log(b[m]) - np.log(lo[m])
+    return out
+
+
+def hilbert_max_per_delta(f: GridFunction) -> np.ndarray:
+    """T* f with one `hilbert_truncated` call per delta of the ladder."""
+    out = np.zeros(f.ncells)
+    for delta in truncation_ladder(f):
+        np.maximum(out, np.abs(hilbert_truncated(f, float(delta)).values), out=out)
+    return out
+
+
+def holder_seminorm_per_lag(kernel, alpha: float, samples: int = 4001) -> float:
+    """sup of |psi(u)-psi(v)| / |u-v|^alpha on the dense grid, one lag per pass."""
+    u = np.linspace(-1.0, 1.0, samples)
+    vals = kernel(u)
+    best = 0.0
+    for lag in range(1, samples):
+        num = np.abs(vals[lag:] - vals[:-lag])
+        best = max(best, float(np.max(num)) / (u[lag] - u[0]) ** alpha)
+    return best

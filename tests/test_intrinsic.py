@@ -262,6 +262,22 @@ def test_build_raises_when_the_simplex_stops_one_pivot_early(monkeypatch):
         intrinsic_engines(corpus_grids(seed=3)[:2])
 
 
+def test_a_coarse_multiplier_floor_still_builds_within_the_width_bound(monkeypatch):
+    """At _MULTIPLIER_TOL = 1e-3 a simplex that stopped on that floor alone
+    would leave intervals of ~2e-3 * max|c| and the build would raise; the
+    stopping rule pivots on until the negative multipliers leave at most
+    half of _WIDTH_TOL, so the build holds and moves no node beyond the
+    widths."""
+    grids = corpus_grids(seed=3)
+    reference = intrinsic_engines(grids)
+    monkeypatch.setattr(intrinsic, "_MULTIPLIER_TOL", 1e-3)
+    for g, ref, eng in zip(grids, reference, intrinsic_engines(grids)):
+        assert 0.0 <= eng.widest_interval <= intrinsic._WIDTH_TOL
+        scale = np.max(np.abs(_hat_rows(g, eng.node_ys, eng.node_ts, 17)), axis=1)
+        gap = np.abs(eng.node_vals - ref.node_vals)
+        assert np.all(gap <= (eng.widest_interval + ref.widest_interval) * scale)
+
+
 def hat_oracle(f, y, t, q):
     """c_i = int f(y - t u) B_i(u) du by the trapezoid rule on the pieces of
     u where f(y - t u) is constant and the hat B_i is linear, exact there."""

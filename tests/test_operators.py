@@ -12,18 +12,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import hilbert_kernel_direct, hilbert_max_per_delta, holder_seminorm_per_lag
 
 import sharpwt
 from sharpwt.gridfn import GridFunction
 from sharpwt.harness import corpus_functions
 from sharpwt.operators import (
-    _trailing_max,
     PSI,
     _even_poly_integral,
+    _hilbert_kernel,
+    _log_table,
+    _trailing_max,
     dyadic_square,
     g_psi,
     hilbert,
     hilbert_max,
+    hilbert_on,
     hilbert_truncated,
     maximal,
     psi_convolve_at,
@@ -77,8 +81,8 @@ def test_maximal_matches_family_enumeration():
     assert np.all(ratio >= 1.0 - 1e-12) and np.all(ratio <= 2.0 + 1e-12)
 
 
-@pytest.mark.parametrize("L, s, origin", [(0, 0, 0), (0, 3, 0), (0, 8, 0), (1, 12, -1)],
-                         ids=["0", "3", "8", "12-L1-neg"])
+@pytest.mark.parametrize("L, s, origin", [(0, 0, 0), (0, 1, 0), (0, 3, 0), (0, 8, 0), (1, 12, -1)],
+                         ids=["0", "1", "3", "8", "12-L1-neg"])
 def test_maximal_bytewise_against_window_enumeration(L, s, origin):
     f = GridFunction(L, s, RNG.standard_normal(2 ** (L + s)), origin=origin)
     want = np.maximum(np.abs(f.values), maximal_oracle(f, [2**m for m in range(1, L + s + 1)]))
@@ -94,7 +98,8 @@ def trailing_max_oracle(s, w):
 def test_trailing_max_acts_row_wise_on_the_last_axis():
     rows = RNG.standard_normal((5, 37))
     for w in range(1, 129):
-        assert _trailing_max(rows, w).tobytes() == trailing_max_oracle(rows, w).tobytes()
+        got = _trailing_max(rows.copy(), np.empty_like(rows), w)
+        assert got.tobytes() == trailing_max_oracle(rows, w).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -103,7 +108,7 @@ def test_trailing_max_acts_row_wise_on_the_last_axis():
 def test_trailing_max_property(lead, n, w, seed):
     # w from 1 to 128, so both w > n and w not dividing n occur
     s = np.random.default_rng(seed).standard_normal(lead + (n,))
-    got = _trailing_max(s, w)
+    got = _trailing_max(s.copy(), np.full_like(s, np.nan), w)
     assert got.shape == s.shape
     assert got.tobytes() == trailing_max_oracle(s, w).tobytes()
 
@@ -192,6 +197,13 @@ def test_s_psi_monotone_in_beta():
     assert np.all(s1 <= s4 + 1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("samples", [1, 2, 3, 33, 100, 4001])
+def test_psi_holder_seminorm_matches_per_lag_loop_bytewise(alpha, samples):
+    got = PSI.holder_seminorm(alpha, samples)
+    assert np.float64(got).tobytes() == np.float64(holder_seminorm_per_lag(PSI, alpha, samples)).tobytes()
+
+
 def test_psi_holder_seminorm_positive():
     rho = PSI.holder_seminorm(0.5)
     assert rho > 0
@@ -231,15 +243,42 @@ def test_hilbert_odd_symmetry():
 def test_hilbert_kernel_cancellation():
     # int over r < |u| < R of du/u vanishes: the assembled kernel is odd and
     # sums to zero exactly, and a symmetric f gives an antisymmetric image
-    from sharpwt.operators import _hilbert_kernel
-
-    kernel = _hilbert_kernel(64, 1 / 64, 3 / 64)
+    kernel = _hilbert_kernel(_log_table(64, 1 / 64), 1 / 64, 3 / 64)
     assert np.allclose(kernel + kernel[::-1], 0.0, atol=1e-15)
     assert abs(np.sum(kernel)) <= 1e-13
 
     f = GridFunction(0, 6, np.full(64, 2.0))
     tf = hilbert_truncated(f, 3 / 64).values
     assert np.allclose(tf[::-1], -tf, atol=1e-12)
+
+
+@pytest.mark.parametrize("L, s", [(0, 0), (0, 3), (1, 6), (0, 10), (1, 19)])
+def test_hilbert_kernel_from_log_table_is_bytewise_the_direct_sum(L, s):
+    n, h = 2 ** (L + s), 2.0**-s
+    table = _log_table(n, h)
+    ladder = [h * 2**m for m in range(L + s + 2)]
+    others = [f * h for f in (1e-9, 0.1, 0.3, 0.5, 0.7, 1.3, 2.5, 3.0, 7.77)] + [1 / 3, 0.4, n * h + 0.1]
+    for delta in ladder + others:
+        want = hilbert_kernel_direct(n, h, delta)
+        assert _hilbert_kernel(table, h, delta).tobytes() == want.tobytes(), delta / h
+
+
+@pytest.mark.parametrize("L, s, origin", [(0, 0, 0), (0, 6, 0), (1, 12, -1), (0, 13, 0)])
+def test_hilbert_max_is_bytewise_the_per_delta_loop(L, s, origin):
+    # 2^13 cells takes the FFT path
+    f = GridFunction(L, s, RNG.standard_normal(2 ** (L + s)), origin=origin)
+    assert hilbert_max(f).values.tobytes() == hilbert_max_per_delta(f).tobytes()
+
+
+def test_hilbert_bound_to_a_grid_is_bytewise_hilbert():
+    for s in (6, 13):
+        grid = GridFunction(1, s, np.zeros(2 ** (s + 1)), origin=-1)
+        op = hilbert_on(grid)
+        for _ in range(2):
+            f = grid.with_values(RNG.standard_normal(grid.ncells))
+            assert op(f).values.tobytes() == hilbert(f).values.tobytes()
+    with pytest.raises(ValueError, match="different grids"):
+        op(GridFunction(0, 6, np.ones(64)))
 
 
 def test_hilbert_max_dominates_every_truncation():

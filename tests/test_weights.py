@@ -1,12 +1,15 @@
 """A_p / A_infty functionals against enumeration oracles and invariants."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ap_characteristic_dense
 
+import sharpwt.weights as weights
 from sharpwt.gridfn import GridFunction
 from sharpwt.harness import corpus_weights
 from sharpwt.operators import maximal
@@ -51,6 +54,84 @@ def test_power_weight_matches_full_enumeration():
     # free positioning makes the dyadic-length family nearly exhaustive; the
     # optimal window length itself is not dyadic, hence no exact equality
     assert got == pytest.approx(full, rel=2e-5)
+
+
+STRESS_P = (1.25, 1.5, 2.0, 3.0, 4.0, 7.3)
+
+
+@st.composite
+def stress_weights(draw):
+    """Weights that put the block bound of `ap_characteristic` to the test:
+    constant, lognormal, power weights singular on a cell edge or a cell
+    centre, and a 1e6 cell with a 1e-6 cell that only one window of a pruned
+    length holds both of, its start first or last in its block of starts."""
+    level_L = draw(st.sampled_from([0, 1]))
+    s = draw(st.integers(0, 14 - level_L))
+    n = 2 ** (level_L + s)
+    origin = Fraction(-draw(st.integers(0, n)), 2**s)
+    probe = GridFunction(level_L, s, np.zeros(n), origin)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["constant", "lognormal", "power", "spikes"]))
+    if kind == "power":
+        k = draw(st.integers(0, n - 1)) + draw(st.sampled_from([0.0, 0.5]))
+        center = float(origin) + k * float(probe.cell_width)
+        return power_weight(level_L, s, draw(st.floats(-0.95, 4.0)), origin, center)
+    if kind == "constant":
+        vals = np.full(n, draw(st.sampled_from([1e-3, 1.0, 7.0])))
+    else:
+        vals = np.exp(draw(st.sampled_from([0.1, 1.0, 4.0, 8.0])) * rng.standard_normal(n))
+    if kind == "spikes" and n >= 128:
+        vals = np.exp(0.1 * rng.standard_normal(n))
+        ln = 2 ** draw(st.integers(4, n.bit_length() - 2))
+        size = ln // 8
+        a = draw(st.integers(0, (n - ln) // size - 1)) * size + draw(st.sampled_from([0, size - 1]))
+        big, small = draw(st.permutations([1e6, 1e-6]))
+        vals[a], vals[a + ln - 1] = big, small
+    return Weight(probe.with_values(vals))
+
+
+def check_ap_matches_dense_loop(w, p, chunk=64):
+    """Bytewise against the dense loop, with chunks of `chunk` window
+    starts, so that small grids reach the pruned lengths and chunk seams."""
+    with mock.patch.object(weights, "_AP_CHUNK", chunk):
+        got = ap_characteristic(w, p)
+    assert np.float64(got).tobytes() == np.float64(ap_characteristic_dense(w, p)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(stress_weights(), st.sampled_from(STRESS_P))
+def test_ap_matches_dense_loop_bytewise(w, p):
+    check_ap_matches_dense_loop(w, p)
+
+
+def test_ap_matches_dense_loop_on_fit_weights():
+    # 2^17 and 2^18 cells prune with the chunk ap_characteristic uses
+    for s, a, p in [(17, (1 - 2**-1.5) * 1.0, 2.0), (16, -(1 - 2**-3), 3.0), (16, 0.75 * 0.5, 1.5),
+                    (12, (1 - 2**-6) * 3.0, 4.0), (11, (1 - 2**-4) * 2.0, 3.0)]:
+        w = power_weight(1, s, a, origin=-1)
+        check_ap_matches_dense_loop(w, p, weights._AP_CHUNK)
+        check_ap_matches_dense_loop(w, p)
+
+
+def _one_cell_short(prefix, ln, size):
+    """_block_averages over [lo, hi - 2 + ln): each block's last window loses its last cell."""
+    starts = prefix.size - ln
+    lo = np.arange(0, starts, size)
+    hi = np.minimum(lo + size, starts)
+    return (prefix[hi - 2 + ln] - prefix[lo]) / ln
+
+
+def test_a_bound_one_cell_short_fails_the_dense_loop_test(monkeypatch):
+    monkeypatch.setattr(weights, "_block_averages", _one_cell_short)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              report_multiple_bugs=False)
+    @given(stress_weights(), st.sampled_from(STRESS_P))
+    def mutant_run(w, p):
+        check_ap_matches_dense_loop(w, p)
+
+    with pytest.raises(AssertionError):
+        mutant_run()
 
 
 def test_ap_blows_up_along_delta():
