@@ -10,6 +10,7 @@ a flag the subcommand does not read or a value the library rejects
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -27,8 +28,6 @@ from sharpwt.harness import (
     exponent_experiment,
     ratio_scan,
 )
-from sharpwt.intrinsic import intrinsic_engine
-from sharpwt.operators import g_psi, s_psi
 from sharpwt.weights import Weight, ap_characteristic, power_cell_averages, power_weight
 
 
@@ -49,12 +48,16 @@ def parse_function(spec: str, level_L: int, resolution_s: int, origin=0,
     if kind == "power":
         return probe.with_values(power_cell_averages(probe.cell_edges(), float(rest)))
     if kind == "spike":
+        if not 0 <= int(rest) < n:
+            raise ValueError(f"spike index {rest} outside 0..{n - 1}")
         vals = np.zeros(n)
         vals[int(rest)] = float(n)
         return probe.with_values(vals)
     if kind in ("indicator", "haar"):
         a_str, _, b_str = rest.partition(":")
         a, b = Fraction(a_str), Fraction(b_str)
+        if a >= b:
+            raise ValueError(f"{kind} needs a < b, got {spec!r}")
         edges = probe.cell_edges()
         vals = np.zeros(n)
         inside = (edges[:-1] >= float(a)) & (edges[1:] <= float(b))
@@ -81,31 +84,21 @@ def parse_weight(spec: str, level_L: int, resolution_s: int, origin=0) -> Weight
     raise ValueError(f"cannot parse weight spec {spec!r}")
 
 
-# the cone flags and their defaults, and per apply operator the cone flags
-# it reads; apply rejects every other one
-CONE_FLAGS = {"alpha": 0.5, "q": 17, "beta": 1.0, "mode": "lp", "nodes_per_box": 1}
-APPLY_OPS = {
-    "maximal": (), "sd": (), "hilbert": (), "hilbert-max": (), "gpsi": (),
-    "spsi": ("beta", "nodes_per_box"),
-    "galpha": ("alpha", "q", "beta", "mode", "nodes_per_box"),
-    "gtilde": ("alpha", "q", "mode", "nodes_per_box"),
-}
-
 # the exponent fit's spec flags and their defaults; --run fixes the spec, so
 # it rejects every one of them
 EXPONENT_SPEC = {"op": "maximal", "p": 2.0, "deltas": "0.5,0.25,0.125,0.0625",
                  "res": 8, "L": 1, "family": "buckley", "window": None}
 
 
-def _apply_operator(name: str, f: GridFunction, opt) -> GridFunction:
-    if name == "gpsi":
-        return g_psi(f)
-    if name == "spsi":
-        return s_psi(f, opt.beta, opt.nodes_per_box)
-    if name in ("galpha", "gtilde"):
-        engine = intrinsic_engine(f, opt.alpha, opt.q, opt.nodes_per_box, opt.mode)
-        return engine.g_cone(opt.beta) if name == "galpha" else engine.g_tilde()
-    return OPERATOR_REGISTRY[name](f)
+def _read(ap, args, flags, reads, who: str) -> dict:
+    """The flags among `flags` that were given (each defaults to
+    argparse.SUPPRESS, which keeps an absent one out of args); exits 2 on
+    one that is not in `reads`."""
+    given = {key: val for key, val in vars(args).items() if key in flags}
+    unread = [f"--{key.replace('_', '-')}" for key in given if key not in reads]
+    if unread:
+        ap.error(f"{who} does not read {' '.join(unread)}")
+    return given
 
 
 def _write_csv_function(g: GridFunction, path: str) -> None:
@@ -153,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     unset = {"default": argparse.SUPPRESS}
     spec.add_argument("--res", type=int, help="resolution s", **unset)
     spec.add_argument("--L", type=int, help="domain level, >= 1", **unset)
-    spec.add_argument("--op", choices=sorted(OPERATOR_REGISTRY), **unset)
+    spec.add_argument("--op", choices=sorted(OPERATOR_REGISTRY),
+                      help="an operator that takes --mode fits in dictionary mode", **unset)
     spec.add_argument("--p", type=float, **unset)
     spec.add_argument("--deltas", **unset)
     spec.add_argument("--family", choices=("buckley", "dual-pair"), **unset)
@@ -176,14 +170,19 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("apply", help="apply an operator, emit CSV")
     _fn_flags(pa)
     _grid_flags(pa)
-    pa.add_argument("--op", choices=APPLY_OPS, required=True)
-    defaults = ", ".join(f"--{key.replace('_', '-')} {val}" for key, val in CONE_FLAGS.items())
-    cone = pa.add_argument_group("cone", f"read by spsi, galpha and gtilde only; defaults {defaults}")
-    cone.add_argument("--alpha", type=float, **unset)
-    cone.add_argument("--q", type=int, **unset)
-    cone.add_argument("--beta", type=float, **unset)
-    cone.add_argument("--mode", choices=("lp", "dictionary"), **unset)
-    cone.add_argument("--nodes-per-box", type=int, **unset)
+    # each apply operator's parameters; their defaults are apply's
+    ops = {name: inspect.signature(op).parameters for name, op in OPERATOR_REGISTRY.items() if op}
+    pa.add_argument("--op", choices=ops, required=True)
+    cone = pa.add_argument_group("cone")
+    flags = [cone.add_argument("--alpha", type=float, **unset).dest,
+             cone.add_argument("--q", type=int, **unset).dest,
+             cone.add_argument("--beta", type=float, **unset).dest,
+             cone.add_argument("--mode", choices=("lp", "dictionary"), **unset).dest,
+             cone.add_argument("--nodes-per-box", type=int, **unset).dest]
+    reads = [name + "".join(f" --{key.replace('_', '-')} {params[key].default}"
+                            for key in flags if key in params)
+             for name, params in ops.items() if params.keys() & flags]
+    cone.description = f"read only by the operators that take them; defaults {', '.join(reads)}"
 
     pw = sub.add_parser("ap", help="A_p characteristic of a weight")
     _grid_flags(pw)
@@ -208,13 +207,12 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
     """Run one parsed subcommand; returns the failed checks."""
     failures = []
     if args.command == "exponent":
-        given = [f"--{key}" for key in EXPONENT_SPEC if key in vars(args)]
+        given = _read(ap, args, EXPONENT_SPEC, () if args.run else EXPONENT_SPEC,
+                      "exponent --run, which fixes the spec,")
         if args.run:
-            if given:
-                ap.error(f"exponent --run fixes the spec; drop {' '.join(given)}")
             spec, _, window = ACCEPTANCE_RUNS[args.run]
         else:
-            opt = argparse.Namespace(**{**EXPONENT_SPEC, **vars(args)})
+            opt = argparse.Namespace(**{**EXPONENT_SPEC, **given})
             deltas = tuple(float(x) for x in opt.deltas.split(","))
             spec = ExperimentSpec(opt.op, opt.p, deltas, opt.res, opt.L, opt.family)
             window = None
@@ -261,13 +259,11 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
             failures.append("re-checked decomposition failed verification")
 
     elif args.command == "apply":
-        unread = [f"--{key.replace('_', '-')}" for key in CONE_FLAGS
-                  if key in vars(args) and key not in APPLY_OPS[args.op]]
-        if unread:
-            ap.error(f"apply --op {args.op} does not read {' '.join(unread)}")
-        opt = argparse.Namespace(**{**CONE_FLAGS, **vars(args)})
+        op = OPERATOR_REGISTRY[args.op]
+        params = [key for fn in OPERATOR_REGISTRY.values() if fn for key in inspect.signature(fn).parameters]
+        cone = _read(ap, args, params, inspect.signature(op).parameters, f"apply --op {args.op}")
         f = _parse_fn(ap, args)
-        g = _apply_operator(args.op, f, opt)
+        g = op(f, **cone)
         if args.out:
             _write_csv_function(g, args.out)
         print(f"{args.op}: n={g.ncells} min={g.values.min():.6g} max={g.values.max():.6g}")

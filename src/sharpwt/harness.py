@@ -14,11 +14,15 @@ evaluated in L^p'(w') for the p'-family, and the x-axis is the A_p
 characteristic of w'^(1-p), which equals ||w'||_{A_p'}^(p-1) per window
 exactly.  Ladders keep delta_min * s * ln 2 around 1 or above; deeper
 points are resolution-starved and drag the fit below the asymptotic slope.
+Operators come from OPERATOR_REGISTRY, which `apply` reads too; in a fit,
+one that takes `mode` (G_alpha, G~) runs in "dictionary" mode, so a fit's
+G~ is the 8-kernel dictionary's certified lower bound, not the supremum.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 import os
@@ -30,15 +34,17 @@ import numpy as np
 
 from sharpwt.decomp import a_gamma, decompose
 from sharpwt.gridfn import GridFunction, SortedBlocks, local_osc, median
-from sharpwt.intrinsic import intrinsic_engine, intrinsic_engines
+from sharpwt.intrinsic import g_alpha, g_tilde, intrinsic_engines
 from sharpwt.operators import (
     PSI,
     dyadic_square,
+    g_psi,
     hilbert,
     hilbert_max,
     hilbert_on,
     maximal,
     psi_engine,
+    s_psi,
 )
 from sharpwt.weights import (
     PowerWeightSpec,
@@ -65,6 +71,8 @@ class ExperimentSpec:
     weight_family: str = "buckley"  # "buckley" | "dual-pair"
 
     def __post_init__(self):
+        if not 1 < self.p < math.inf:
+            raise ValueError("p must be finite and > 1")
         if self.level_L < 1:
             # f_delta lives on (0, 1) and its norm is taken in closed form,
             # so the domain [-2^(L-1), 2^(L-1)) must contain (0, 1)
@@ -123,13 +131,17 @@ def _least_squares(xs, ys) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+# each op(f, **params), its defaults in its signature; apply takes all but identity
 OPERATOR_REGISTRY = {
     "identity": None,  # analytic image: ratio is exactly 1
     "maximal": maximal,
     "sd": dyadic_square,
     "hilbert": hilbert,
     "hilbert-max": hilbert_max,
-    "gtilde": lambda f: intrinsic_engine(f, mode="dictionary").g_tilde(),
+    "gpsi": g_psi,
+    "spsi": s_psi,
+    "galpha": g_alpha,
+    "gtilde": g_tilde,
 }
 
 
@@ -159,8 +171,12 @@ def _power_weight(grid: GridFunction, edges: np.ndarray, a: float) -> Weight:
 def _operator_on(name: str, grid: GridFunction):
     """The registry operator for functions on `grid`'s cells.  The Hilbert
     transform's kernel depends only on the grid, so its spectrum is built
-    here once for the whole run."""
-    return hilbert_on(grid) if name == "hilbert" else OPERATOR_REGISTRY[name]
+    here once for the whole run.  The fits' one rule: an operator that
+    takes `mode` runs in "dictionary" mode."""
+    op = hilbert_on(grid) if name == "hilbert" else OPERATOR_REGISTRY[name]
+    if op is not None and "mode" in inspect.signature(op).parameters:
+        return functools.partial(op, mode="dictionary")
+    return op
 
 
 def exponent_experiment(spec: ExperimentSpec) -> FitResult:

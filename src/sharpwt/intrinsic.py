@@ -461,6 +461,8 @@ class SquareFunctionEngine:
         return self.f.with_values(np.sqrt(np.maximum(acc, 0.0)))
 
     def g_cone(self, beta: float, closed: bool = False) -> GridFunction:
+        if not 0 < beta < np.inf:
+            raise ValueError("aperture beta must be positive and finite")
         centers = self.f.cell_centers()
         ys, ts, vals = self.node_ys, self.node_ts, self.node_vals
         a = np.searchsorted(centers, ys - beta * ts, "left" if closed else "right")
@@ -502,6 +504,12 @@ def intrinsic_engine(f: GridFunction, alpha: float = 0.5, q: int = 17, nodes_per
                      mode: str = "lp") -> SquareFunctionEngine:
     """The one-grid case of `intrinsic_engines`."""
     return intrinsic_engines([f], alpha, q, nodes_per_box, mode)[0]
+
+
+def g_alpha(f: GridFunction, alpha: float = 0.5, q: int = 17, beta: float = 1.0,
+            nodes_per_box: int = 1, mode: str = "lp") -> GridFunction:
+    """The intrinsic square function over the cone of aperture beta."""
+    return intrinsic_engine(f, alpha, q, nodes_per_box, mode).g_cone(beta)
 
 
 def g_tilde(f: GridFunction, alpha: float = 0.5, nodes_per_box: int = 1,

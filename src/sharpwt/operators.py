@@ -229,7 +229,7 @@ def psi_engine(f: GridFunction, nodes_per_box: int = 1) -> SquareFunctionEngine:
     return SquareFunctionEngine(f, quad, lambda ys, ts: np.abs(_psi_rows(f, ys, ts)))
 
 
-def s_psi(f: GridFunction, beta: float, nodes_per_box: int = 1) -> GridFunction:
+def s_psi(f: GridFunction, beta: float = 1.0, nodes_per_box: int = 1) -> GridFunction:
     """Continuous square function over the cone of aperture beta, on the
     Carleson-box quadrature the intrinsic engines use."""
     return psi_engine(f, nodes_per_box).g_cone(beta)

@@ -123,8 +123,8 @@ def ap_characteristic(w: Weight, p: float) -> float:
     value so far, and evaluate each run of consecutive surviving blocks as
     one slice (see the module docstring).
     """
-    if p <= 1:
-        raise ValueError("A_p requires p > 1")
+    if not 1 < p < np.inf:
+        raise ValueError("A_p requires a finite p > 1")
     pw = w.base._prefix
     ps = w.sigma_prefix(p)
     n = w.ncells
@@ -179,8 +179,8 @@ def _block_averages(prefix: np.ndarray, ln: int, size: int) -> np.ndarray:
 
 def ap_characteristic_full(w: Weight, p: float) -> float:
     """O(N^2) oracle: the same supremum over ALL grid-aligned intervals."""
-    if p <= 1:
-        raise ValueError("A_p requires p > 1")
+    if not 1 < p < np.inf:
+        raise ValueError("A_p requires a finite p > 1")
     pw = w.base._prefix
     ps = w.sigma_prefix(p)
     best = 1.0
@@ -235,8 +235,8 @@ def ainfty_fujii(w: Weight) -> float:
 
 def weighted_lp_norm(f: GridFunction, w: Weight, p: float) -> float:
     """(sum |f_i|^p w_i h)^(1/p) over the common grid."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise ValueError("p must be finite and >= 1")
     base = w.base
     if (
         f.level_L != base.level_L

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage through main(argv)."""
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from sharpwt.cli import build_parser, main, parse_function, parse_weight
+from sharpwt.harness import OPERATOR_REGISTRY
+from sharpwt.intrinsic import g_tilde
 
 
 def test_parse_function_specs():
@@ -227,6 +230,14 @@ def test_cli_apply_takes_the_flags_its_operator_reads(op, flags, tmp_path, capsy
     ["verify", "--in", "missing.json"],
     ["apply", "--op", "maximal", "--fn", "const:1", "--res", "3", "--out", "no/such/dir/g.csv"],
     ["exponent", "--op", "identity", "--out", "no/such/dir/fit.csv"],
+    ["apply", "--op", "maximal", "--fn", "spike:99", "--res", "4"],
+    ["apply", "--op", "maximal", "--fn", "spike:-1", "--res", "4"],
+    ["apply", "--op", "maximal", "--fn", "indicator:1/2:0", "--res", "4"],
+    ["apply", "--op", "maximal", "--fn", "haar:1/2:1/2", "--res", "4"],
+    ["ap", "--weight", "const:2", "--p", "nan"],
+    ["ap", "--weight", "const:2", "--p", "inf"],
+    ["apply", "--op", "spsi", "--fn", "random:", "--res", "5", "--beta", "-1"],
+    ["apply", "--op", "galpha", "--fn", "random:", "--res", "4", "--beta", "-2"],
 ])
 def test_cli_library_errors_exit_2_without_traceback(argv, tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -280,3 +291,41 @@ def test_cli_seed_picks_the_random_function(tmp_path, capsys):
 
     assert run("--seed", "5") != run("--seed", "0")
     assert run("--seed", "0") == run()
+
+
+@pytest.mark.parametrize("op, params", [
+    *((op, {}) for op in ("maximal", "sd", "hilbert", "hilbert-max", "gpsi", "spsi", "galpha", "gtilde")),
+    ("spsi", {"beta": 2.0, "nodes_per_box": 2}),
+    ("galpha", {"alpha": 0.9, "q": 5, "beta": 2.0, "mode": "dictionary", "nodes_per_box": 2}),
+    ("gtilde", {"alpha": 0.9, "q": 5, "mode": "dictionary", "nodes_per_box": 2}),
+])
+def test_cli_apply_writes_the_registry_operators_image(op, params, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    flags = [arg for key, val in params.items() for arg in (f"--{key.replace('_', '-')}", str(val))]
+    assert main(["apply", "--op", op, "--fn", "random:3", "--res", "4", "--out", str(out), *flags]) == 0
+    g = OPERATOR_REGISTRY[op](parse_function("random:3", 0, 4), **params)
+    want = "x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in g.to_csv_rows())
+    assert out.read_bytes() == want.encode()
+
+
+def test_cli_exponent_fits_every_apply_operator_and_identity():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    ops = {name: set(next(a.choices for a in sub.choices[name]._actions if a.dest == "op"))
+           for name in ("exponent", "apply")}
+    assert ops["exponent"] == ops["apply"] | {"identity"} == set(OPERATOR_REGISTRY)
+
+
+def test_cli_exponent_gtilde_fits_the_dictionary_lower_bound(monkeypatch, capsys):
+    images = []
+    original = OPERATOR_REGISTRY["gtilde"]
+
+    @functools.wraps(original)
+    def recording(f, **params):
+        images.append((f, original(f, **params)))
+        return images[-1][1]
+
+    monkeypatch.setitem(OPERATOR_REGISTRY, "gtilde", recording)
+    assert main(["exponent", "--op", "gtilde", "--p", "3", "--res", "6"]) == 0
+    assert len(images) == 4  # one per ladder point
+    for f, g in images:
+        assert g.values.tobytes() == g_tilde(f, mode="dictionary").values.tobytes()

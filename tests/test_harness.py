@@ -36,6 +36,13 @@ def test_spec_validation():
         exponent_experiment(ExperimentSpec("nope", 2.0, (0.5, 0.25, 0.125, 0.0625), 8))
 
 
+@pytest.mark.parametrize("p", [np.nan, np.inf, 1.0])
+def test_spec_rejects_a_p_that_is_not_finite_and_above_one(p):
+    # p = nan used to fail only at the first grid, as "grid values must be finite"
+    with pytest.raises(ValueError, match="p must be finite and > 1"):
+        ExperimentSpec("sd", p, (0.5, 0.25, 0.125, 0.0625), 8)
+
+
 def test_identity_operator_slope_zero():
     r = exponent_experiment(ExperimentSpec("identity", 2.0, (0.5, 0.25, 0.125, 0.0625), 8))
     assert abs(r.slope) <= 0.02

@@ -30,6 +30,7 @@ from sharpwt.intrinsic import (
     intrinsic_engine,
     intrinsic_engines,
 )
+from sharpwt.operators import psi_engine
 
 RNG = np.random.default_rng(11)
 
@@ -403,6 +404,15 @@ def test_g_cone_monotone_in_beta():
     g1 = eng.g_cone(1.0).values
     g4 = eng.g_cone(4.0).values
     assert np.all(g1 <= g4 + 1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf])
+def test_g_cone_rejects_an_aperture_that_is_not_positive_and_finite(beta):
+    # beta <= 0 or nan gave the zero function
+    f = GridFunction(0, 4, RNG.standard_normal(16))
+    for eng in (intrinsic_engine(f, mode="dictionary"), psi_engine(f)):
+        with pytest.raises(ValueError, match="aperture"):
+            eng.g_cone(beta)
 
 
 def test_discrete_sandwich_pointwise():

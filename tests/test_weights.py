@@ -45,6 +45,16 @@ def test_ap_rejects_bad_input():
         Weight(GridFunction(0, 4, np.concatenate([np.ones(8), -np.ones(8)])))
 
 
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, 1.0, 0.5])
+def test_ap_rejects_a_p_that_is_not_finite_and_above_one(p):
+    # p = inf gave 1.0 and p = nan gave 1.0 (every window NaN)
+    w = power_weight(0, 6, 0.5)
+    with pytest.raises(ValueError, match="finite p > 1"):
+        ap_characteristic(w, p)
+    with pytest.raises(ValueError, match="finite p > 1"):
+        ap_characteristic_full(w, p)
+
+
 def test_power_weight_matches_full_enumeration():
     w = power_weight(1, 10, 0.5, origin=-1)  # |x|^(1/2) on [-1,1) at s=10
     got = ap_characteristic(w, 2.0)
@@ -273,6 +283,15 @@ def test_weighted_lp_norm_extended_precision_oracle():
             total += abs(mpmath.mpf(v)) ** 3 * mpmath.mpf(wv) / 32
         want = float(total ** (mpmath.mpf(1) / 3))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, 0.5])
+def test_weighted_lp_norm_rejects_a_p_that_is_not_finite_and_at_least_one(p):
+    # p = nan gave nan and p = inf gave 1.0
+    f = GridFunction(0, 5, np.full(32, 3.0))
+    w = Weight(GridFunction(0, 5, np.ones(32)))
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        weighted_lp_norm(f, w, p)
 
 
 def test_weighted_lp_norm_grid_mismatch():
