@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from sharpwt.decomp import Decomposition, decompose, verify_decomposition
-from sharpwt.gridfn import GridFunction
+from sharpwt.gridfn import GridFunction, cell_count
 from sharpwt.harness import (
     ACCEPTANCE_RUNS,
     OPERATOR_REGISTRY,
@@ -35,7 +35,7 @@ def parse_function(spec: str, level_L: int, resolution_s: int, origin=0,
                    seed: int = 0) -> GridFunction:
     """Function specs: const:<c> | indicator:<a>:<b> | haar:<a>:<b> |
     power:<a> | spike:<i> | random:<seed> | file:<path.json>."""
-    n = 2 ** (level_L + resolution_s)
+    n = cell_count(level_L, resolution_s)
     probe = GridFunction(level_L, resolution_s, np.zeros(n), origin)
     kind, _, rest = spec.partition(":")
     if kind == "file":
@@ -75,7 +75,7 @@ def parse_weight(spec: str, level_L: int, resolution_s: int, origin=0) -> Weight
     """Weight specs: const:<c> | power:<a> | file:<path.json>."""
     kind, _, rest = spec.partition(":")
     if kind == "const":
-        n = 2 ** (level_L + resolution_s)
+        n = cell_count(level_L, resolution_s)
         return Weight(GridFunction(level_L, resolution_s, np.full(n, float(rest)), origin))
     if kind == "power":
         return power_weight(level_L, resolution_s, float(rest), origin)

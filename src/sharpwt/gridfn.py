@@ -32,16 +32,22 @@ from functools import cached_property
 import numpy as np
 
 
+def cell_count(level_L: int, resolution_s: int) -> int:
+    """2^(L+s), the number of cells of a grid; the one check that the
+    resolution is not coarser than the domain."""
+    if resolution_s < -level_L:
+        raise ValueError(f"resolution {resolution_s} is coarser than the domain of level {level_L}")
+    return 2 ** (level_L + resolution_s)
+
+
 class GridFunction:
     """Step function on [origin, origin + 2^L) with 2^(L+s) cells of width 2^-s."""
 
     def __init__(self, level_L: int, resolution_s: int, values, origin=0):
-        if resolution_s < -level_L:
-            raise ValueError("resolution must not be coarser than the domain")
+        ncells = cell_count(level_L, resolution_s)
         self.level_L = int(level_L)
         self.resolution_s = int(resolution_s)
         self.origin = Fraction(origin)
-        ncells = 2 ** (level_L + resolution_s)
         vals = np.asarray(values, dtype=float)
         if vals.shape != (ncells,):
             raise ValueError(f"expected {ncells} cell values, got {vals.shape}")

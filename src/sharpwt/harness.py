@@ -8,7 +8,11 @@ the exact cell-average discretization of |x|^(delta-1) on (0,1); its norm is
 evaluated in closed form (the conjugate-pair integrand is |x|^(delta-1), so
 ||f||^p = 1/delta for every p), while the operator image, a step function,
 gets the exact step-function norm.  The x-axis A_p uses the closed-form
-dual-exponent averages of the power family.  Singular-integral runs at
+dual-exponent averages of the power family.  A ladder point evaluates each
+distinct closed form once, on the nonnegative half of the grid, and
+mirrors it onto the negative half: f, the evaluation weight, the x-axis
+weight and its dual read one table, and the dual reaches
+`ap_characteristic` as its `sigma`.  Singular-integral runs at
 p > 2 measure the norm growth through the conjugate exponent: the ratio is
 evaluated in L^p'(w') for the p'-family, and the x-axis is the A_p
 characteristic of w'^(1-p), which equals ||w'||_{A_p'}^(p-1) per window
@@ -33,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from sharpwt.decomp import a_gamma, decompose
-from sharpwt.gridfn import GridFunction, SortedBlocks, local_osc, median
+from sharpwt.gridfn import GridFunction, SortedBlocks, cell_count, local_osc, median
 from sharpwt.intrinsic import g_alpha, g_tilde, intrinsic_engines
 from sharpwt.operators import (
     PSI,
@@ -77,9 +81,14 @@ class ExperimentSpec:
             # f_delta lives on (0, 1) and its norm is taken in closed form,
             # so the domain [-2^(L-1), 2^(L-1)) must contain (0, 1)
             raise ValueError("level_L must be >= 1")
+        if self.resolution_s < 0:
+            # cells wider than (0, 1) leave f_delta no cell to live on
+            raise ValueError("resolution_s must be >= 0")
         d = self.deltas
         if len(d) < 4:
             raise ValueError("need at least 4 ladder points for a slope fit")
+        if not all(math.isfinite(x) for x in d):
+            raise ValueError("ladder deltas must be finite")
         if any(b >= a for a, b in zip(d, d[1:])) or d[-1] <= 0:
             raise ValueError("delta ladder must be strictly decreasing and positive")
 
@@ -145,27 +154,70 @@ OPERATOR_REGISTRY = {
 }
 
 
+class _PowerCells:
+    """Exact cell averages of the power family c |x|^a on the cells of one
+    ladder point's grid [-2^(L-1), 2^(L-1)), one closed form per distinct
+    PowerWeightSpec (center 0), keyed by its exact floats: an exponent one
+    ulp off gets its own entry.  The grid is symmetric about the
+    singularity and sign(u) |u|^(a+1) is odd, so each closed form runs on
+    the edges of the nonnegative half, and the negative cells are its
+    mirror image, bit for bit.  The table lives as long as its ladder point."""
+
+    def __init__(self, grid: GridFunction, edges: np.ndarray):
+        self.grid = grid
+        self.edges = edges
+        self.mid = grid.ncells // 2  # the first cell of [0, 2^(L-1))
+        self.cells: dict[PowerWeightSpec, np.ndarray] = {}
+
+    def half(self, spec: PowerWeightSpec) -> np.ndarray:
+        """spec's cell averages on [0, 2^(L-1)): the entry itself, or a view
+        of its nonnegative half once it holds the whole grid."""
+        cells = self.cells.get(spec)
+        if cells is None:
+            cells = self.cells[spec] = spec.cell_averages(self.edges[self.mid :])
+        return cells[cells.size - self.mid :]
+
+    def full(self, spec: PowerWeightSpec) -> np.ndarray:
+        """spec's cell averages on the whole grid; the entry becomes the
+        whole-grid array, so the nonnegative half is held once."""
+        cells = self.cells.get(spec)
+        if cells is None or cells.size == self.mid:
+            cells = self.cells[spec] = _mirror(self.half(spec))
+        return cells
+
+    def weight(self, a: float) -> Weight:
+        spec = PowerWeightSpec(a)
+        return Weight(self.grid.with_values(self.full(spec)), power=spec)
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """The cells of the whole grid from those of its nonnegative half."""
+    return np.concatenate([half[::-1], half])
+
+
 def _extremal_pair(spec: ExperimentSpec, grid: GridFunction, edges: np.ndarray, delta: float):
-    """(f, eval weight, eval exponent, x-axis weight) for one ladder point on
-    the run's grid, whose cell edges are `edges`."""
+    """(f, eval weight, eval exponent, ap_args) for one ladder point on the
+    run's grid, whose cell edges are `edges`.  ap_args() gives the keyword
+    arguments of the x-axis A_p: the x-axis weight and the cell values of
+    its dual.  They are built on call, so that they are not live while the
+    operator runs.  All of them read one _PowerCells table."""
     p = spec.p
     dual = spec.weight_family == "dual-pair"
     p_eval = p / (p - 1.0) if dual else p
-    w_eval = _power_weight(grid, edges, (1 - delta) * (p_eval - 1))
-    # f lives on the cells of (0, 1), which are contiguous
-    i0 = int(np.searchsorted(edges, 0.0))
+    cells = _PowerCells(grid, edges)
+    w_eval = cells.weight((1 - delta) * (p_eval - 1))
+    # f lives on the cells of (0, 1), which are contiguous from the middle
     i1 = int(np.searchsorted(edges, 1.0, "right")) - 1
     vals = np.zeros(grid.ncells)
-    vals[i0:i1] = power_cell_averages(edges[i0 : i1 + 1], -1 + delta)
+    vals[cells.mid : i1] = cells.half(PowerWeightSpec(-1 + delta))[: i1 - cells.mid]
     f = grid.with_values(vals)
-    w_axis = w_eval if not dual else _power_weight(grid, edges, -(1 - delta))
-    return f, w_eval, p_eval, w_axis
 
+    def ap_args() -> dict:
+        w_axis = w_eval if not dual else cells.weight(-(1 - delta))
+        sigma = w_axis.power.dual(p)
+        return {"w": w_axis, "sigma": None if sigma is None else cells.full(sigma)}
 
-def _power_weight(grid: GridFunction, edges: np.ndarray, a: float) -> Weight:
-    """power_weight(..., a) on `grid`, from its precomputed cell edges."""
-    spec = PowerWeightSpec(a)
-    return Weight(grid.with_values(spec.cell_averages(edges)), power=spec)
+    return f, w_eval, p_eval, ap_args
 
 
 def _operator_on(name: str, grid: GridFunction):
@@ -182,16 +234,16 @@ def _operator_on(name: str, grid: GridFunction):
 def exponent_experiment(spec: ExperimentSpec) -> FitResult:
     if spec.operator not in OPERATOR_REGISTRY:
         raise ValueError(f"unknown operator {spec.operator!r}")
-    grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(2 ** (spec.level_L + spec.resolution_s)),
+    grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(cell_count(spec.level_L, spec.resolution_s)),
                         origin=-(2 ** (spec.level_L - 1)))
     edges = grid.cell_edges()
     op = _operator_on(spec.operator, grid)
     points = []
     for delta in spec.deltas:
-        f, w_eval, p_eval, w_axis = _extremal_pair(spec, grid, edges, delta)
+        f, w_eval, p_eval, ap_args = _extremal_pair(spec, grid, edges, delta)
         den = (1.0 / delta) ** (1.0 / p_eval)  # closed form: integrand is |x|^(delta-1)
         ratio = 1.0 if op is None else weighted_lp_norm(op(f), w_eval, p_eval) / den
-        ap = ap_characteristic(w_axis, spec.p)
+        ap = ap_characteristic(p=spec.p, **ap_args())
         # resolution diagnostic: share of the exact norm carried by (0, h)
         share = float(f.cell_width) ** delta
         points.append(FitPoint(delta, ap, ratio, math.log(ap), math.log(ratio), share, share > 0.10))
@@ -224,7 +276,7 @@ def corpus_functions(seed: int = 0, resolution_s: int = 6,
     """Seeded random step functions plus the structured cases (indicators,
     Haar atoms, power bumps) on [0, 1)."""
     rng = np.random.default_rng(seed)
-    n = 2**resolution_s
+    n = cell_count(0, resolution_s)
     out = [(f"rand{i:02d}", GridFunction(0, resolution_s, rng.standard_normal(n)))
            for i in range(n_random)]
     probe = GridFunction(0, resolution_s, np.zeros(n))
@@ -254,7 +306,7 @@ def corpus_functions(seed: int = 0, resolution_s: int = 6,
 def corpus_weights(seed: int = 0, resolution_s: int = 6, n: int = 100) -> list[tuple[str, Weight]]:
     """Lognormal random weights interleaved with power families."""
     rng = np.random.default_rng(seed)
-    ncells = 2**resolution_s
+    ncells = cell_count(0, resolution_s)
     probe = GridFunction(0, resolution_s, np.zeros(ncells))
     out = []
     power_exps = [-0.5, -1.0 / 3.0, 0.5, 1.0, 1.5]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sharpwt.gridfn import GridFunction
+from sharpwt.gridfn import GridFunction, cell_count
 from sharpwt.operators import _trailing_max
 
 _FUJII_CHUNK = 1 << 17  # float64 entries per (positions x slice) chunk of chopped rows, ~1 MB
@@ -101,9 +101,13 @@ class Weight:
         return self.values ** (-1.0 / (p - 1.0))
 
     def sigma_prefix(self, p: float) -> np.ndarray:
-        prefix = np.zeros(self.ncells + 1)
-        np.cumsum(self.sigma_values(p), out=prefix[1:])
-        return prefix
+        return _prefix_sums(self.sigma_values(p))
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    prefix = np.zeros(values.size + 1)
+    np.cumsum(values, out=prefix[1:])
+    return prefix
 
 
 def _dyadic_lengths(ncells: int):
@@ -113,8 +117,12 @@ def _dyadic_lengths(ncells: int):
         ln *= 2
 
 
-def ap_characteristic(w: Weight, p: float) -> float:
+def ap_characteristic(w: Weight, p: float, sigma: np.ndarray | None = None) -> float:
     """sup over the test family of (avg_Q w) (avg_Q w^(-1/(p-1)))^(p-1).
+
+    `sigma`, when given, is the cell values of w^(-1/(p-1)) that the caller
+    already holds (say a power family's dual closed form), one positive
+    finite value per cell; without it they come from `w.sigma_values(p)`.
 
     Lengths below _PRUNE_FROM, and lengths whose windows fit in one chunk
     of starts, where the bookkeeping would cost more than it saves, are
@@ -126,7 +134,15 @@ def ap_characteristic(w: Weight, p: float) -> float:
     if not 1 < p < np.inf:
         raise ValueError("A_p requires a finite p > 1")
     pw = w.base._prefix
-    ps = w.sigma_prefix(p)
+    if sigma is None:
+        ps = w.sigma_prefix(p)
+    else:
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != (w.ncells,):
+            raise ValueError(f"sigma needs {w.ncells} cell values, got shape {sigma.shape}")
+        if not (sigma.min() > 0 and sigma.max() < np.inf):  # both are NaN if a value is
+            raise ValueError("sigma values must be positive and finite")
+        ps = _prefix_sums(sigma)
     n = w.ncells
     e = p - 1.0
     buf_w, buf_s = np.empty(min(n, _AP_CHUNK)), np.empty(min(n, _AP_CHUNK))
@@ -269,5 +285,5 @@ def power_cell_averages(edges: np.ndarray, a: float, center: float = 0.0) -> np.
 def power_weight(level_L: int, resolution_s: int, a: float, origin=0, center: float = 0.0) -> Weight:
     """Weight with exact cell averages of |x - center|^a."""
     spec = PowerWeightSpec(a, center)
-    probe = GridFunction(level_L, resolution_s, np.zeros(2 ** (level_L + resolution_s)), origin)
+    probe = GridFunction(level_L, resolution_s, np.zeros(cell_count(level_L, resolution_s)), origin)
     return Weight(probe.with_values(spec.cell_averages(probe.cell_edges())), power=spec)

@@ -7,15 +7,21 @@ per dyadic cube; for the shared vertex pool, the "lp" evaluator of one
 engine build with a pool of its own and every basis inverted afresh; the
 A_p characteristic evaluated at every window of every length; the Hilbert
 kernel summed directly per cell, and T* as one truncated transform per
-delta; and the psi Hölder seminorm as one pass per lag."""
+delta; the psi Hölder seminorm as one pass per lag; the dyadic square
+function with one mean(axis=1) per level; and the exponent fit's ladder
+point with every power-family closed form evaluated on the whole grid, its
+A_p dual formed by Weight.sigma_values."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from sharpwt.decomp import LAMBDA_N, Decomposition, StopCube, _integral_abs_interval
 from sharpwt.gridfn import GridFunction, local_osc, median
+from sharpwt.harness import FitPoint, FitResult, _least_squares, _operator_on
 from sharpwt.operators import hilbert_truncated, truncation_ladder
+from sharpwt.weights import PowerWeightSpec, Weight, ap_characteristic, power_cell_averages, weighted_lp_norm
 
 
 def sup_rows_per_build(cls):
@@ -198,3 +204,61 @@ def holder_seminorm_per_lag(kernel, alpha: float, samples: int = 4001) -> float:
         num = np.abs(vals[lag:] - vals[:-lag])
         best = max(best, float(np.max(num)) / (u[lag] - u[0]) ** alpha)
     return best
+
+
+def dyadic_square_mean_per_level(f: GridFunction) -> np.ndarray:
+    """S_d f with every level's cube averages taken by mean(axis=1)."""
+    v = f.values
+    n = v.size
+    acc = np.full(n, float(np.mean(v)) ** 2)
+    parent = np.full(1, np.mean(v))
+    size = n // 2
+    while size >= 1:
+        avg = v.reshape(n // size, size).mean(axis=1)
+        diff = avg.reshape(-1, 2) - parent[:, None]
+        rows = acc.reshape(-1, size)
+        rows += (diff * diff).reshape(-1, 1)
+        parent = avg
+        size //= 2
+    return np.sqrt(acc)
+
+
+def extremal_pair_full_grid(spec, grid: GridFunction, edges: np.ndarray, delta: float):
+    """(f, eval weight, eval exponent, x-axis weight, x-axis dual cell
+    values) for one ladder point, each power-family weight from its own
+    closed form on the whole grid, f's on the cells of (0, 1)."""
+    p = spec.p
+    dual = spec.weight_family == "dual-pair"
+    p_eval = p / (p - 1.0) if dual else p
+
+    def power(a):
+        pw = PowerWeightSpec(a)
+        return Weight(grid.with_values(pw.cell_averages(edges)), power=pw)
+
+    w_eval = power((1 - delta) * (p_eval - 1))
+    i0 = int(np.searchsorted(edges, 0.0))
+    i1 = int(np.searchsorted(edges, 1.0, "right")) - 1
+    vals = np.zeros(grid.ncells)
+    vals[i0:i1] = power_cell_averages(edges[i0 : i1 + 1], -1 + delta)
+    f = grid.with_values(vals)
+    w_axis = w_eval if not dual else power(-(1 - delta))
+    return f, w_eval, p_eval, w_axis, w_axis.sigma_values(p)
+
+
+def exponent_experiment_full_grid(spec) -> FitResult:
+    """The exponent fit on extremal_pair_full_grid, its A_p taken with the
+    dual that ap_characteristic forms itself."""
+    grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(2 ** (spec.level_L + spec.resolution_s)),
+                        origin=-(2 ** (spec.level_L - 1)))
+    edges = grid.cell_edges()
+    op = _operator_on(spec.operator, grid)
+    points = []
+    for delta in spec.deltas:
+        f, w_eval, p_eval, w_axis, _ = extremal_pair_full_grid(spec, grid, edges, delta)
+        den = (1.0 / delta) ** (1.0 / p_eval)
+        ratio = 1.0 if op is None else weighted_lp_norm(op(f), w_eval, p_eval) / den
+        ap = ap_characteristic(w_axis, spec.p)
+        share = float(f.cell_width) ** delta
+        points.append(FitPoint(delta, ap, ratio, math.log(ap), math.log(ratio), share, share > 0.10))
+    slope, intercept, r2 = _least_squares([q.log_ap for q in points], [q.log_ratio for q in points])
+    return FitResult(spec, slope, intercept, r2, points)

@@ -35,7 +35,7 @@ from sharpwt.harness import (
     exponent_experiment,
     ratio_scan,
 )
-from sharpwt.intrinsic import _holder_class, hat_coefficients, intrinsic_engines
+from sharpwt.intrinsic import _holder_class, _VertexPool, hat_coefficients, intrinsic_engines
 
 
 @pytest.fixture(scope="session")
@@ -305,17 +305,22 @@ def test_criterion_5_lp_oracles(report):
             continue
         ncases += 1
         worst5 = max(worst5, abs(cls5.lp_sup(c) - lattice_sup_q5(c)) - tol)
-    worst_dict = -np.inf
+    worst_dict, widest = -np.inf, 0.0
     for _, f in corpus_functions(seed=56, resolution_s=6, n_random=10):
         for _ in range(10):
             y = float(rng.uniform(-0.2, 1.2))
             t = float(rng.uniform(0.02, 1.0))
             c = hat_coefficients(f, y, t, 17)
-            worst_dict = max(worst_dict, cls17.dict_sup(c) - cls17.lp_sup(c))
+            # one pool per value, as lp_sup builds it, so that its certified
+            # interval can be read; the pool raises on one too wide
+            pool = _VertexPool(cls17)
+            lp = float(pool.sup_rows(c[None, :])[0])
+            widest = max(widest, pool.widest)
+            worst_dict = max(worst_dict, cls17.dict_sup(c) - lp)
     ok = worst5 <= 0 and ncases >= 10 and worst_dict <= 1e-9
     report("criterion 5 (LP vs lattice oracle; dictionary <= LP)", ok, time.monotonic() - t0,
            lattice_excess=worst5, lattice_cases=ncases, dict_minus_lp=worst_dict,
-           seed=55, corpus_seed=56, resolution_s=6)
+           widest_interval=widest, seed=55, corpus_seed=56, resolution_s=6)
     assert ok
 
 

@@ -238,6 +238,13 @@ def test_cli_apply_takes_the_flags_its_operator_reads(op, flags, tmp_path, capsy
     ["ap", "--weight", "const:2", "--p", "inf"],
     ["apply", "--op", "spsi", "--fn", "random:", "--res", "5", "--beta", "-1"],
     ["apply", "--op", "galpha", "--fn", "random:", "--res", "4", "--beta", "-2"],
+    ["apply", "--op", "maximal", "--fn", "const:1", "--res", "-3"],
+    ["ap", "--weight", "const:1", "--res", "-2"],
+    ["ap", "--weight", "power:0.5", "--res", "-2"],
+    ["exponent", "--op", "sd", "--res", "-3"],
+    ["ratio-scan", "--lemma", "5.9", "--res", "-8"],
+    ["exponent", "--op", "sd", "--deltas", "0.5,nan,0.1,0.05"],
+    ["exponent", "--op", "sd", "--deltas", "inf,0.5,0.1,0.05"],
 ])
 def test_cli_library_errors_exit_2_without_traceback(argv, tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")

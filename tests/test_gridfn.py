@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sharpwt.dyadic import DyadicCube
 from sharpwt.gridfn import (
     GridFunction,
+    cell_count,
     interval_sums,
     local_osc,
     local_sharp_max_dyadic,
@@ -54,6 +55,16 @@ def median_oracle(values, h):
 def random_f(ncells, s=None):
     s = int(np.log2(ncells)) if s is None else s
     return GridFunction(0, s, RNG.standard_normal(ncells))
+
+
+def test_cell_count_rejects_a_resolution_coarser_than_the_domain():
+    # 2 ** (L + s) with L + s < 0 is a float, which np.zeros rejects with a TypeError
+    assert cell_count(2, -2) == 1 and cell_count(-1, 4) == 8
+    for level_L, s in ((0, -1), (2, -3), (-2, 1)):
+        with pytest.raises(ValueError, match="coarser than the domain"):
+            cell_count(level_L, s)
+        with pytest.raises(ValueError, match="coarser than the domain"):
+            GridFunction(level_L, s, np.zeros(1))
 
 
 def test_rearrangement_two_value_step():

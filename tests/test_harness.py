@@ -5,15 +5,18 @@ import json
 import os
 import shutil
 import subprocess
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from oracles import exponent_experiment_full_grid, extremal_pair_full_grid
 
 import sharpwt.harness
 from sharpwt.gridfn import GridFunction
 from sharpwt.harness import (
     ACCEPTANCE_RUNS,
     ExperimentSpec,
+    _extremal_pair,
     _git_describe,
     _corpus_engines,
     corpus_functions,
@@ -34,6 +37,22 @@ def test_spec_validation():
         ExperimentSpec("maximal", 2.0, (0.5, 0.25, 0.125, 0.0625), 8, level_L=0)  # (1/2, 1) off the domain
     with pytest.raises(ValueError):
         exponent_experiment(ExperimentSpec("nope", 2.0, (0.5, 0.25, 0.125, 0.0625), 8))
+
+
+@pytest.mark.parametrize("deltas", [(0.5, np.nan, 0.1, 0.05), (np.inf, 0.5, 0.1, 0.05),
+                                    (0.5, 0.25, 0.125, np.nan), (-np.inf, 0.5, 0.25, 0.125)])
+def test_spec_rejects_a_ladder_delta_that_is_not_finite(deltas):
+    # a NaN failed late, as "grid values must be finite", and an inf first
+    # delta as the |x|^a integrability message
+    with pytest.raises(ValueError, match="ladder deltas must be finite"):
+        ExperimentSpec("sd", 2.0, deltas, 8)
+
+
+@pytest.mark.parametrize("s", [-1, -3])
+def test_spec_rejects_a_negative_resolution(s):
+    # cells of width 2 or more leave f_delta no cell inside (0, 1)
+    with pytest.raises(ValueError, match="resolution_s must be >= 0"):
+        ExperimentSpec("identity", 2.0, (0.5, 0.25, 0.125, 0.0625), s, level_L=3)
 
 
 @pytest.mark.parametrize("p", [np.nan, np.inf, 1.0])
@@ -194,3 +213,74 @@ def test_scan_report_fields():
     assert rep.argmax
     assert rep.max_base > 0
     assert rep.drift == pytest.approx(rep.max_refined / rep.max_base)
+
+
+# ---- one closed form per exponent, mirrored onto the negative half ----
+
+# p = 4 with delta = 0.6342224535750253 is a ladder point where the dual
+# exponent -((1 - delta) 3) / 3 of the Buckley weight is not delta - 1
+FREE_LADDER = (0.9, 0.6342224535750253, 0.3, 0.1)
+FREE_SPECS = [ExperimentSpec("sd" if family == "buckley" else "hilbert", p, FREE_LADDER, s, L, family)
+              for L in (1, 2) for s in (5, 8) for p in (1.25, 4.0, 7.3) for family in ("buckley", "dual-pair")]
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _closed_forms_match(spec) -> bool:
+    """f, both weights and the A_p dual of every ladder point of `spec`,
+    bytewise against each closed form evaluated on the whole grid."""
+    grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(2 ** (spec.level_L + spec.resolution_s)),
+                        origin=-(2 ** (spec.level_L - 1)))
+    edges = grid.cell_edges()
+    for delta in spec.deltas:
+        f, w_eval, p_eval, ap_args = _extremal_pair(spec, grid, edges, delta)
+        args = ap_args()
+        sigma = args["w"].sigma_values(spec.p) if args["sigma"] is None else args["sigma"]
+        f0, w_eval0, p_eval0, w_axis0, sigma0 = extremal_pair_full_grid(spec, grid, edges, delta)
+        want = (f0.values, w_eval0.values, p_eval0, w_axis0.values, sigma0)
+        got = (f.values, w_eval.values, p_eval, args["w"].values, sigma)
+        if [_bits(a) for a in got] != [_bits(a) for a in want]:
+            return False
+    return True
+
+
+def _fit_bits(result) -> str:
+    return json.dumps(asdict(result))  # repr of every float: bytewise, -0.0 apart from 0.0
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE_RUNS))
+def test_acceptance_fit_closed_forms_match_whole_grid_oracle(name):
+    assert _closed_forms_match(ACCEPTANCE_RUNS[name][0])
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE_RUNS))
+def test_acceptance_fit_matches_whole_grid_oracle_bytewise(name):
+    spec = ACCEPTANCE_RUNS[name][0]
+    assert _fit_bits(exponent_experiment(spec)) == _fit_bits(exponent_experiment_full_grid(spec))
+
+
+@pytest.mark.parametrize("spec", FREE_SPECS,
+                         ids=lambda sp: f"{sp.weight_family}-p{sp.p:g}-s{sp.resolution_s}-L{sp.level_L}")
+def test_free_fit_matches_whole_grid_oracle_bytewise(spec):
+    assert _closed_forms_match(spec)
+    assert _fit_bits(exponent_experiment(spec)) == _fit_bits(exponent_experiment_full_grid(spec))
+
+
+def test_free_ladder_has_a_point_whose_exponents_differ_by_rounding():
+    # so the table meets an f exponent and a dual exponent that only nearly agree
+    delta, p = FREE_LADDER[1], 4.0
+    assert -((1 - delta) * (p - 1)) / (p - 1) != delta - 1
+
+
+def _mirror_one_cell_off(half):
+    """Each negative cell but the one next to the singularity reads the
+    positive cell one nearer to it than its mirror image."""
+    return np.concatenate([half[-2::-1], half[:1], half])
+
+
+def test_a_mirror_one_cell_off_fails_the_oracle_test(monkeypatch):
+    monkeypatch.setattr(sharpwt.harness, "_mirror", _mirror_one_cell_off)
+    assert not _closed_forms_match(ACCEPTANCE_RUNS["maximal-p4"][0])
+    assert not any(_closed_forms_match(spec) for spec in FREE_SPECS)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hilbert_kernel_direct, hilbert_max_per_delta, holder_seminorm_per_lag
+from oracles import dyadic_square_mean_per_level, hilbert_kernel_direct, hilbert_max_per_delta, holder_seminorm_per_lag
 
 import sharpwt
 from sharpwt.gridfn import GridFunction
@@ -133,6 +133,17 @@ def test_dyadic_square_parseval():
         lhs = np.sum(sd.values**2) / 128
         rhs = np.sum(f.values**2) / 128
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 9])
+def test_dyadic_square_matches_the_mean_per_level_bytewise(s):
+    # the size-2 level is taken as (v[0::2] + v[1::2]) / 2, not by mean(axis=1);
+    # 1e150 keeps the squared root average finite
+    n = 2**s
+    for vals in (RNG.standard_normal(n), RNG.uniform(size=n) ** 7,
+                 1e150 * RNG.standard_normal(n), 1e-300 * RNG.standard_normal(n)):
+        f = GridFunction(0, s, vals)
+        assert dyadic_square(f).values.tobytes() == dyadic_square_mean_per_level(f).tobytes()
 
 
 # ---- psi kernel ----

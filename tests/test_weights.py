@@ -55,6 +55,20 @@ def test_ap_rejects_a_p_that_is_not_finite_and_above_one(p):
         ap_characteristic_full(w, p)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.3])
+def test_ap_with_the_sigma_it_would_form_is_bitwise_its_default(p):
+    for w in (power_weight(1, 10, 0.5, origin=-1), power_weight(1, 9, -0.75, origin=-1), random_weight(512)):
+        assert ap_characteristic(w, p, w.sigma_values(p)) == ap_characteristic(w, p)
+
+
+@pytest.mark.parametrize("bad", [np.ones(63), np.ones((64, 1)), np.zeros(64), -np.ones(64),
+                                 np.full(64, np.nan), np.full(64, np.inf)])
+def test_ap_rejects_a_sigma_that_is_not_one_positive_finite_value_per_cell(bad):
+    w = power_weight(0, 6, 0.5)
+    with pytest.raises(ValueError, match="sigma"):
+        ap_characteristic(w, 2.0, bad)
+
+
 def test_power_weight_matches_full_enumeration():
     w = power_weight(1, 10, 0.5, origin=-1)  # |x|^(1/2) on [-1,1) at s=10
     got = ap_characteristic(w, 2.0)
