@@ -3,6 +3,15 @@ function, the dyadic (martingale) square function, the continuous square
 functions built on a fixed polynomial bump, and truncated / maximal Hilbert
 transforms.
 
+The maximal function takes, per window length w, the trailing max of the
+window averages by log2 w doubling passes of np.maximum.  Above 2^16
+cells each w <= 2^15 runs in chunks of 2^15 output cells, each chunk's
+buffer holding its w - 1 cells of history, so the passes stay in cache;
+max is exact, so the chunks give the whole-grid pass bit for bit.  The
+dyadic square function carries its running sum down the tree, one entry
+per cube, so a level of k cubes costs k additions, not one per cell, and
+every cell still receives its additions in the same order.
+
 Every operator evaluates at cell centers.  Convolutions against the step
 function are exact closed forms (polynomial antiderivatives, log terms), and
 translation invariance of the grid turns each into one discrete convolution:
@@ -34,6 +43,8 @@ from sharpwt.intrinsic import ConeQuadrature, SquareFunctionEngine, _node_cells
 # sliding-window machinery for maximal functions
 # ---------------------------------------------------------------------------
 
+_MAX_CHUNK = 1 << 15  # output cells per chunk of `maximal`, two buffers of up to 512 KB
+
 
 def _trailing_max(s: np.ndarray, spare: np.ndarray, w: int) -> np.ndarray:
     """out[..., x] = max(s[..., max(0, x-w+1) : x+1]) along the last axis,
@@ -55,7 +66,13 @@ def _trailing_max(s: np.ndarray, spare: np.ndarray, w: int) -> np.ndarray:
 
 def maximal(f: GridFunction) -> GridFunction:
     """Grid Hardy-Littlewood maximal function: per cell, the sup of averages
-    of |f| over grid-aligned dyadic-length intervals containing the cell."""
+    of |f| over grid-aligned dyadic-length intervals containing the cell.
+
+    On grids of more than 2 _MAX_CHUNK cells, each w <= _MAX_CHUNK goes
+    through the outputs in chunks of _MAX_CHUNK cells: the averages of the
+    windows that hold a chunk's cells (the chunk's own starts and the w - 1
+    before them) go straight from the prefix sums into a buffer, whose
+    trailing max is the chunk's part of the whole-grid one."""
     out = np.abs(f.values)
     n = out.size
     prefix = np.concatenate(([0.0], np.cumsum(out)))
@@ -64,9 +81,9 @@ def maximal(f: GridFunction) -> GridFunction:
     w = 2
     while w <= n:
         m = n - w + 1  # windows of length w
-        np.subtract(prefix[w:], prefix[:-w], out=avg[:m])
-        avg[:m] /= w
         if m <= w + 1:
+            np.subtract(prefix[w:], prefix[:-w], out=avg[:m])
+            avg[:m] /= w
             # cell x < w lies in the windows starting at 0 .. min(x, m-1), a
             # running max from the left; cell x >= w in those starting at
             # x-w+1 .. m-1, a running max from the right
@@ -76,29 +93,44 @@ def maximal(f: GridFunction) -> GridFunction:
             np.maximum(out[k:w], head[-1], out=out[k:w])
             np.maximum(out[w:], np.maximum.accumulate(avg[m - 1 : 0 : -1])[::-1], out=out[w:])
         else:
-            avg[m:] = -np.inf
-            np.maximum(out, _trailing_max(avg, spare, w), out=out)
+            step = _MAX_CHUNK if n > 2 * _MAX_CHUNK and w <= _MAX_CHUNK else n
+            for c0 in range(0, n, step):
+                c1 = min(c0 + step, n)
+                lo = max(c0 - w + 1, 0)  # the first window that holds cell c0
+                hi = min(c1, m)
+                buf = avg[: c1 - lo]
+                np.subtract(prefix[lo + w : hi + w], prefix[lo:hi], out=buf[: hi - lo])
+                buf[: hi - lo] /= w
+                buf[hi - lo :] = -np.inf
+                np.maximum(out[c0:c1], _trailing_max(buf, spare[: c1 - lo], w)[c0 - lo :], out=out[c0:c1])
         w *= 2
     return f.with_values(out)
 
 
 def dyadic_square(f: GridFunction) -> GridFunction:
     """Martingale square function on the dyadic tree of the domain, root
-    term included: S_d f(x)^2 = (avg f)^2 + sum (avg_Q f - avg_Qhat f)^2."""
+    term included: S_d f(x)^2 = (avg f)^2 + sum (avg_Q f - avg_Qhat f)^2.
+
+    The sum is carried down the tree, one entry per cube: a child's is its
+    squared difference plus its parent's, so every cell receives the same
+    additions in the same order as a running sum over the cells would."""
     v = f.values
     n = v.size
-    acc = np.full(n, float(np.mean(v)) ** 2)
+    acc = np.full(1, float(np.mean(v)) ** 2)
     parent = np.full(1, np.mean(v))
     size = n // 2
     while size >= 1:
-        if size == 2:
+        if size == 1:
+            avg = v  # bitwise the mean of each one-cell row
+        elif size == 2:
             # bitwise the mean of each pair, without the axis-1 reduction's overhead
             avg = (v[0::2] + v[1::2]) / 2
         else:
             avg = v.reshape(n // size, size).mean(axis=1)
         diff = avg.reshape(-1, 2) - parent[:, None]  # each child minus its parent
-        rows = acc.reshape(-1, size)  # a view of acc, one row per cube of this size
-        rows += (diff * diff).reshape(-1, 1)
+        diff *= diff
+        diff += acc[:, None]
+        acc = diff.reshape(-1)
         parent = avg
         size //= 2
     return f.with_values(np.sqrt(acc))

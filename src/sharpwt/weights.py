@@ -8,17 +8,38 @@ O(N^2) enumeration over all grid intervals is kept available as an oracle
 for small N.
 
 `ap_characteristic` evaluates (avg w)(avg sigma)^(p-1) only where the
-supremum can be.  From length 16 on, on grids with more windows of a
-length than one chunk of 2^15 starts, the window starts of a length are
-grouped in blocks of ln // 8; the cells [lo, hi - 1 + ln) hold every
-window of the block [lo, hi), and their prefix-sum difference over ln,
-carried through the same expression and times 1 + 1e-12, bounds every
-window's computed value: prefix sums of positive cells do not decrease in
-floating point, subtraction, division and the product round monotonically,
-and the slack covers the few ulps of `**`.  A block whose bound is below
-the best value so far is skipped.  Every other window is computed by the
-same operations as a pass over the whole length, so the result is bitwise
-that of evaluating every window (tests/oracles.py keeps that loop).
+supremum can be.  On grids with more windows of a length than one chunk
+of 2^15 starts, it bounds the windows of a block of starts and skips a
+block whose bound is below the best value so far; it takes the lengths
+from the longest down, so that the best value is high when the short,
+cheaply bounded ones come.  Every other window is computed by the same
+operations as a pass over the whole length, so the result is bitwise that
+of evaluating every window (tests/oracles.py keeps that loop).
+
+From length 16 on, the starts of a length are grouped in blocks of
+ln // 8; the cells [lo, hi - 1 + ln) hold every window of the block
+[lo, hi), and their prefix-sum difference over ln, carried through the
+same expression and times 1 + 1e-12, bounds every window's computed
+value: prefix sums of positive cells do not decrease in floating point,
+subtraction, division and the product round monotonically, and the slack
+covers the few ulps of `**`.
+
+Below length 16 a block holds 64 starts, and a window of ln <= 8 cells
+that starts in it lies in that block of 64 cells and the next.  So the
+exact sum of each window is at most ln M, M the largest cell of the two
+blocks.  The prefix sums come from numpy's cumsum, which adds in order,
+so each is off its exact value by at most gamma_n P (Higham, Accuracy and
+Stability of Numerical Algorithms, (4.4)), with gamma_n = n u / (1 - n u),
+u = 2^-53 and P the exact total.  The computed total is at least
+(1 - gamma_n) P, so every error is at most E = gamma_n P[n] / (1 - gamma_n)
+with P[n] the computed total.  A prefix-sum difference is then at most
+ln M + 2E, and after its rounding and the division by ln, the average is
+at most (M + 2E/ln)(1 + u)^2.  The bound takes that base for w and for
+sigma, times 1 + 16u, which covers (1 + u)^2 and the roundings of the
+base's own arithmetic, raises sigma's to p - 1 and multiplies, times the
+same 1 + 1e-12 for the ulps of `**` and of the product.  The 2E/ln term
+is needed: on constant weights of 2^12 to 2^16 cells the prefix sums
+already round by more than 1e-12 of one cell (tests/test_weights.py).
 """
 
 from __future__ import annotations
@@ -34,6 +55,9 @@ _FUJII_CHUNK = 1 << 17  # float64 entries per (positions x slice) chunk of chopp
 _AP_CHUNK = 1 << 15  # window starts per pass of ap_characteristic, two 256 KB buffers
 _PRUNE_FROM = 16  # shortest window length whose starts are pruned in blocks of ln // 8
 _POW_SLACK = 1.0 + 1e-12  # a few ulps of `**` in a block bound
+_SHORT_BLOCK = 64  # window starts per block of the lengths below _PRUNE_FROM
+_UNIT = 2.0**-53  # unit roundoff of float64
+_ROUND_UP = 1.0 + 16 * _UNIT  # (1 + u)^2 of a window average, and the roundings of the bound's own base
 
 
 @dataclass(frozen=True)
@@ -124,25 +148,27 @@ def ap_characteristic(w: Weight, p: float, sigma: np.ndarray | None = None) -> f
     already holds (say a power family's dual closed form), one positive
     finite value per cell; without it they come from `w.sigma_values(p)`.
 
-    Lengths below _PRUNE_FROM, and lengths whose windows fit in one chunk
-    of starts, where the bookkeeping would cost more than it saves, are
-    evaluated at every position.  The others first evaluate their block of
-    highest bound, then skip each block whose bound lies below the best
-    value so far, and evaluate each run of consecutive surviving blocks as
-    one slice (see the module docstring).
+    Lengths whose windows fit in one chunk of starts, where the bookkeeping
+    would cost more than it saves, are evaluated at every position.  The
+    others run from the longest down, so that the best value is high when
+    the short lengths come.  From _PRUNE_FROM on, a length first evaluates
+    its block of highest bound; below it, blocks are bounded by their
+    largest cells.  Each then skips every block whose bound lies below the
+    best value so far, and evaluates each run of consecutive surviving
+    blocks as one slice (see the module docstring).
     """
     if not 1 < p < np.inf:
         raise ValueError("A_p requires a finite p > 1")
     pw = w.base._prefix
     if sigma is None:
-        ps = w.sigma_prefix(p)
+        sigma = w.sigma_values(p)
     else:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (w.ncells,):
             raise ValueError(f"sigma needs {w.ncells} cell values, got shape {sigma.shape}")
         if not (sigma.min() > 0 and sigma.max() < np.inf):  # both are NaN if a value is
             raise ValueError("sigma values must be positive and finite")
-        ps = _prefix_sums(sigma)
+    ps = _prefix_sums(sigma)
     n = w.ncells
     e = p - 1.0
     buf_w, buf_s = np.empty(min(n, _AP_CHUNK)), np.empty(min(n, _AP_CHUNK))
@@ -163,23 +189,36 @@ def ap_characteristic(w: Weight, p: float, sigma: np.ndarray | None = None) -> f
             m = np.maximum(m, np.max(avg_w))
         return m
 
-    best = 1.0
-    for ln in _dyadic_lengths(n):
-        if ln < _PRUNE_FROM or n - ln + 1 <= _AP_CHUNK:
-            best = max(best, float(window_max(ln, 0, n - ln + 1)))
-            continue
-        size = ln // 8
-        bound = _block_averages(pw, ln, size) * _block_averages(ps, ln, size) ** e * _POW_SLACK
-        top = int(np.argmax(bound))
-        m = window_max(ln, top * size, min((top + 1) * size, n - ln + 1))
-        keep = ~(bound < max(best, m))  # a NaN bound keeps its block
-        keep[top] = False
+    def surviving_max(ln: int, size: int, bound: np.ndarray, m):
+        """m raised by every run of consecutive blocks of `size` starts
+        whose bound is not below the best value so far (a NaN bound keeps
+        its block)."""
+        keep = ~(bound < max(best, m))
         flips = np.flatnonzero(np.diff(keep, prepend=False, append=False))
         for k0, k1 in zip(flips[::2].tolist(), flips[1::2].tolist()):
             # np.maximum keeps a NaN, so a length with a NaN window counts
             # for nothing, as np.max and max() make it in the dense loop
             m = np.maximum(m, window_max(ln, k0 * size, min(k1 * size, n - ln + 1)))
-        best = max(best, float(m))
+        return m
+
+    if n > _AP_CHUNK:  # the lengths below _PRUNE_FROM are bounded by their largest cells
+        peaks = _pair_max(w.values), _pair_max(sigma)
+        errs = _cumsum_error(pw), _cumsum_error(ps)
+    best = 1.0
+    for ln in reversed(list(_dyadic_lengths(n))):
+        if n - ln + 1 <= _AP_CHUNK:
+            best = max(best, float(window_max(ln, 0, n - ln + 1)))
+        elif ln >= _PRUNE_FROM:
+            size = ln // 8
+            bound = _block_averages(pw, ln, size) * _block_averages(ps, ln, size) ** e * _POW_SLACK
+            top = int(np.argmax(bound))
+            m = window_max(ln, top * size, min((top + 1) * size, n - ln + 1))
+            bound[top] = -np.inf  # its windows are in m
+            best = max(best, float(surviving_max(ln, size, bound, m)))
+        else:
+            bw, bs = ((peak + 2.0 * err / ln) * _ROUND_UP for peak, err in zip(peaks, errs))
+            bound = (bw * bs**e * _POW_SLACK)[: -(-(n - ln + 1) // _SHORT_BLOCK)]
+            best = max(best, float(surviving_max(ln, _SHORT_BLOCK, bound, -np.inf)))
     return best
 
 
@@ -191,6 +230,23 @@ def _block_averages(prefix: np.ndarray, ln: int, size: int) -> np.ndarray:
     n = prefix.size - 1
     upper = np.append(prefix[size - 1 + ln :: size], prefix[n])
     return (upper - prefix[: n - ln + 1 : size]) / ln
+
+
+def _pair_max(values: np.ndarray) -> np.ndarray:
+    """Per block of _SHORT_BLOCK cells, the largest cell of it and of the
+    block after it: every cell of a window of at most _SHORT_BLOCK + 1
+    cells that starts in the block."""
+    top = np.maximum.reduceat(values, np.arange(0, values.size, _SHORT_BLOCK))
+    top[:-1] = np.maximum(top[:-1], top[1:])
+    return top
+
+
+def _cumsum_error(prefix: np.ndarray) -> float:
+    """E = gamma_n P[n] / (1 - gamma_n), gamma_n = n u / (1 - n u): a bound on
+    the rounding error of every sequential prefix sum of n positive cells."""
+    n = prefix.size - 1
+    gamma = n * _UNIT / (1.0 - n * _UNIT)
+    return gamma * float(prefix[n]) / (1.0 - gamma)
 
 
 def ap_characteristic_full(w: Weight, p: float) -> float:

@@ -7,11 +7,14 @@ per dyadic cube; for the shared vertex pool, the "lp" evaluator of one
 engine build with a pool of its own and every basis inverted afresh; the
 A_p characteristic evaluated at every window of every length; the Hilbert
 kernel summed directly per cell, and T* as one truncated transform per
-delta; the psi Hölder seminorm as one pass per lag; the dyadic square
-function with one mean(axis=1) per level; and the exponent fit's ladder
-point with every power-family closed form evaluated on the whole grid, its
-A_p dual formed by Weight.sigma_values."""
+delta; the psi Hölder seminorm as one pass per lag; the maximal function
+with one whole-grid pass per length; the dyadic square function with one
+mean(axis=1) per level and its sum carried in every cell; the exponent
+fit's ladder point with every power-family closed form evaluated on the
+whole grid, its A_p dual formed by Weight.sigma_values; and the q = 5
+Hölder-class supremum on an exhaustive lattice."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -20,7 +23,7 @@ import numpy as np
 from sharpwt.decomp import LAMBDA_N, Decomposition, StopCube, _integral_abs_interval
 from sharpwt.gridfn import GridFunction, local_osc, median
 from sharpwt.harness import FitPoint, FitResult, _least_squares, _operator_on
-from sharpwt.operators import hilbert_truncated, truncation_ladder
+from sharpwt.operators import _trailing_max, hilbert_truncated, truncation_ladder
 from sharpwt.weights import PowerWeightSpec, Weight, ap_characteristic, power_cell_averages, weighted_lp_norm
 
 
@@ -206,6 +209,32 @@ def holder_seminorm_per_lag(kernel, alpha: float, samples: int = 4001) -> float:
     return best
 
 
+def maximal_whole_grid(f: GridFunction) -> np.ndarray:
+    """M f with every window length's averages and their trailing max taken
+    over the whole grid at once."""
+    out = np.abs(f.values)
+    n = out.size
+    prefix = np.concatenate(([0.0], np.cumsum(out)))
+    avg = np.empty(n)  # avg[a] = mean of |f| over [a, a+w), -inf past the last window
+    spare = np.empty(n)
+    w = 2
+    while w <= n:
+        m = n - w + 1  # windows of length w
+        np.subtract(prefix[w:], prefix[:-w], out=avg[:m])
+        avg[:m] /= w
+        if m <= w + 1:
+            k = min(w, m)
+            head = np.maximum.accumulate(avg[:k])
+            np.maximum(out[:k], head, out=out[:k])
+            np.maximum(out[k:w], head[-1], out=out[k:w])
+            np.maximum(out[w:], np.maximum.accumulate(avg[m - 1 : 0 : -1])[::-1], out=out[w:])
+        else:
+            avg[m:] = -np.inf
+            np.maximum(out, _trailing_max(avg, spare, w), out=out)
+        w *= 2
+    return out
+
+
 def dyadic_square_mean_per_level(f: GridFunction) -> np.ndarray:
     """S_d f with every level's cube averages taken by mean(axis=1)."""
     v = f.values
@@ -262,3 +291,29 @@ def exponent_experiment_full_grid(spec) -> FitResult:
         points.append(FitPoint(delta, ap, ratio, math.log(ap), math.log(ratio), share, share > 0.10))
     slope, intercept, r2 = _least_squares([q.log_ap for q in points], [q.log_ratio for q in points])
     return FitResult(spec, slope, intercept, r2, points)
+
+
+@functools.lru_cache(maxsize=4)
+def _lattice_q5(alpha: float, step: float, box: float) -> tuple[np.ndarray, ...]:
+    """phi_0 .. phi_4 at the feasible points of the lattice, in row-major
+    order of the full (a, b) grid."""
+    u = np.linspace(-1, 1, 5)
+    grid = np.arange(-box, box + step / 2, step)
+    a, b = np.meshgrid(grid, grid, indexing="ij")
+    phis = [np.zeros_like(a), a, b, -(a + b), np.zeros_like(a)]
+    feas = np.ones_like(a, dtype=bool)
+    for i in range(5):
+        for j in range(i + 1, 5):
+            feas &= np.abs(phis[i] - phis[j]) <= (u[j] - u[i]) ** alpha
+    out = tuple(phi[feas] for phi in phis)
+    for phi in out:
+        phi.flags.writeable = False
+    return out
+
+
+def lattice_sup_q5(c, alpha: float, step: float = 1e-3, box: float = 0.85) -> float:
+    """Exhaustive lattice over the two free coordinates (the trapezoid
+    constraint eliminates phi_3 = -(phi_1 + phi_2) exactly): the max of
+    |c . phi| over its feasible points, 0 if it has none."""
+    obj = np.abs(sum(ci * phi for ci, phi in zip(c, _lattice_q5(alpha, step, box))))
+    return float(np.max(obj, initial=0.0))

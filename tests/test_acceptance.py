@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import lattice_sup_q5
 
 from sharpwt.decomp import decompose, verify_decomposition
 from sharpwt.dyadic import DyadicCube, companion, dilate, family_index
@@ -276,19 +277,6 @@ def test_criterion_4_sandwich(report):
 # ---------------------------------------------------------------------------
 
 
-def lattice_sup_q5(c, alpha=0.5, step=1e-3, box=0.85):
-    u = np.linspace(-1, 1, 5)
-    grid = np.arange(-box, box + step / 2, step)
-    a, b = np.meshgrid(grid, grid, indexing="ij")
-    phis = [np.zeros_like(a), a, b, -(a + b), np.zeros_like(a)]
-    feas = np.ones_like(a, dtype=bool)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            feas &= np.abs(phis[i] - phis[j]) <= (u[j] - u[i]) ** alpha
-    obj = np.abs(sum(ci * p for ci, p in zip(c, phis)))
-    return float(np.max(np.where(feas, obj, 0.0)))
-
-
 def test_criterion_5_lp_oracles(report):
     t0 = time.monotonic()
     rng = np.random.default_rng(55)
@@ -304,7 +292,7 @@ def test_criterion_5_lp_oracles(report):
         if tol == 0:
             continue
         ncases += 1
-        worst5 = max(worst5, abs(cls5.lp_sup(c) - lattice_sup_q5(c)) - tol)
+        worst5 = max(worst5, abs(cls5.lp_sup(c) - lattice_sup_q5(c, 0.5)) - tol)
     worst_dict, widest = -np.inf, 0.0
     for _, f in corpus_functions(seed=56, resolution_s=6, n_random=10):
         for _ in range(10):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from oracles import sup_rows_per_build
+from oracles import lattice_sup_q5, sup_rows_per_build
 
 import sharpwt.intrinsic as intrinsic
 from sharpwt.gridfn import GridFunction
@@ -90,21 +90,6 @@ def test_quadrature_rejects_fewer_than_one_node_per_box():
     for m in (0, -1):
         with pytest.raises(ValueError, match="nodes_per_box"):
             ConeQuadrature.for_grid(f, m)
-
-
-def lattice_sup_q5(c, alpha, step=1e-3, box=0.85):
-    """Exhaustive lattice over the two free coordinates (the trapezoid
-    constraint eliminates phi_3 = -(phi_1 + phi_2) exactly)."""
-    u = np.linspace(-1, 1, 5)
-    grid = np.arange(-box, box + step / 2, step)
-    a, b = np.meshgrid(grid, grid, indexing="ij")
-    phis = [np.zeros_like(a), a, b, -(a + b), np.zeros_like(a)]
-    feas = np.ones_like(a, dtype=bool)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            feas &= np.abs(phis[i] - phis[j]) <= (u[j] - u[i]) ** alpha
-    obj = np.abs(sum(ci * phi for ci, phi in zip(c, phis)))
-    return float(np.max(np.where(feas, obj, 0.0)))
 
 
 def linprog_sup(c, alpha):

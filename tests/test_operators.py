@@ -7,16 +7,25 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dyadic_square_mean_per_level, hilbert_kernel_direct, hilbert_max_per_delta, holder_seminorm_per_lag
+from oracles import (
+    dyadic_square_mean_per_level,
+    hilbert_kernel_direct,
+    hilbert_max_per_delta,
+    holder_seminorm_per_lag,
+    maximal_whole_grid,
+)
 
 import sharpwt
+import sharpwt.operators as operators
 from sharpwt.gridfn import GridFunction
 from sharpwt.harness import corpus_functions
+from sharpwt.weights import power_cell_averages
 from sharpwt.operators import (
     PSI,
     _even_poly_integral,
@@ -89,6 +98,44 @@ def test_maximal_bytewise_against_window_enumeration(L, s, origin):
     assert maximal(f).values.tobytes() == want.tobytes()
 
 
+def large_grid_inputs(L, s):
+    """Normal, heavy-tailed and exponent-fit values on the grid of side 2^L
+    at resolution s, origin -2^(L-1); the fit's f is |x|^(delta-1) on the
+    cells of (0, 1) and 0 elsewhere."""
+    n = 2 ** (L + s)
+    probe = GridFunction(L, s, np.zeros(n), origin=-(2 ** (L - 1)))
+    edges = probe.cell_edges()
+    fit = np.zeros(n)
+    i0, i1 = int(np.searchsorted(edges, 0.0)), int(np.searchsorted(edges, 1.0, "right")) - 1
+    fit[i0:i1] = power_cell_averages(edges[i0 : i1 + 1], -1 + 2**-1.5)
+    for vals in (RNG.standard_normal(n), RNG.standard_cauchy(n), fit):
+        yield probe.with_values(vals)
+
+
+@pytest.mark.parametrize("L, s", [(1, 17), (1, 18)], ids=["17-L1", "18-L1"])
+def test_maximal_in_chunks_is_bytewise_the_whole_grid_pass(L, s):
+    for f in large_grid_inputs(L, s):
+        assert maximal(f).values.tobytes() == maximal_whole_grid(f).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(chunk=st.integers(1, 40), L=st.integers(0, 1), s=st.integers(0, 8),
+       kind=st.sampled_from(["normal", "cauchy", "spikes"]), seed=st.integers(0, 2**32 - 1))
+def test_maximal_in_small_chunks_matches_the_window_enumeration(chunk, L, s, kind, seed):
+    # a small chunk sends small grids down the chunked path, with every w up
+    # to the chunk and chunks that do not divide the grid
+    rng = np.random.default_rng(seed)
+    n = 2 ** (L + s)
+    vals = {"normal": rng.standard_normal(n), "cauchy": rng.standard_cauchy(n),
+            "spikes": np.where(rng.uniform(size=n) < 0.05, 1e12, 1e-6)}[kind]
+    f = GridFunction(L, s, vals, origin=-L)
+    with mock.patch.object(operators, "_MAX_CHUNK", chunk):
+        got = maximal(f).values.tobytes()
+    assert got == maximal_whole_grid(f).tobytes()
+    want = np.maximum(np.abs(f.values), maximal_oracle(f, [2**m for m in range(1, L + s + 1)]))
+    assert got == want.tobytes()
+
+
 def trailing_max_oracle(s, w):
     rows = s.reshape(-1, s.shape[-1])
     out = [[row[max(0, x - w + 1) : x + 1].max() for x in range(row.size)] for row in rows]
@@ -135,14 +182,20 @@ def test_dyadic_square_parseval():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-@pytest.mark.parametrize("s", [0, 1, 2, 3, 9])
-def test_dyadic_square_matches_the_mean_per_level_bytewise(s):
-    # the size-2 level is taken as (v[0::2] + v[1::2]) / 2, not by mean(axis=1);
-    # 1e150 keeps the squared root average finite
-    n = 2**s
+@pytest.mark.parametrize("L, s", [(0, 0), (0, 1), (0, 2), (0, 3), (0, 9), (1, 18)],
+                         ids=["0", "1", "2", "3", "9", "18-L1"])
+def test_dyadic_square_matches_the_mean_per_level_bytewise(L, s):
+    # the size-2 level is taken as (v[0::2] + v[1::2]) / 2 and the size-1
+    # level is v, not mean(axis=1), and the sum runs down the tree; 1e150
+    # keeps the squared root average finite
+    n = 2 ** (L + s)
+    signed_zeros = np.where(RNG.uniform(size=n) < 0.5, -0.0, 0.0)
+    subnormal = 5e-324 * RNG.integers(-(2**20), 2**20, size=n)
+    mixed = np.where(RNG.uniform(size=n) < 0.5, signed_zeros, subnormal)
     for vals in (RNG.standard_normal(n), RNG.uniform(size=n) ** 7,
-                 1e150 * RNG.standard_normal(n), 1e-300 * RNG.standard_normal(n)):
-        f = GridFunction(0, s, vals)
+                 1e150 * RNG.standard_normal(n), 1e-300 * RNG.standard_normal(n),
+                 signed_zeros, subnormal, mixed):
+        f = GridFunction(L, s, vals, origin=-L)
         assert dyadic_square(f).values.tobytes() == dyadic_square_mean_per_level(f).tobytes()
 
 

@@ -85,17 +85,21 @@ STRESS_P = (1.25, 1.5, 2.0, 3.0, 4.0, 7.3)
 
 @st.composite
 def stress_weights(draw):
-    """Weights that put the block bound of `ap_characteristic` to the test:
+    """Weights that put the block bounds of `ap_characteristic` to the test:
     constant, lognormal, power weights singular on a cell edge or a cell
-    centre, and a 1e6 cell with a 1e-6 cell that only one window of a pruned
-    length holds both of, its start first or last in its block of starts."""
+    centre, a 1e6 cell with a 1e-6 cell that only one window of a pruned
+    length holds both of, its start first or last in its block of starts
+    (for the lengths below 16, blocks of 64 starts, so that the window
+    crosses into the next block), and a 1e12 cell beside a run of 1e-6
+    cells, whose prefix sums absorb the small cells."""
     level_L = draw(st.sampled_from([0, 1]))
     s = draw(st.integers(0, 14 - level_L))
     n = 2 ** (level_L + s)
     origin = Fraction(-draw(st.integers(0, n)), 2**s)
     probe = GridFunction(level_L, s, np.zeros(n), origin)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["constant", "lognormal", "power", "spikes"]))
+    kind = draw(st.sampled_from(["constant", "lognormal", "power", "spikes", "short spikes",
+                                 "spike beside small"]))
     if kind == "power":
         k = draw(st.integers(0, n - 1)) + draw(st.sampled_from([0.0, 0.5]))
         center = float(origin) + k * float(probe.cell_width)
@@ -104,13 +108,22 @@ def stress_weights(draw):
         vals = np.full(n, draw(st.sampled_from([1e-3, 1.0, 7.0])))
     else:
         vals = np.exp(draw(st.sampled_from([0.1, 1.0, 4.0, 8.0])) * rng.standard_normal(n))
-    if kind == "spikes" and n >= 128:
+    if kind in ("spikes", "short spikes") and n >= 128:
         vals = np.exp(0.1 * rng.standard_normal(n))
-        ln = 2 ** draw(st.integers(4, n.bit_length() - 2))
-        size = ln // 8
+        if kind == "spikes":
+            ln = 2 ** draw(st.integers(4, n.bit_length() - 2))
+            size = ln // 8
+        else:
+            ln, size = 2 ** draw(st.integers(1, 3)), weights._SHORT_BLOCK
         a = draw(st.integers(0, (n - ln) // size - 1)) * size + draw(st.sampled_from([0, size - 1]))
         big, small = draw(st.permutations([1e6, 1e-6]))
         vals[a], vals[a + ln - 1] = big, small
+    if kind == "spike beside small":
+        vals = np.exp(0.1 * rng.standard_normal(n))
+        a = draw(st.integers(0, n - 1))
+        run = draw(st.integers(1, 80))
+        vals[max(a - run, 0) : a + run + 1] = 1e-6
+        vals[a] = 1e12
     return Weight(probe.with_values(vals))
 
 
@@ -156,6 +169,23 @@ def test_a_bound_one_cell_short_fails_the_dense_loop_test(monkeypatch):
 
     with pytest.raises(AssertionError):
         mutant_run()
+
+
+# constant weights whose prefix sums round by more than _POW_SLACK relative
+# to one cell, so that a short window's computed value tops its largest cells
+PREFIX_ROUNDING = [(12, 0.1, 7.3), (14, 3.3, 3.0), (16, 1e-7, 1.5)]
+
+
+@pytest.mark.parametrize("s, c, p", PREFIX_ROUNDING)
+def test_ap_matches_dense_loop_where_prefix_rounding_tops_the_slack(s, c, p):
+    check_ap_matches_dense_loop(Weight(GridFunction(0, s, np.full(2**s, c))), p)
+
+
+def test_short_bounds_without_the_prefix_error_fail_the_dense_loop_test(monkeypatch):
+    monkeypatch.setattr(weights, "_cumsum_error", lambda prefix: 0.0)
+    for s, c, p in PREFIX_ROUNDING:
+        with pytest.raises(AssertionError):
+            check_ap_matches_dense_loop(Weight(GridFunction(0, s, np.full(2**s, c))), p)
 
 
 def test_ap_blows_up_along_delta():
