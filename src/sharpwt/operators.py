@@ -3,12 +3,17 @@ function, the dyadic (martingale) square function, the continuous square
 functions built on a fixed polynomial bump, and truncated / maximal Hilbert
 transforms.
 
-The maximal function takes, per window length w, the trailing max of the
-window averages by log2 w doubling passes of np.maximum.  Above 2^16
-cells each w <= 2^15 runs in chunks of 2^15 output cells, each chunk's
-buffer holding its w - 1 cells of history, so the passes stay in cache;
-max is exact, so the chunks give the whole-grid pass bit for bit.  The
-dyadic square function carries its running sum down the tree, one entry
+The maximal function takes, per window length w from the longest down,
+the trailing max of the window averages by log2 w doubling passes of
+np.maximum.  Above 2^16 cells each w <= 2^15 runs in chunks of 2^15
+output cells, each chunk's buffer holding its w - 1 cells of history, so
+the passes stay in cache.  On those grids each w >= 128 also skips every
+block of w / 4 output cells where a prefix-sum bound on each window
+holding it is at most the block's least value so far, so that no window
+of w can raise it; once a length keeps more than 9 blocks in 10, the
+input is dense and the rest of the call runs every chunk.  Max is exact,
+so neither the order, the chunks nor the skipped blocks change a bit of
+the whole-grid pass.  The dyadic square function carries its running sum down the tree, one entry
 per cube, so a level of k cubes costs k additions, not one per cell, and
 every cell still receives its additions in the same order.
 
@@ -44,6 +49,7 @@ from sharpwt.intrinsic import ConeQuadrature, SquareFunctionEngine, _node_cells
 # ---------------------------------------------------------------------------
 
 _MAX_CHUNK = 1 << 15  # output cells per chunk of `maximal`, two buffers of up to 512 KB
+_BOUND_FROM = 128  # shortest w whose output blocks of w // 4 cells `maximal` bounds
 
 
 def _trailing_max(s: np.ndarray, spare: np.ndarray, w: int) -> np.ndarray:
@@ -64,22 +70,57 @@ def _trailing_max(s: np.ndarray, spare: np.ndarray, w: int) -> np.ndarray:
     return cur
 
 
+def _block_averages(prefix: np.ndarray, ln: int, size: int) -> np.ndarray:
+    """Per block of `size` window starts [lo, hi) (the last block is the one
+    start n - ln), the sum over the cells [lo, hi - 1 + ln) that hold every
+    window of the block, divided by ln: at least each window's computed
+    average, since prefix sums of nonnegative cells do not decrease in
+    floating point and subtraction and division round monotonically."""
+    n = prefix.size - 1
+    upper = np.append(prefix[size - 1 + ln :: size], prefix[n])
+    return (upper - prefix[: n - ln + 1 : size]) / ln
+
+
+def _open_runs(bound: np.ndarray, low: np.ndarray) -> np.ndarray | None:
+    """The runs [b0, b1) of output blocks of w // 4 cells that the windows
+    of length w may raise, as the rows of an array, or None when more than
+    9 blocks in 10 may.  Block c is held only by the windows starting in
+    the blocks c - 4 .. c, so it is skipped when their largest `bound` is
+    at most `low`, a lower bound of `out` on it.  Two runs less than 4
+    blocks (w cells) apart are one, since a separate run would recompute
+    the w - 1 cells of history between them."""
+    held = np.concatenate((bound, np.full(low.size - bound.size, -np.inf)))
+    keep = _trailing_max(held, np.empty_like(held), 5) > low
+    if 10 * np.count_nonzero(keep) > 9 * keep.size:
+        return None
+    if not keep.any():
+        return np.empty((0, 2), dtype=np.intp)
+    flips = np.flatnonzero(np.diff(keep, prepend=False, append=False)).reshape(-1, 2)
+    far = flips[1:, 0] - flips[:-1, 1] >= 4
+    return np.stack((flips[np.append(True, far), 0], flips[np.append(far, True), 1]), axis=1)
+
+
 def maximal(f: GridFunction) -> GridFunction:
     """Grid Hardy-Littlewood maximal function: per cell, the sup of averages
     of |f| over grid-aligned dyadic-length intervals containing the cell.
 
-    On grids of more than 2 _MAX_CHUNK cells, each w <= _MAX_CHUNK goes
-    through the outputs in chunks of _MAX_CHUNK cells: the averages of the
-    windows that hold a chunk's cells (the chunk's own starts and the w - 1
-    before them) go straight from the prefix sums into a buffer, whose
-    trailing max is the chunk's part of the whole-grid one."""
+    The lengths run from the longest down.  On grids of more than
+    2 _MAX_CHUNK cells, each w <= _MAX_CHUNK goes through the outputs in
+    chunks of _MAX_CHUNK cells: the averages of the windows that hold a
+    chunk's cells (the chunk's own starts and the w - 1 before them) go
+    straight from the prefix sums into a buffer, whose trailing max is the
+    chunk's part of the whole-grid one.  On those grids each w from
+    _BOUND_FROM on also skips the output blocks of w // 4 cells that no
+    window of it can raise (`_open_runs`), until a length keeps more than
+    9 blocks in 10; from then on every pass covers the whole grid."""
     out = np.abs(f.values)
     n = out.size
     prefix = np.concatenate(([0.0], np.cumsum(out)))
     avg = np.empty(n)  # avg[a] = mean of |f| over [a, a+w), -inf past the last window
     spare = np.empty(n)
-    w = 2
-    while w <= n:
+    bounded = n > 2 * _MAX_CHUNK
+    low = None  # per output block of w // 4 cells, a lower bound of out
+    for w in (1 << k for k in range(n.bit_length() - 1, 0, -1)):
         m = n - w + 1  # windows of length w
         if m <= w + 1:
             np.subtract(prefix[w:], prefix[:-w], out=avg[:m])
@@ -92,10 +133,18 @@ def maximal(f: GridFunction) -> GridFunction:
             np.maximum(out[:k], head, out=out[:k])
             np.maximum(out[k:w], head[-1], out=out[k:w])
             np.maximum(out[w:], np.maximum.accumulate(avg[m - 1 : 0 : -1])[::-1], out=out[w:])
-        else:
-            step = _MAX_CHUNK if n > 2 * _MAX_CHUNK and w <= _MAX_CHUNK else n
-            for c0 in range(0, n, step):
-                c1 = min(c0 + step, n)
+            continue
+        step = _MAX_CHUNK if n > 2 * _MAX_CHUNK and w <= _MAX_CHUNK else n
+        size = w // 4
+        runs = None
+        if bounded and w >= _BOUND_FROM:
+            # out only grows, so a block's earlier minimum still bounds it
+            low = out.reshape(-1, size).min(axis=1) if low is None else np.repeat(low, 2)
+            runs = _open_runs(_block_averages(prefix, w, size), low)
+            bounded = runs is not None
+        for r0, r1 in [(0, n)] if runs is None else (runs * size).tolist():
+            for c0 in range(r0, r1, step):
+                c1 = min(c0 + step, r1)
                 lo = max(c0 - w + 1, 0)  # the first window that holds cell c0
                 hi = min(c1, m)
                 buf = avg[: c1 - lo]
@@ -103,7 +152,8 @@ def maximal(f: GridFunction) -> GridFunction:
                 buf[: hi - lo] /= w
                 buf[hi - lo :] = -np.inf
                 np.maximum(out[c0:c1], _trailing_max(buf, spare[: c1 - lo], w)[c0 - lo :], out=out[c0:c1])
-        w *= 2
+            if runs is not None:
+                low[r0 // size : r1 // size] = out[r0:r1].reshape(-1, size).min(axis=1)
     return f.with_values(out)
 
 

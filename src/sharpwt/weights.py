@@ -16,21 +16,22 @@ cheaply bounded ones come.  Every other window is computed by the same
 operations as a pass over the whole length, so the result is bitwise that
 of evaluating every window (tests/oracles.py keeps that loop).
 
-From length 16 on, the starts of a length are grouped in blocks of
-ln // 8; the cells [lo, hi - 1 + ln) hold every window of the block
-[lo, hi), and their prefix-sum difference over ln, carried through the
-same expression and times 1 + 1e-12, bounds every window's computed
-value: prefix sums of positive cells do not decrease in floating point,
-subtraction, division and the product round monotonically, and the slack
-covers the few ulps of `**`.
+Above length _SHORT_BLOCK = 64, the starts of a length are grouped in
+blocks of ln // 8; the cells [lo, hi - 1 + ln) hold every window of the
+block [lo, hi), and their prefix-sum difference over ln
+(`operators._block_averages`, which also bounds the maximal function),
+carried through the same expression and times 1 + 1e-12, bounds every
+window's computed value: prefix sums of positive cells do not decrease in
+floating point, subtraction, division and the product round
+monotonically, and the slack covers the few ulps of `**`.
 
-Below length 16 a block holds 64 starts, and a window of ln <= 8 cells
-that starts in it lies in that block of 64 cells and the next.  So the
-exact sum of each window is at most ln M, M the largest cell of the two
-blocks.  The prefix sums come from numpy's cumsum, which adds in order,
-so each is off its exact value by at most gamma_n P (Higham, Accuracy and
-Stability of Numerical Algorithms, (4.4)), with gamma_n = n u / (1 - n u),
-u = 2^-53 and P the exact total.  The computed total is at least
+Up to length 64 a block holds 64 starts, and a window of ln <= 64 cells
+(65 would do) that starts in it lies in that block of 64 cells and the
+next.  So the exact sum of each window is at most ln M, M the largest
+cell of the two blocks.  The prefix sums come from numpy's cumsum, which
+adds in order, so each is off its exact value by at most gamma_n P
+(Higham, Accuracy and Stability of Numerical Algorithms, (4.4)), with
+gamma_n = n u / (1 - n u), u = 2^-53 and P the exact total.  The computed total is at least
 (1 - gamma_n) P, so every error is at most E = gamma_n P[n] / (1 - gamma_n)
 with P[n] the computed total.  A prefix-sum difference is then at most
 ln M + 2E, and after its rounding and the division by ln, the average is
@@ -40,6 +41,15 @@ base's own arithmetic, raises sigma's to p - 1 and multiplies, times the
 same 1 + 1e-12 for the ulps of `**` and of the product.  The 2E/ln term
 is needed: on constant weights of 2^12 to 2^16 cells the prefix sums
 already round by more than 1e-12 of one cell (tests/test_weights.py).
+
+The two rounding factors, by contrast, no input reaches, so no test fails
+without them; they stay because the proof needs them.  They cover a few
+ulps, and they matter only for a window whose exact sum is near ln M and
+whose prefix-sum error is near 2E.  But then P >= ln M, so
+2E/ln >= 2 n u M, at least 2n ulps of M (n >= 128 on every grid that
+prunes at a test chunk of 64 starts, n >= 2^16 at the real chunk), and
+the two prefix sums' errors would have to reach their worst case
+gamma_n P to within a few ulps of ln M.
 """
 
 from __future__ import annotations
@@ -49,13 +59,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from sharpwt.gridfn import GridFunction, cell_count
-from sharpwt.operators import _trailing_max
+from sharpwt.operators import _block_averages, _trailing_max
 
 _FUJII_CHUNK = 1 << 17  # float64 entries per (positions x slice) chunk of chopped rows, ~1 MB
 _AP_CHUNK = 1 << 15  # window starts per pass of ap_characteristic, two 256 KB buffers
-_PRUNE_FROM = 16  # shortest window length whose starts are pruned in blocks of ln // 8
 _POW_SLACK = 1.0 + 1e-12  # a few ulps of `**` in a block bound
-_SHORT_BLOCK = 64  # window starts per block of the lengths below _PRUNE_FROM
+_SHORT_BLOCK = 64  # window starts per block, and the longest length, bounded by cell peaks
 _UNIT = 2.0**-53  # unit roundoff of float64
 _ROUND_UP = 1.0 + 16 * _UNIT  # (1 + u)^2 of a window average, and the roundings of the bound's own base
 
@@ -151,8 +160,8 @@ def ap_characteristic(w: Weight, p: float, sigma: np.ndarray | None = None) -> f
     Lengths whose windows fit in one chunk of starts, where the bookkeeping
     would cost more than it saves, are evaluated at every position.  The
     others run from the longest down, so that the best value is high when
-    the short lengths come.  From _PRUNE_FROM on, a length first evaluates
-    its block of highest bound; below it, blocks are bounded by their
+    the short lengths come.  Above _SHORT_BLOCK, a length first evaluates
+    its block of highest bound; up to it, blocks are bounded by their
     largest cells.  Each then skips every block whose bound lies below the
     best value so far, and evaluates each run of consecutive surviving
     blocks as one slice (see the module docstring).
@@ -201,14 +210,14 @@ def ap_characteristic(w: Weight, p: float, sigma: np.ndarray | None = None) -> f
             m = np.maximum(m, window_max(ln, k0 * size, min(k1 * size, n - ln + 1)))
         return m
 
-    if n > _AP_CHUNK:  # the lengths below _PRUNE_FROM are bounded by their largest cells
+    if n > _AP_CHUNK:  # the lengths up to _SHORT_BLOCK are bounded by their largest cells
         peaks = _pair_max(w.values), _pair_max(sigma)
         errs = _cumsum_error(pw), _cumsum_error(ps)
     best = 1.0
     for ln in reversed(list(_dyadic_lengths(n))):
         if n - ln + 1 <= _AP_CHUNK:
             best = max(best, float(window_max(ln, 0, n - ln + 1)))
-        elif ln >= _PRUNE_FROM:
+        elif ln > _SHORT_BLOCK:
             size = ln // 8
             bound = _block_averages(pw, ln, size) * _block_averages(ps, ln, size) ** e * _POW_SLACK
             top = int(np.argmax(bound))
@@ -220,16 +229,6 @@ def ap_characteristic(w: Weight, p: float, sigma: np.ndarray | None = None) -> f
             bound = (bw * bs**e * _POW_SLACK)[: -(-(n - ln + 1) // _SHORT_BLOCK)]
             best = max(best, float(surviving_max(ln, _SHORT_BLOCK, bound, -np.inf)))
     return best
-
-
-def _block_averages(prefix: np.ndarray, ln: int, size: int) -> np.ndarray:
-    """Per block of `size` window starts [lo, hi) (the last block is the one
-    start n - ln), the sum over the cells [lo, hi - 1 + ln) that hold every
-    window of the block, divided by ln: at least each window's computed
-    average, as the module docstring shows."""
-    n = prefix.size - 1
-    upper = np.append(prefix[size - 1 + ln :: size], prefix[n])
-    return (upper - prefix[: n - ln + 1 : size]) / ln
 
 
 def _pair_max(values: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from oracles import (
 
 import sharpwt
 import sharpwt.operators as operators
-from sharpwt.gridfn import GridFunction
-from sharpwt.harness import corpus_functions
+from sharpwt.gridfn import GridFunction, cell_count
+from sharpwt.harness import ACCEPTANCE_RUNS, HALF_OCTAVE_LADDER, _extremal_pair, corpus_functions
 from sharpwt.weights import power_cell_averages
 from sharpwt.operators import (
     PSI,
@@ -99,17 +99,20 @@ def test_maximal_bytewise_against_window_enumeration(L, s, origin):
 
 
 def large_grid_inputs(L, s):
-    """Normal, heavy-tailed and exponent-fit values on the grid of side 2^L
-    at resolution s, origin -2^(L-1); the fit's f is |x|^(delta-1) on the
-    cells of (0, 1) and 0 elsewhere."""
+    """Zero, normal, heavy-tailed and exponent-fit values on the grid of side
+    2^L at resolution s, origin -2^(L-1); the fit's f is |x|^(delta-1) on the
+    cells of (0, 1) and 0 elsewhere.  Then |x - c|^(delta-1) on the whole
+    grid, c the centre of an interior cell or the grid's left edge."""
     n = 2 ** (L + s)
     probe = GridFunction(L, s, np.zeros(n), origin=-(2 ** (L - 1)))
     edges = probe.cell_edges()
     fit = np.zeros(n)
     i0, i1 = int(np.searchsorted(edges, 0.0)), int(np.searchsorted(edges, 1.0, "right")) - 1
     fit[i0:i1] = power_cell_averages(edges[i0 : i1 + 1], -1 + 2**-1.5)
-    for vals in (RNG.standard_normal(n), RNG.standard_cauchy(n), fit):
+    for vals in (np.zeros(n), RNG.standard_normal(n), RNG.standard_cauchy(n), fit):
         yield probe.with_values(vals)
+    for c in ((edges[3 * n // 8 + 5] + edges[3 * n // 8 + 6]) / 2, edges[0]):
+        yield probe.with_values(power_cell_averages(edges, -1 + 2**-1.5, float(c)))
 
 
 @pytest.mark.parametrize("L, s", [(1, 17), (1, 18)], ids=["17-L1", "18-L1"])
@@ -118,18 +121,72 @@ def test_maximal_in_chunks_is_bytewise_the_whole_grid_pass(L, s):
         assert maximal(f).values.tobytes() == maximal_whole_grid(f).tobytes()
 
 
+def fit_inputs(name):
+    """f at every ladder point of the frozen fit `name`, as exponent_experiment builds it."""
+    spec = ACCEPTANCE_RUNS[name][0]
+    grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(cell_count(spec.level_L, spec.resolution_s)),
+                        origin=-(2 ** (spec.level_L - 1)))
+    edges = grid.cell_edges()
+    for delta in spec.deltas:
+        yield _extremal_pair(spec, grid, edges, delta)[0]
+
+
+@pytest.mark.parametrize("name, chunk", [("maximal-p2", operators._MAX_CHUNK), ("maximal-p4", 1 << 12)])
+def test_maximal_on_the_fit_inputs_is_bytewise_the_whole_grid_pass(name, chunk):
+    # maximal-p4's 2^15 cells reach the bounded passes with a smaller chunk
+    with mock.patch.object(operators, "_MAX_CHUNK", chunk):
+        for f in fit_inputs(name):
+            assert maximal(f).values.tobytes() == maximal_whole_grid(f).tobytes()
+
+
+def test_maximal_keeps_its_chunks_once_it_stops_bounding():
+    # normal values keep every block of the first bounded length (n / 4), so
+    # no later length is bounded: each w from _BOUND_FROM on is one pass over
+    # the whole grid, and each w up to the chunk still goes one chunk at a time
+    chunk, n = 64, 2**12
+    f = GridFunction(0, 12, RNG.standard_normal(n))
+    want = maximal_whole_grid(f).tobytes()
+    sizes, runs = {}, []
+    real_max, real_runs = operators._trailing_max, operators._open_runs
+
+    def spy_max(s, spare, w):
+        sizes.setdefault(w, []).append(s.size)
+        return real_max(s, spare, w)
+
+    def spy_runs(bound, low):
+        runs.append(real_runs(bound, low))
+        return runs[-1]
+
+    with mock.patch.object(operators, "_MAX_CHUNK", chunk), mock.patch.object(operators, "_trailing_max", spy_max), \
+            mock.patch.object(operators, "_open_runs", spy_runs):
+        assert maximal(f).values.tobytes() == want
+    assert runs == [None]
+    for w in (operators._BOUND_FROM << k for k in range(4)):  # 128 .. n / 4
+        assert sizes[w] == [n]
+    for w in (2**k for k in range(1, chunk.bit_length())):
+        assert len(sizes[w]) == n // chunk and max(sizes[w]) <= chunk + w - 1
+
+
 @settings(max_examples=120, deadline=None)
-@given(chunk=st.integers(1, 40), L=st.integers(0, 1), s=st.integers(0, 8),
-       kind=st.sampled_from(["normal", "cauchy", "spikes"]), seed=st.integers(0, 2**32 - 1))
-def test_maximal_in_small_chunks_matches_the_window_enumeration(chunk, L, s, kind, seed):
-    # a small chunk sends small grids down the chunked path, with every w up
-    # to the chunk and chunks that do not divide the grid
+@given(chunk=st.integers(1, 40), bound_from=st.sampled_from([8, 32, operators._BOUND_FROM]),
+       L=st.integers(0, 1), s=st.integers(0, 8),
+       kind=st.sampled_from(["zero", "normal", "cauchy", "spikes", "fit"]), seed=st.integers(0, 2**32 - 1))
+def test_maximal_in_small_chunks_matches_the_window_enumeration(chunk, bound_from, L, s, kind, seed):
+    # a small chunk sends small grids down the chunked and bounded paths,
+    # with every w up to the chunk and chunks that do not divide the grid;
+    # "fit" is an exponent fit's f, |x|^(delta - 1) on the cells of (0, 1);
+    # "zero" leaves no block that a window can raise
     rng = np.random.default_rng(seed)
     n = 2 ** (L + s)
-    vals = {"normal": rng.standard_normal(n), "cauchy": rng.standard_cauchy(n),
-            "spikes": np.where(rng.uniform(size=n) < 0.05, 1e12, 1e-6)}[kind]
+    if kind == "fit":
+        edges = GridFunction(L, s, np.zeros(n), origin=-L).cell_edges()
+        vals = np.zeros(n)
+        vals[n - 2**s :] = power_cell_averages(edges[n - 2**s :], rng.choice(HALF_OCTAVE_LADDER) - 1)
+    else:
+        vals = {"zero": np.zeros(n), "normal": rng.standard_normal(n), "cauchy": rng.standard_cauchy(n),
+                "spikes": np.where(rng.uniform(size=n) < 0.05, 1e12, 1e-6)}[kind]
     f = GridFunction(L, s, vals, origin=-L)
-    with mock.patch.object(operators, "_MAX_CHUNK", chunk):
+    with mock.patch.object(operators, "_MAX_CHUNK", chunk), mock.patch.object(operators, "_BOUND_FROM", bound_from):
         got = maximal(f).values.tobytes()
     assert got == maximal_whole_grid(f).tobytes()
     want = np.maximum(np.abs(f.values), maximal_oracle(f, [2**m for m in range(1, L + s + 1)]))

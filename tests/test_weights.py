@@ -89,9 +89,10 @@ def stress_weights(draw):
     constant, lognormal, power weights singular on a cell edge or a cell
     centre, a 1e6 cell with a 1e-6 cell that only one window of a pruned
     length holds both of, its start first or last in its block of starts
-    (for the lengths below 16, blocks of 64 starts, so that the window
-    crosses into the next block), and a 1e12 cell beside a run of 1e-6
-    cells, whose prefix sums absorb the small cells."""
+    (block averages from length 2 _SHORT_BLOCK on; for the lengths up to
+    _SHORT_BLOCK, blocks of _SHORT_BLOCK starts, so that the window crosses
+    into the next block), and a 1e12 cell beside a run of 1e-6 cells,
+    whose prefix sums absorb the small cells."""
     level_L = draw(st.sampled_from([0, 1]))
     s = draw(st.integers(0, 14 - level_L))
     n = 2 ** (level_L + s)
@@ -108,13 +109,14 @@ def stress_weights(draw):
         vals = np.full(n, draw(st.sampled_from([1e-3, 1.0, 7.0])))
     else:
         vals = np.exp(draw(st.sampled_from([0.1, 1.0, 4.0, 8.0])) * rng.standard_normal(n))
-    if kind in ("spikes", "short spikes") and n >= 128:
+    short = weights._SHORT_BLOCK.bit_length()  # 2^short = 2 _SHORT_BLOCK
+    if kind == "spikes" and n >= 4 * weights._SHORT_BLOCK or kind == "short spikes" and n >= 2 * weights._SHORT_BLOCK:
         vals = np.exp(0.1 * rng.standard_normal(n))
         if kind == "spikes":
-            ln = 2 ** draw(st.integers(4, n.bit_length() - 2))
+            ln = 2 ** draw(st.integers(short, n.bit_length() - 2))
             size = ln // 8
         else:
-            ln, size = 2 ** draw(st.integers(1, 3)), weights._SHORT_BLOCK
+            ln, size = 2 ** draw(st.integers(1, short - 1)), weights._SHORT_BLOCK
         a = draw(st.integers(0, (n - ln) // size - 1)) * size + draw(st.sampled_from([0, size - 1]))
         big, small = draw(st.permutations([1e6, 1e-6]))
         vals[a], vals[a + ln - 1] = big, small
@@ -158,9 +160,12 @@ def _one_cell_short(prefix, ln, size):
     return (prefix[hi - 2 + ln] - prefix[lo]) / ln
 
 
-def test_a_bound_one_cell_short_fails_the_dense_loop_test(monkeypatch):
-    monkeypatch.setattr(weights, "_block_averages", _one_cell_short)
+def _own_block_max(values):
+    """_pair_max without the next block: a window that crosses out of its block loses cells."""
+    return np.maximum.reduceat(values, np.arange(0, values.size, weights._SHORT_BLOCK))
 
+
+def assert_the_stress_property_fails():
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               report_multiple_bugs=False)
     @given(stress_weights(), st.sampled_from(STRESS_P))
@@ -169,6 +174,16 @@ def test_a_bound_one_cell_short_fails_the_dense_loop_test(monkeypatch):
 
     with pytest.raises(AssertionError):
         mutant_run()
+
+
+def test_a_bound_one_cell_short_fails_the_dense_loop_test(monkeypatch):
+    monkeypatch.setattr(weights, "_block_averages", _one_cell_short)
+    assert_the_stress_property_fails()
+
+
+def test_a_pair_max_without_the_next_block_fails_the_dense_loop_test(monkeypatch):
+    monkeypatch.setattr(weights, "_pair_max", _own_block_max)
+    assert_the_stress_property_fails()
 
 
 # constant weights whose prefix sums round by more than _POW_SLACK relative
