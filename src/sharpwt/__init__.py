@@ -12,7 +12,7 @@ from sharpwt.weights import (
     weighted_lp_norm,
 )
 from sharpwt.decomp import Decomposition, StopCube, a_gamma, decompose, verify_decomposition
-from sharpwt.intrinsic import ConeQuadrature, HolderKernel, g_alpha, g_tilde, intrinsic_engine, intrinsic_engines
+from sharpwt.intrinsic import ConeQuadrature, g_alpha, g_tilde, intrinsic_engine, intrinsic_engines
 from sharpwt.operators import (
     PsiKernel,
     dyadic_square,
@@ -32,7 +32,7 @@ __all__ = [
     "Weight", "PowerWeightSpec", "ap_characteristic", "ap_characteristic_full",
     "ainfty_fujii", "weighted_lp_norm", "power_weight",
     "Decomposition", "StopCube", "decompose", "verify_decomposition", "a_gamma",
-    "ConeQuadrature", "HolderKernel", "g_alpha", "g_tilde", "intrinsic_engine", "intrinsic_engines",
+    "ConeQuadrature", "g_alpha", "g_tilde", "intrinsic_engine", "intrinsic_engines",
     "PsiKernel", "maximal", "dyadic_square",
     "s_psi", "g_psi", "hilbert", "hilbert_truncated", "hilbert_max",
     "ExperimentSpec", "FitResult", "exponent_experiment", "ratio_scan",

@@ -100,8 +100,8 @@ class GridFunction:
 
     # ---- integrals ----
 
-    # prefix sums of f and |f|, built on first use: the integral over the
-    # cells [a, b) is h * (prefix[b] - prefix[a])
+    # prefix sums of f and |f|, and counts of nonzero cells, built on first
+    # use: the integral over the cells [a, b) is h * (prefix[b] - prefix[a])
 
     @cached_property
     def _prefix(self) -> np.ndarray:
@@ -110,6 +110,10 @@ class GridFunction:
     @cached_property
     def _prefix_abs(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(np.abs(self.values))))
+
+    @cached_property
+    def _nonzero_count(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.values != 0)))
 
     def integral_abs(self, a: int, b: int) -> float:
         return float(self.cell_width) * (self._prefix_abs[b] - self._prefix_abs[a])

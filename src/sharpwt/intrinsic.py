@@ -48,39 +48,7 @@ _DIRECTION_TOL = 1e-9    # a row blocks a step only if it moves toward its bound
 _RATIO_TIE = 1e-12       # step lengths this close are ties, broken by the smallest row index
 _WIDTH_TOL = 1e-12       # relative to max |c|: widest certified interval a solved node may have
 _NODE_CHUNK = 1 << 17    # float64 entries per chunk of a per-node cell tensor (nodes x q x cells for hats), ~1 MB
-
-
-@dataclass(frozen=True)
-class HolderKernel:
-    """A feasible member of the discretized Hölder class."""
-
-    alpha: float
-    samples: np.ndarray  # length q, endpoints zero
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def q(self) -> int:
-        return self.samples.size
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, self.q)
-
-    def holder_excess(self) -> float:
-        """max over node pairs of |phi_u - phi_v| - |u - v|^alpha (<= 0 iff feasible)."""
-        u = self.nodes()
-        worst = -np.inf
-        for lag in range(1, self.q):
-            gap = (u[lag] - u[0]) ** self.alpha
-            worst = max(worst, float(np.max(np.abs(self.samples[lag:] - self.samples[:-lag]))) - gap)
-        return worst
-
-    def trapezoid_mean(self) -> float:
-        w = _trapezoid_weights(self.q)
-        return float(np.dot(w, self.samples))
+_CLASS_FROM = 1 << 13   # float64 entries of a chunk's hat tensor from which _hat_rows shares CDFs among node classes
 
 
 def _trapezoid_weights(q: int) -> np.ndarray:
@@ -318,40 +286,79 @@ def _hat_cdf(xi: np.ndarray) -> np.ndarray:
     return np.where(xi <= 0, (1.0 + xi) ** 2 / 2.0, 1.0 - (1.0 - xi) ** 2 / 2.0)
 
 
-def _node_cells(f: GridFunction, lo: np.ndarray, hi: np.ndarray, floats_per_cell: int):
-    """The cells that each node's kernel support [lo[n], hi[n]] meets, padded
-    with zero cells to the widest support, in chunks of nodes sized so that
-    a chunk's tensor of floats_per_cell floats per cell stays near
-    _NODE_CHUNK: yields (nodes slice, cell edges (n, width + 1), cell values
-    (n, width))."""
-    edges = f.cell_edges()
+def _node_cells(f: GridFunction, edges: np.ndarray, lo: np.ndarray, hi: np.ndarray, floats_per_cell: int):
+    """The cells of f, with edges `edges`, that each node's kernel support
+    [lo[n], hi[n]] meets, padded with zero cells to the widest support of
+    all the nodes, for the nodes whose cells hold a nonzero value; the rest
+    have all their coefficients 0.  The test counts nonzero cells exactly,
+    in integers: a sum of |f| would lose a 1e-30 cell after cells of 1.0.
+    In chunks of nodes sized so that a chunk's tensor of floats_per_cell
+    floats per cell stays near _NODE_CHUNK, yields (node indices, cell
+    indices (n, width + 1) clamped at cell ncells, cell values (n, width))."""
     a = np.maximum(np.searchsorted(edges, lo, "right") - 1, 0)
     b = np.minimum(np.searchsorted(edges, hi, "left"), f.ncells)
     width = int(np.max(b - a, initial=0))
     if width <= 0:
         return
+    count = f._nonzero_count
+    kept = np.flatnonzero(count[b] > count[a])
+    a, b = a[kept, None], b[kept, None]
     cells = np.arange(width + 1)
     values = np.append(f.values, 0.0)
     chunk = max(1, _NODE_CHUNK // (floats_per_cell * (width + 1)))
-    for start in range(0, lo.size, chunk):
+    for start in range(0, kept.size, chunk):
         part = slice(start, start + chunk)
-        idx = np.minimum(a[part, None] + cells, f.ncells)                      # (n, width + 1)
-        vals = np.where(idx[:, :-1] < b[part, None], values[idx[:, :-1]], 0.0)  # (n, width)
-        yield part, edges[idx], vals
+        idx = np.minimum(a[part] + cells, f.ncells)                               # (n, width + 1)
+        vals = np.where(idx[:, :-1] < b[part], values[idx[:, :-1]], 0.0)         # (n, width)
+        yield kept[part], idx, vals
+
+
+def _exact_difference(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Whether d, the rounded x - y, is exact: Knuth's two-sum error of
+    x + (-y) is zero."""
+    y_virtual = d - x
+    return x - (d - y_virtual) == y + y_virtual
 
 
 def _hat_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray, q: int) -> np.ndarray:
     """hat_coefficients at every node (ys[n], ts[n]), as one tensor op per
-    chunk of nodes."""
+    chunk of nodes.
+
+    The hat CDFs are evaluated once per class of nodes: one t, one clamp at
+    cell ncells (its last column) and one row z - e of transported centres
+    z = y - t u less the node's first cell edge e, exact.  Cell edges are
+    e + c h exactly, so a class sees the same (e + c h - z) / (t h_node) at
+    every column c, and its first node's CDFs serve all of it, bit for bit.
+    Quadrature nodes of one level that share t and their offset from their
+    first cell's edge fall in one class whenever t u is dyadic (q - 1 and
+    nodes_per_box powers of two); a node whose z - e rounds is a class of
+    its own.  The contraction, the one the per-node evaluation runs, takes
+    the C-contiguous gather of the class CDF differences: a matmul whose
+    stack is strided along the cells rounds differently.  A chunk whose tensor holds fewer
+    than _CLASS_FROM floats is evaluated node by node, each node its own
+    class: there (with q = 17 and one node per box, on grids of 2^7 cells
+    or fewer) finding the classes costs more than the CDFs it saves."""
     h_node = 2.0 / (q - 1)
     wh = ts * h_node
     u = np.linspace(-1.0, 1.0, q)
+    edges = f.cell_edges()
     out = np.zeros((ys.size, q))
-    for part, edges, vals in _node_cells(f, ys - ts - wh, ys + ts + wh, q):
+    for part, idx, vals in _node_cells(f, edges, ys - ts - wh, ys + ts + wh, q):
         z_centers = ys[part, None] - ts[part, None] * u                         # (n, q)
-        xi = (edges[:, None, :] - z_centers[:, :, None]) / wh[part, None, None]
-        cdf = _hat_cdf(xi)
-        out[part] = h_node * (np.diff(cdf, axis=2) @ vals[:, :, None])[:, :, 0]
+        rep = cls = slice(None)
+        if idx.size * q >= _CLASS_FROM:
+            first = edges[idx[:, :1]]
+            # the class key: t, the clamp (a code of its own for an inexact node), z - e
+            key = np.empty((part.size, q + 2))
+            key[:, 0] = ts[part]
+            rel = np.subtract(z_centers, first, out=key[:, 2:])
+            key[:, 1] = np.where(_exact_difference(z_centers, first, rel).all(axis=1),
+                                 idx[:, -1] - idx[:, 0], -1 - np.arange(part.size))
+            _, rep, cls = np.unique(key.view(np.dtype((np.void, key.shape[1] * 8))).ravel(),
+                                    return_index=True, return_inverse=True)
+        xi = (edges[idx[rep]][:, None, :] - z_centers[rep][:, :, None]) / wh[part[rep], None, None]
+        diffs = np.diff(_hat_cdf(xi), axis=2)[cls]                              # (n, q, width)
+        out[part] = h_node * (diffs @ vals[:, :, None])[:, :, 0]
     return out
 
 

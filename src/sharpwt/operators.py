@@ -20,14 +20,21 @@ every cell still receives its additions in the same order.
 Every operator evaluates at cell centers.  Convolutions against the step
 function are exact closed forms (polynomial antiderivatives, log terms), and
 translation invariance of the grid turns each into one discrete convolution:
-np.convolve up to 4096 cells, a zero-padded numpy FFT above.
+np.convolve up to 4096 cells, a zero-padded numpy FFT above, over the
+shortest 2^k or 3 * 2^k points that keep the wrap-around off the outputs.
 
+The Hilbert transform convolves only f's cells [a, b) from the first
+nonzero one to the last, m = b - a of them, with the n + m - 1 kernel
+entries they reach from the n outputs.  The FFT length follows from
+n + m - 1 alone: on n = 2^k cells an f whose nonzero cells span half of
+them takes 3n/2 points, and a full support still takes 2n.
 Every truncated Hilbert kernel on a grid comes from one table of the logs
 of its cell edges, log((j + 1/2) h): a cell's log difference, or the log of
 delta for the cell that holds it, bitwise what the per-cell sum of the two
 pieces gives.  `hilbert_on` builds the kernel and its spectrum once for
-every function on one grid, and `hilbert_max` transforms f once and builds
-each truncation's kernel from one table.
+every run of functions on one grid with one support, and
+`hilbert_max` transforms f once and builds each truncation's kernel from
+one table.
 
 Every psi square function uses the one bump PSI, and the cone version
 builds the quadrature of its own grid from `nodes_per_box`.
@@ -268,21 +275,42 @@ def psi_convolve_grid(f: GridFunction, t: float) -> np.ndarray:
     return _conv_wide(f.values, w[:, 0] - w[:, 1])
 
 
+def _fft_length(need: int) -> int:
+    """The shortest 2^j or 3 * 2^j points that are at least `need`."""
+    two = 1 << (need - 1).bit_length()
+    return 3 * two // 4 if 3 * two // 4 >= need else two
+
+
 class _WideConvolution:
-    """The middle n entries of the full convolution of n cell values with a
-    kernel of k entries, the ones centered on each cell: np.convolve up to
-    4096 cells, a zero-padded numpy FFT above, over L >= n + k - 1 - start
-    points, where the circular wrap-around lands only outside them.  Each
-    side enters through `transform`, so a side shared by several
-    convolutions is transformed once."""
+    """The n outputs, one centred on each cell, of the convolution of n cell
+    values, zero outside the cells [a, b), with a kernel of k entries
+    centred on its middle one; [a, b) must be every cell, or the kernel
+    must have at least 2n - 1 entries.  Only values[a:b] and the kernel
+    entries `taps` that they reach from the n outputs are convolved:
+    np.convolve up to 4096 cells, a zero-padded numpy FFT above, over the
+    shortest 2^j or 3 * 2^j points that hold the outputs and keep the
+    circular wrap-around before the first of them.  Each side enters
+    through `values` or `kernel`, so a side shared by several convolutions
+    is sliced and transformed once."""
 
-    def __init__(self, n: int, k: int):
+    def __init__(self, n: int, k: int, support: tuple[int, int]):
+        a, b = support
+        centre = (k - 1) // 2
+        lo, hi = max(centre + 1 - b, 0), min(centre + n - a, k)
         self.n = n
-        self.start = (k - 1) // 2
-        self.length = 0 if n <= 4096 else 1 << (n + k - 2 - self.start).bit_length()
+        self.cells, self.taps = slice(a, b), slice(lo, hi)
+        self.start = centre - a - lo  # the full convolution's index of output 0
+        tail = (b - a) + (hi - lo) - 1 - self.start
+        self.length = 0 if n <= 4096 else _fft_length(tail)
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
+    def _transform(self, x: np.ndarray) -> np.ndarray:
         return np.fft.rfft(x, self.length) if self.length else x
+
+    def values(self, values: np.ndarray) -> np.ndarray:
+        return self._transform(values[self.cells])
+
+    def kernel(self, kernel: np.ndarray) -> np.ndarray:
+        return self._transform(kernel[self.taps])
 
     def __call__(self, values_t: np.ndarray, kernel_t: np.ndarray) -> np.ndarray:
         """The convolution from the transforms of the values and the kernel."""
@@ -294,16 +322,17 @@ class _WideConvolution:
 
 
 def _conv_wide(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    conv = _WideConvolution(values.size, kernel.size)
-    return conv(conv.transform(values), conv.transform(kernel))
+    conv = _WideConvolution(values.size, kernel.size, (0, values.size))
+    return conv(conv.values(values), conv.kernel(kernel))
 
 
 def _psi_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """psi_convolve_at at every node (ys[n], ts[n]), one row-wise dot per
     chunk of nodes."""
+    edges = f.cell_edges()
     out = np.zeros(ys.size)
-    for part, edges, vals in _node_cells(f, ys - ts, ys + ts, 1):
-        cdf = PSI.cumulative((ys[part, None] - edges) / ts[part, None])
+    for part, idx, vals in _node_cells(f, edges, ys - ts, ys + ts, 1):
+        cdf = PSI.cumulative((ys[part, None] - edges[idx]) / ts[part, None])
         out[part] = np.einsum("ij,ij->i", vals, -np.diff(cdf, axis=1))
     return out
 
@@ -327,6 +356,8 @@ def g_psi(f: GridFunction, t_levels: tuple[int, int] | None = None) -> GridFunct
     if t_levels is None:
         t_levels = (-f.level_L, f.resolution_s)
     k_top, k_bot = t_levels
+    if not k_top < k_bot:
+        raise ValueError("t_levels (k_top, k_bot) must have k_top < k_bot")
     acc = np.zeros(f.ncells)
     ln2 = np.log(2.0)
     for k in range(k_top, k_bot):  # octave [2^-k-1?, ...): t in [2^-k-1 .. ]
@@ -375,22 +406,45 @@ def _hilbert_kernel(table: np.ndarray, h: float, delta: float) -> np.ndarray:
     return kernel
 
 
-def _hilbert_convolution(grid: GridFunction, delta: float):
+def _support(values: np.ndarray) -> tuple[int, int] | None:
+    """[a, b): the first nonzero cell and one past the last, or None when
+    every cell is zero.  Values nonzero at both ends need no scan."""
+    if values[0] != 0 and values[-1] != 0:
+        return 0, values.size
+    nonzero = values != 0
+    a = int(nonzero.argmax())
+    if not nonzero[a]:
+        return None
+    return a, nonzero.size - int(nonzero[::-1].argmax())
+
+
+class _HilbertConvolution:
     """values -> the truncated transform at delta of the step function with
-    those values on `grid`'s cells; the kernel is transformed once."""
-    h = float(grid.cell_width)
-    kernel = _hilbert_kernel(_log_table(grid.ncells, h), h, delta)
-    conv = _WideConvolution(grid.ncells, kernel.size)
-    kernel_t = conv.transform(kernel)
-    return lambda values: conv(conv.transform(values), kernel_t)
+    those values on `grid`'s cells, convolving only the cells from the
+    first nonzero one to the last.  The spectrum of the kernel entries
+    that range reaches is kept for the last range seen; another range
+    builds the kernel again, so that it is not held between calls."""
+
+    def __init__(self, grid: GridFunction, delta: float):
+        self.n, self.h, self.delta = grid.ncells, float(grid.cell_width), delta
+        self.support = self.conv = self.kernel_t = None
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        support = _support(values)
+        if support is None:
+            return np.zeros(values.size)
+        if support != self.support:
+            self.support, self.conv = support, _WideConvolution(self.n, 2 * self.n + 1, support)
+            self.kernel_t = self.conv.kernel(_hilbert_kernel(_log_table(self.n, self.h), self.h, self.delta))
+        return self.conv(self.conv.values(values), self.kernel_t)
 
 
 def hilbert_truncated(f: GridFunction, delta) -> GridFunction:
     """Exact convolution of step f with (1/x) chi_{|x|>delta} at cell centers."""
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return f.with_values(_hilbert_convolution(f, delta)(f.values))
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
+    return f.with_values(_HilbertConvolution(f, delta)(f.values))
 
 
 def hilbert(f: GridFunction) -> GridFunction:
@@ -400,8 +454,8 @@ def hilbert(f: GridFunction) -> GridFunction:
 
 def hilbert_on(grid: GridFunction):
     """`hilbert` for functions on `grid`'s cells, with the kernel and its
-    spectrum built once for all of them."""
-    conv = _hilbert_convolution(grid, float(grid.cell_width))
+    spectrum built once per run of calls on one support."""
+    conv = _HilbertConvolution(grid, float(grid.cell_width))
 
     def apply(f: GridFunction) -> GridFunction:
         if f.ncells != grid.ncells or f.cell_width != grid.cell_width:
@@ -412,15 +466,18 @@ def hilbert_on(grid: GridFunction):
 
 
 def hilbert_max(f: GridFunction) -> GridFunction:
-    """T* f: max of |truncated transforms| over the delta ladder.  f is
-    transformed once and every truncation's kernel comes from one log
-    table."""
+    """T* f: max of |truncated transforms| over the delta ladder.  f's
+    cells from its first nonzero one to the last are transformed once, and
+    every truncation's kernel comes from one log table."""
+    out = np.zeros(f.ncells)
+    support = _support(f.values)
+    if support is None:
+        return f.with_values(out)
     h = float(f.cell_width)
     table = _log_table(f.ncells, h)
-    conv = _WideConvolution(f.ncells, 2 * f.ncells + 1)
-    values_t = conv.transform(f.values)
-    out = np.zeros(f.ncells)
+    conv = _WideConvolution(f.ncells, 2 * f.ncells + 1, support)
+    values_t = conv.values(f.values)
     for delta in truncation_ladder(f):
-        kernel_t = conv.transform(_hilbert_kernel(table, h, float(delta)))
+        kernel_t = conv.kernel(_hilbert_kernel(table, h, float(delta)))
         np.maximum(out, np.abs(conv(values_t, kernel_t)), out=out)
     return f.with_values(out)

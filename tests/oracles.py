@@ -6,8 +6,11 @@ scan-5.2 value with one `local_osc` call and one exact-Fraction 15Q average
 per dyadic cube; for the shared vertex pool, the "lp" evaluator of one
 engine build with a pool of its own and every basis inverted afresh; the
 A_p characteristic evaluated at every window of every length; the Hilbert
-kernel summed directly per cell, and T* as one truncated transform per
-delta; the psi Hölder seminorm as one pass per lag; the maximal function
+kernel summed directly per cell, the truncated transform as one
+convolution of every cell with the whole kernel, and T* as one truncated
+transform per delta; the hat coefficients and psi convolutions of every
+node, each node's hat CDFs evaluated on its own; the feasible Hölder-class
+member `HolderKernel`; the psi Hölder seminorm as one pass per lag; the maximal function
 with one whole-grid pass per length; the dyadic square function with one
 mean(axis=1) per level and its sum carried in every cell; the exponent
 fit's ladder point with every power-family closed form evaluated on the
@@ -16,6 +19,7 @@ Hölder-class supremum on an exhaustive lattice."""
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +27,8 @@ import numpy as np
 from sharpwt.decomp import LAMBDA_N, Decomposition, StopCube, _integral_abs_interval
 from sharpwt.gridfn import GridFunction, local_osc, median
 from sharpwt.harness import FitPoint, FitResult, _least_squares, _operator_on
-from sharpwt.operators import _trailing_max, hilbert_truncated, truncation_ladder
+from sharpwt.intrinsic import _NODE_CHUNK, _hat_cdf, _trapezoid_weights
+from sharpwt.operators import PSI, _hilbert_kernel, _log_table, _trailing_max, hilbert_truncated, truncation_ladder
 from sharpwt.weights import PowerWeightSpec, Weight, ap_characteristic, power_cell_averages, weighted_lp_norm
 
 
@@ -188,6 +193,98 @@ def hilbert_kernel_direct(n: int, h: float, delta: float) -> np.ndarray:
     m = lo < b
     out[m] += np.log(b[m]) - np.log(lo[m])
     return out
+
+
+def hilbert_full_kernel(f: GridFunction, delta: float) -> np.ndarray:
+    """The truncated transform at delta as one convolution of every cell
+    with the whole kernel of 2n + 1 entries: np.convolve up to 4096 cells,
+    else a zero-padded FFT over the shortest power of two of at least 2n
+    points."""
+    n, h = f.ncells, float(f.cell_width)
+    kernel = _hilbert_kernel(_log_table(n, h), h, float(delta))
+    if n <= 4096:
+        full = np.convolve(f.values, kernel)
+    else:
+        length = 1 << (2 * n - 1).bit_length()
+        full = np.fft.irfft(np.fft.rfft(f.values, length) * np.fft.rfft(kernel, length), length)
+    return full[n : 2 * n]
+
+
+def node_cells_every_node(f: GridFunction, lo: np.ndarray, hi: np.ndarray, floats_per_cell: int):
+    """The cells that each node's kernel support [lo[n], hi[n]] meets, for
+    every node, padded with zero cells to the widest support, in chunks of
+    nodes: yields (nodes slice, cell edges (n, width + 1), cell values
+    (n, width))."""
+    edges = f.cell_edges()
+    a = np.maximum(np.searchsorted(edges, lo, "right") - 1, 0)
+    b = np.minimum(np.searchsorted(edges, hi, "left"), f.ncells)
+    width = int(np.max(b - a, initial=0))
+    if width <= 0:
+        return
+    cells = np.arange(width + 1)
+    values = np.append(f.values, 0.0)
+    chunk = max(1, _NODE_CHUNK // (floats_per_cell * (width + 1)))
+    for start in range(0, lo.size, chunk):
+        part = slice(start, start + chunk)
+        idx = np.minimum(a[part, None] + cells, f.ncells)
+        vals = np.where(idx[:, :-1] < b[part, None], values[idx[:, :-1]], 0.0)
+        yield part, edges[idx], vals
+
+
+def hat_rows_per_node(f: GridFunction, ys: np.ndarray, ts: np.ndarray, q: int) -> np.ndarray:
+    """hat_coefficients at every node, each node's hat CDFs evaluated at its
+    own transported cell edges."""
+    h_node = 2.0 / (q - 1)
+    wh = ts * h_node
+    u = np.linspace(-1.0, 1.0, q)
+    out = np.zeros((ys.size, q))
+    for part, edges, vals in node_cells_every_node(f, ys - ts - wh, ys + ts + wh, q):
+        z_centers = ys[part, None] - ts[part, None] * u
+        xi = (edges[:, None, :] - z_centers[:, :, None]) / wh[part, None, None]
+        out[part] = h_node * (np.diff(_hat_cdf(xi), axis=2) @ vals[:, :, None])[:, :, 0]
+    return out
+
+
+def psi_rows_per_node(f: GridFunction, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """f * psi_t(y) at every node, one row-wise dot per chunk of nodes."""
+    out = np.zeros(ys.size)
+    for part, edges, vals in node_cells_every_node(f, ys - ts, ys + ts, 1):
+        cdf = PSI.cumulative((ys[part, None] - edges) / ts[part, None])
+        out[part] = np.einsum("ij,ij->i", vals, -np.diff(cdf, axis=1))
+    return out
+
+
+@dataclass(frozen=True)
+class HolderKernel:
+    """A feasible member of the discretized Hölder class."""
+
+    alpha: float
+    samples: np.ndarray  # length q, endpoints zero
+
+    def __post_init__(self):
+        s = np.asarray(self.samples, dtype=float)
+        s.setflags(write=False)
+        object.__setattr__(self, "samples", s)
+
+    @property
+    def q(self) -> int:
+        return self.samples.size
+
+    def nodes(self) -> np.ndarray:
+        return np.linspace(-1.0, 1.0, self.q)
+
+    def holder_excess(self) -> float:
+        """max over node pairs of |phi_u - phi_v| - |u - v|^alpha (<= 0 iff feasible)."""
+        u = self.nodes()
+        worst = -np.inf
+        for lag in range(1, self.q):
+            gap = (u[lag] - u[0]) ** self.alpha
+            worst = max(worst, float(np.max(np.abs(self.samples[lag:] - self.samples[:-lag]))) - gap)
+        return worst
+
+    def trapezoid_mean(self) -> float:
+        w = _trapezoid_weights(self.q)
+        return float(np.dot(w, self.samples))
 
 
 def hilbert_max_per_delta(f: GridFunction) -> np.ndarray:

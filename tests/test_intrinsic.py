@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from oracles import lattice_sup_q5, sup_rows_per_build
+from oracles import HolderKernel, hat_rows_per_node, lattice_sup_q5, psi_rows_per_node, sup_rows_per_build
 
 import sharpwt.intrinsic as intrinsic
 from sharpwt.gridfn import GridFunction
@@ -21,8 +21,8 @@ from sharpwt.harness import corpus_functions, refine
 from sharpwt.intrinsic import (
     ConeQuadrature,
     HolderClass,
-    HolderKernel,
     SquareFunctionEngine,
+    _VertexPool,
     _hat_rows,
     _holder_class,
     g_tilde,
@@ -194,6 +194,66 @@ def test_single_grid_engine_is_bytewise_the_per_build_pool():
         want = SquareFunctionEngine(g, ConeQuadrature.for_grid(g),
                                     lambda ys, ts: sup_rows(_hat_rows(g, ys, ts, 17)))
         assert intrinsic_engine(g).node_vals.tobytes() == want.node_vals.tobytes()
+
+
+def support_grids(L, s):
+    """Functions on 2^(L+s) cells by the cells their nonzero values span:
+    every cell, the right half (the exponent fits' f), the left half, an
+    interior block, the first or the last cell, none, and a 1e-30 cell
+    right after cells of 1.0, which a sum of |f| would not see."""
+    n = 2 ** (L + s)
+    full = np.random.default_rng(n + L).standard_normal(n)
+
+    def only(a, b):
+        v = np.zeros(n)
+        v[a:b] = full[a:b]
+        return v
+
+    tiny = np.zeros(n)
+    tiny[n // 3 : n // 3 + 5] = 1.0
+    tiny[n // 3 + 5] = 1e-30
+    inputs = {"full": full, "right half": only(n // 2, n), "left half": only(0, n // 2),
+              "block": only(n // 4, n // 2 + 3), "first cell": only(0, 1), "last cell": only(n - 1, n),
+              "zero": np.zeros(n), "tiny": tiny}
+    return {label: GridFunction(L, s, v, origin=-L) for label, v in inputs.items()}
+
+
+@pytest.mark.parametrize("L, s", [(0, 6), (1, 7), (0, 8), (1, 9), (0, 10), (1, 11)])
+def test_engine_nodes_are_bytewise_the_per_node_evaluation(L, s):
+    """Skipping the nodes that miss f's nonzero cells and reading hat CDFs
+    from one table per node class leave every node value's bytes."""
+    cls = _holder_class(0.5, 17)
+    for label, f in support_grids(L, s).items():
+        quad = ConeQuadrature.for_grid(f)
+        want = SquareFunctionEngine(f, quad, lambda ys, ts: cls._dict_rows(hat_rows_per_node(f, ys, ts, 17)))
+        got = intrinsic_engine(f, mode="dictionary")
+        assert got.node_vals.tobytes() == want.node_vals.tobytes(), (label, "dictionary")
+        want = SquareFunctionEngine(f, quad, lambda ys, ts: np.abs(psi_rows_per_node(f, ys, ts)))
+        assert psi_engine(f).node_vals.tobytes() == want.node_vals.tobytes(), (label, "psi")
+        if s <= 8 or label in ("first cell", "last cell", "tiny"):
+            pool = _VertexPool(cls)
+            want = SquareFunctionEngine(f, quad, lambda ys, ts: pool.sup_rows(hat_rows_per_node(f, ys, ts, 17)))
+            assert intrinsic_engine(f).node_vals.tobytes() == want.node_vals.tobytes(), (label, "lp")
+
+
+@pytest.mark.parametrize("q, nodes_per_box", [(17, 1), (17, 2), (7, 1), (5, 3)])
+def test_hat_rows_match_the_per_node_evaluation_in_any_node_order(q, nodes_per_box, monkeypatch):
+    """Every level's nodes, forwards and backwards, so that a class's first
+    node may sit at either end of the grid, each chunk grouped into classes
+    however small; q - 1 or nodes_per_box not a power of two makes
+    transported centres round, and each such node its own class.  Zeros
+    are compared without their sign: a skipped node is +0 where its
+    contraction may give -0."""
+    monkeypatch.setattr(intrinsic, "_CLASS_FROM", 0)
+    for label, f in support_grids(1, 6).items():
+        levels = []
+        SquareFunctionEngine(f, ConeQuadrature.for_grid(f, nodes_per_box),
+                             lambda ys, ts: levels.append((ys, ts)) or np.zeros(ys.size))
+        for ys, ts in levels:
+            for order in (slice(None), slice(None, None, -1)):
+                got = _hat_rows(f, ys[order], ts[order], q) + 0.0
+                want = hat_rows_per_node(f, ys[order], ts[order], q) + 0.0
+                assert got.tobytes() == want.tobytes(), (label, ts[0], order)
 
 
 def test_shared_pool_nodes_lie_within_their_certified_width():

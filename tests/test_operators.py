@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     dyadic_square_mean_per_level,
+    hilbert_full_kernel,
     hilbert_kernel_direct,
     hilbert_max_per_delta,
     holder_seminorm_per_lag,
@@ -311,6 +312,13 @@ def test_s_psi_zero_and_jump_locality():
     assert np.all(g.values[52:60] == 0.0)
 
 
+@pytest.mark.parametrize("t_levels", [(3, 1), (2, 2)])
+def test_g_psi_rejects_an_empty_t_ladder(t_levels):
+    f = GridFunction(0, 6, RNG.standard_normal(64))
+    with pytest.raises(ValueError, match="t_levels"):
+        g_psi(f, t_levels=t_levels)
+
+
 def test_s_psi_monotone_in_beta():
     f = GridFunction(0, 6, RNG.standard_normal(64))
     s1 = s_psi(f, 1.0).values
@@ -391,12 +399,52 @@ def test_hilbert_max_is_bytewise_the_per_delta_loop(L, s, origin):
     assert hilbert_max(f).values.tobytes() == hilbert_max_per_delta(f).tobytes()
 
 
+def support_inputs(n: int) -> dict[str, np.ndarray]:
+    """Inputs on n cells by the cells their nonzero values span: every cell,
+    the right half (the exponent fits' f), the left half, an interior
+    block of n/2 + 2 cells, two cells, the first or the last cell, none."""
+    full = np.random.default_rng(n).standard_normal(n)
+
+    def only(a, b):
+        v = np.zeros(n)
+        v[a:b] = full[a:b]
+        return v
+
+    return {"full": full, "right half": only(n // 2, n), "left half": only(0, n // 2),
+            "block": only(n // 4, 3 * n // 4 + 2), "two cells": only(3, 5),
+            "first cell": only(0, 1), "last cell": only(n - 1, n), "zero": np.zeros(n)}
+
+
+@pytest.mark.parametrize("L, s", [(0, 6), (0, 12), (1, 11), (0, 13), (1, 12)])
+def test_hilbert_over_the_support_matches_the_whole_kernel(L, s):
+    # 4096 cells and fewer take np.convolve, 8192 an FFT; at 8192 the block
+    # and the two cells need n + m - 1 points, one more than 3 * 2^12 and 2^13
+    for label, vals in support_inputs(2 ** (L + s)).items():
+        f = GridFunction(L, s, vals, origin=-L)
+        h = float(f.cell_width)
+        for delta in (h, 3 * h, 0.3):
+            want = hilbert_full_kernel(f, delta)
+            tol = 1e-14 * np.max(np.abs(want))
+            assert np.max(np.abs(hilbert_truncated(f, delta).values - want)) <= tol, (label, delta)
+            if delta == h:
+                assert np.max(np.abs(hilbert(f).values - want)) <= tol, label
+        want = np.zeros(f.ncells)
+        for delta in truncation_ladder(f):
+            np.maximum(want, np.abs(hilbert_full_kernel(f, float(delta))), out=want)
+        assert np.max(np.abs(hilbert_max(f).values - want)) <= 1e-14 * np.max(want), label
+
+
 def test_hilbert_bound_to_a_grid_is_bytewise_hilbert():
     for s in (6, 13):
         grid = GridFunction(1, s, np.zeros(2 ** (s + 1)), origin=-1)
         op = hilbert_on(grid)
         for _ in range(2):
             f = grid.with_values(RNG.standard_normal(grid.ncells))
+            assert op(f).values.tobytes() == hilbert(f).values.tobytes()
+        # the spectrum kept for one support must not serve another
+        inputs = support_inputs(grid.ncells)
+        f1, f2 = grid.with_values(inputs["right half"]), grid.with_values(inputs["block"])
+        for f in (f1, f2, f1):
             assert op(f).values.tobytes() == hilbert(f).values.tobytes()
     with pytest.raises(ValueError, match="different grids"):
         op(GridFunction(0, 6, np.ones(64)))
@@ -411,8 +459,9 @@ def test_hilbert_max_dominates_every_truncation():
 
 def test_hilbert_rejects_bad_delta():
     f = GridFunction(0, 4, np.ones(16))
-    with pytest.raises(ValueError):
-        hilbert_truncated(f, 0.0)
+    for delta in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            hilbert_truncated(f, delta)
 
 
 def test_fft_and_direct_convolution_agree():
