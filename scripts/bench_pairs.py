@@ -17,8 +17,13 @@ inclusive quartiles of each side, the pairs the change wins, the relative
 change of the medians, whether that gap exceeds the parent's interquartile
 range, and whether it stays within BENCHMARK.json's bound (read as a
 fraction of the parent's median); a metric whose interquartile range
-exceeds that bound on either side is marked unresolved.  Steal time,
-seeds and each side's provenance come from the records.
+exceeds that bound on either side is marked unresolved.  Under
+`diagnostics`, the same summary without a bound is given for
+main_thread_cpu_s, each run's median over its rounds of the CPU time of
+the timed body's own thread: cpu_s also counts the CPU that other threads
+of the process spend in the body, such as an idle BLAS worker spinning
+after numpy's import.  Steal time, seeds and each side's provenance come
+from the records.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
 RECORD_FIELDS = ("attempted", "correct", "failed", "steal_s")
+MAIN_THREAD = "main_thread_cpu_s"  # a diagnostic beside the end-to-end metrics, without a bound
 
 
 def git(*args: str, cwd: Path = ROOT, **kw) -> str:
@@ -66,6 +72,7 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     record = json.loads((tree / line.rsplit("record=", 1)[1]).read_text())
     out = {name: m["value"] for name, m in record["metrics"].items()}
     out.update({k: record[k] for k in RECORD_FIELDS}, rounds=len(record["rounds"]))
+    out[MAIN_THREAD] = statistics.median(r[MAIN_THREAD] for r in record["rounds"])
     return {"result": out, "provenance": record["provenance"]}
 
 
@@ -83,14 +90,14 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarise(pairs: list[dict], metric: dict) -> dict:
-    name, bound = metric["name"], metric["bound"]
+    name, bound = metric["name"], metric.get("bound")
     sign = 1.0 if metric["better"] == "lower" else -1.0
     vals = {side: [p[side][name] for p in pairs] for side in SIDES}
     med = {side: statistics.median(v) for side, v in vals.items()}
     quart = {side: quartiles(v) for side, v in vals.items()}
     iqr = {side: quart[side][1] - quart[side][0] for side in SIDES}
     rel = med["change"] / med["parent"] - 1.0
-    return {
+    out = {
         "pairs": len(pairs),
         "parent_median": med["parent"],
         "change_median": med["change"],
@@ -99,10 +106,11 @@ def summarise(pairs: list[dict], metric: dict) -> dict:
         "change_better_pairs": sum(sign * (p["change"][name] - p["parent"][name]) < 0 for p in pairs),
         "change_vs_parent": rel,
         "median_gap_exceeds_parent_iqr": sign * (med["parent"] - med["change"]) > iqr["parent"],
-        "bound": bound,
-        "within_bound": sign * rel <= bound,
-        "unresolved": any(iqr[side] / med[side] > bound for side in SIDES),
     }
+    if bound is not None:
+        out.update(bound=bound, within_bound=sign * rel <= bound,
+                   unresolved=any(iqr[side] / med[side] > bound for side in SIDES))
+    return out
 
 
 def main() -> int:
@@ -140,13 +148,15 @@ def main() -> int:
                 provenance[side] = {k: v for k, v in run["provenance"].items() if k != "seed"}
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + " ".join(
-                f"{side} cpu_s={pair[side]['cpu_s']:.3f}" for side in SIDES), file=sys.stderr, flush=True)
+                f"{side} cpu_s={pair[side]['cpu_s']:.3f} main={pair[side][MAIN_THREAD]:.3f}" for side in SIDES),
+                file=sys.stderr, flush=True)
         out["workloads"][workload] = {
             "pairs": pairs,
             "provenance": provenance,
             "seeds": seeds,
             "steal_s": {side: sum(p[side]["steal_s"] or 0.0 for p in pairs) for side in SIDES},
             "summary": {m["name"]: summarise(pairs, m) for m in bench["end_to_end"]},
+            "diagnostics": {MAIN_THREAD: summarise(pairs, {"name": MAIN_THREAD, "better": "lower"})},
         }
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sharpwt.gridfn import GridFunction, SortedBlocks, interval_sums, local_sharp_max_dyadic
+from sharpwt.gridfn import GridFunction, SortedBlocks, interval_sums, local_sharp_max_dyadic, prefix_sums
 
 # lambda_n = 1/2^(n+2) in dimension n = 1; configurable, but tests pin 1/8
 LAMBDA_N = Fraction(1, 8)
@@ -164,18 +164,17 @@ def decompose(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
         next_parents = []
         for parent_idx, (pa, pb, m_p, _) in enumerate(current):
             m = pb - pa
-            if m < 2:
+            # floor(lam m): cells permitted above the threshold; with none,
+            # tau is the largest |f - m_P| and no cell lies above it
+            allowed = (lam.numerator * m) // lam.denominator
+            if allowed == 0:
                 continue
             g = np.abs(f.values[pa:pb] - m_p)
-            # floor(lam m): cells permitted above the threshold
-            allowed = (lam.numerator * m) // lam.denominator
-            tau = 0.0 if allowed >= m else float(np.sort(g)[::-1][allowed])
+            tau = float(np.sort(g)[::-1][allowed])  # allowed < m, as lam < 1
             mask = g > tau
             if not mask.any():
                 continue
-            prefix = np.zeros(pb - pa + 1)
-            prefix[1:] = np.cumsum(mask)
-            for a, b in _select_children(prefix, 0, m):
+            for a, b in _select_children(prefix_sums(mask, np.intp), 0, m):
                 a, b = a + pa, b + pa
                 next_gen.append(StopCube(a=a, b=b, osc_coeff=osc_of(a, 2 * (b - a)),
                                          parent_ref=parent_idx))

@@ -40,6 +40,15 @@ def cell_count(level_L: int, resolution_s: int) -> int:
     return 2 ** (level_L + resolution_s)
 
 
+def prefix_sums(values: np.ndarray, dtype=float) -> np.ndarray:
+    """0 followed by the running sums of `values`, added in order and
+    written in place into one array of `dtype`."""
+    prefix = np.empty(values.size + 1, dtype=dtype)
+    prefix[0] = 0
+    np.cumsum(values, out=prefix[1:])
+    return prefix
+
+
 class GridFunction:
     """Step function on [origin, origin + 2^L) with 2^(L+s) cells of width 2^-s."""
 
@@ -105,15 +114,15 @@ class GridFunction:
 
     @cached_property
     def _prefix(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(self.values)))
+        return prefix_sums(self.values)
 
     @cached_property
     def _prefix_abs(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(np.abs(self.values))))
+        return prefix_sums(np.abs(self.values))
 
     @cached_property
     def _nonzero_count(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.values != 0)))
+        return prefix_sums(self.values != 0, np.intp)
 
     def integral_abs(self, a: int, b: int) -> float:
         return float(self.cell_width) * (self._prefix_abs[b] - self._prefix_abs[a])

@@ -11,11 +11,17 @@ the passes stay in cache.  On those grids each w >= 128 also skips every
 block of w / 4 output cells where a prefix-sum bound on each window
 holding it is at most the block's least value so far, so that no window
 of w can raise it; once a length keeps more than 9 blocks in 10, the
-input is dense and the rest of the call runs every chunk.  Max is exact,
-so neither the order, the chunks nor the skipped blocks change a bit of
-the whole-grid pass.  The dyadic square function carries its running sum down the tree, one entry
-per cube, so a level of k cubes costs k additions, not one per cell, and
-every cell still receives its additions in the same order.
+input is dense and the rest of the call runs every chunk.  A pass that
+is not bounded covers only the cells whose windows of w meet f's nonzero
+cells [a, b), [a - w + 1, b + w - 1): any other window averages +0.0,
+which cannot raise |f|.  Max is exact, so neither the order, the chunks
+nor the skipped blocks and cells change a bit of the whole-grid pass.
+
+The dyadic square function carries its running sum down the tree, one
+entry per cube, so a level of k cubes costs k additions, not one per
+cell, and every cell still receives its additions in the same order.  It
+carries only the cubes that meet [a, b): a cube outside it takes its sum
+at once, since every finer term under it is (+-0 - +-0)^2 = +0.0.
 
 Every operator evaluates at cell centers.  Convolutions against the step
 function are exact closed forms (polynomial antiderivatives, log terms), and
@@ -47,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sharpwt.gridfn import GridFunction
+from sharpwt.gridfn import GridFunction, prefix_sums
 from sharpwt.intrinsic import ConeQuadrature, SquareFunctionEngine, _node_cells
 
 
@@ -77,15 +83,18 @@ def _trailing_max(s: np.ndarray, spare: np.ndarray, w: int) -> np.ndarray:
     return cur
 
 
-def _block_averages(prefix: np.ndarray, ln: int, size: int) -> np.ndarray:
-    """Per block of `size` window starts [lo, hi) (the last block is the one
-    start n - ln), the sum over the cells [lo, hi - 1 + ln) that hold every
-    window of the block, divided by ln: at least each window's computed
-    average, since prefix sums of nonnegative cells do not decrease in
-    floating point and subtraction and division round monotonically."""
-    n = prefix.size - 1
-    upper = np.append(prefix[size - 1 + ln :: size], prefix[n])
-    return (upper - prefix[: n - ln + 1 : size]) / ln
+def _block_averages(prefix: np.ndarray, ln: int, size: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Per block [s, min(s + size, hi)) of `size` window starts, s = lo,
+    lo + size, ... below hi (default: every start, so that the last block
+    is the one start n - ln), the sum over the cells
+    [s, min(s + size, hi) - 1 + ln) that hold every window of the block,
+    divided by ln: at least each window's computed average, since prefix
+    sums of nonnegative cells do not decrease in floating point and
+    subtraction and division round monotonically."""
+    if hi is None:
+        hi = prefix.size - ln
+    upper = np.append(prefix[lo + size - 1 + ln : hi - 1 + ln : size], prefix[hi - 1 + ln])
+    return (upper - prefix[lo:hi:size]) / ln
 
 
 def _open_runs(bound: np.ndarray, low: np.ndarray) -> np.ndarray | None:
@@ -119,10 +128,17 @@ def maximal(f: GridFunction) -> GridFunction:
     chunk's part of the whole-grid one.  On those grids each w from
     _BOUND_FROM on also skips the output blocks of w // 4 cells that no
     window of it can raise (`_open_runs`), until a length keeps more than
-    9 blocks in 10; from then on every pass covers the whole grid."""
+    9 blocks in 10.  Every other pass covers the cells
+    [a - w + 1, b + w - 1) around f's nonzero cells [a, b), the only ones
+    a window of w that meets them holds; the rest keep |f| = +0.0, as a
+    window of zeros averages +0.0.  All-zero input returns |f|."""
     out = np.abs(f.values)
+    support = _support(out)
+    if support is None:
+        return f.with_values(out)
+    a, b = support
     n = out.size
-    prefix = np.concatenate(([0.0], np.cumsum(out)))
+    prefix = prefix_sums(out)
     avg = np.empty(n)  # avg[a] = mean of |f| over [a, a+w), -inf past the last window
     spare = np.empty(n)
     bounded = n > 2 * _MAX_CHUNK
@@ -149,7 +165,7 @@ def maximal(f: GridFunction) -> GridFunction:
             low = out.reshape(-1, size).min(axis=1) if low is None else np.repeat(low, 2)
             runs = _open_runs(_block_averages(prefix, w, size), low)
             bounded = runs is not None
-        for r0, r1 in [(0, n)] if runs is None else (runs * size).tolist():
+        for r0, r1 in [(max(a - w + 1, 0), min(b + w - 1, n))] if runs is None else (runs * size).tolist():
             for c0 in range(r0, r1, step):
                 c1 = min(c0 + step, r1)
                 lo = max(c0 - w + 1, 0)  # the first window that holds cell c0
@@ -170,27 +186,50 @@ def dyadic_square(f: GridFunction) -> GridFunction:
 
     The sum is carried down the tree, one entry per cube: a child's is its
     squared difference plus its parent's, so every cell receives the same
-    additions in the same order as a running sum over the cells would."""
+    additions in the same order as a running sum over the cells would.
+    Only the cubes that meet f's nonzero cells [a, b) are carried.  A child
+    outside [a, b) is settled at its own sum, its parent's plus
+    (0 - parent average)^2: every finer term under it is (+-0 - +-0)^2 = +0.0,
+    which leaves a sum of squares unchanged."""
     v = f.values
     n = v.size
+    support = _support(v)
+    if support is None:
+        return f.with_values(np.zeros(n))
+    a, b = support
+    sums = np.empty(n)  # each cell's sum, written when its cube is settled
     acc = np.full(1, float(np.mean(v)) ** 2)
     parent = np.full(1, np.mean(v))
+    j0 = 0  # the first carried cube of the level above
     size = n // 2
     while size >= 1:
+        c0, c1 = a // size, (b - 1) // size + 1  # the cubes of this level that meet [a, b)
+        part = v[c0 * size : c1 * size]
         if size == 1:
-            avg = v  # bitwise the mean of each one-cell row
+            avg = part  # bitwise the mean of each one-cell row
         elif size == 2:
             # bitwise the mean of each pair, without the axis-1 reduction's overhead
-            avg = (v[0::2] + v[1::2]) / 2
+            avg = (part[0::2] + part[1::2]) / 2
         else:
-            avg = v.reshape(n // size, size).mean(axis=1)
-        diff = avg.reshape(-1, 2) - parent[:, None]  # each child minus its parent
+            avg = part.reshape(c1 - c0, size).mean(axis=1)
+        # the carried cubes' children outside [a, b): none or one at each end
+        lead, tail = c0 - 2 * j0, 2 * (j0 + parent.size) - c1
+        child = np.concatenate((np.zeros(lead), avg, np.zeros(tail))) if lead or tail else avg
+        diff = child.reshape(-1, 2) - parent[:, None]  # each child minus its parent
         diff *= diff
         diff += acc[:, None]
-        acc = diff.reshape(-1)
-        parent = avg
+        diff = diff.reshape(-1)
+        if lead:
+            sums[(c0 - 1) * size : c0 * size] = diff[0]
+        if tail:
+            sums[c1 * size : (c1 + 1) * size] = diff[-1]
+        acc = diff[lead : diff.size - tail]
+        parent, j0 = avg, c0
         size //= 2
-    return f.with_values(np.sqrt(acc))
+    np.sqrt(sums[:a], out=sums[:a])
+    np.sqrt(acc, out=sums[a:b])
+    np.sqrt(sums[b:], out=sums[b:])
+    return f.with_values(sums)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ block [lo, hi), and their prefix-sum difference over ln
 carried through the same expression and times 1 + 1e-12, bounds every
 window's computed value: prefix sums of positive cells do not decrease in
 floating point, subtraction, division and the product round
-monotonically, and the slack covers the few ulps of `**`.
+monotonically, and the slack covers the few ulps of `**`.  Nothing in
+this needs the block to be one of a fixed partition, so from length 1024
+on (blocks of at least 128 starts) each run of surviving blocks is bounded
+again, by the same expression over sub-blocks of ln // 64 starts, and only
+the sub-blocks whose bound is not below the best value so far are
+evaluated.  The lengths up to 512 are not re-bounded: on lognormal
+weights their sub-blocks break the runs into many short slices, each a
+pass of its own, and cost more than they save.
 
 Up to length 64 a block holds 64 starts, and a window of ln <= 64 cells
 (65 would do) that starts in it lies in that block of 64 cells and the
@@ -58,13 +65,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sharpwt.gridfn import GridFunction, cell_count
+from sharpwt.gridfn import GridFunction, cell_count, prefix_sums
 from sharpwt.operators import _block_averages, _trailing_max
 
 _FUJII_CHUNK = 1 << 17  # float64 entries per (positions x slice) chunk of chopped rows, ~1 MB
 _AP_CHUNK = 1 << 15  # window starts per pass of ap_characteristic, two 256 KB buffers
 _POW_SLACK = 1.0 + 1e-12  # a few ulps of `**` in a block bound
 _SHORT_BLOCK = 64  # window starts per block, and the longest length, bounded by cell peaks
+_REBOUND_FROM = 16  # fewest starts per sub-block when a surviving run of blocks is bounded again
 _UNIT = 2.0**-53  # unit roundoff of float64
 _ROUND_UP = 1.0 + 16 * _UNIT  # (1 + u)^2 of a window average, and the roundings of the bound's own base
 
@@ -134,13 +142,7 @@ class Weight:
         return self.values ** (-1.0 / (p - 1.0))
 
     def sigma_prefix(self, p: float) -> np.ndarray:
-        return _prefix_sums(self.sigma_values(p))
-
-
-def _prefix_sums(values: np.ndarray) -> np.ndarray:
-    prefix = np.zeros(values.size + 1)
-    np.cumsum(values, out=prefix[1:])
-    return prefix
+        return prefix_sums(self.sigma_values(p))
 
 
 def _dyadic_lengths(ncells: int):
@@ -164,7 +166,9 @@ def ap_characteristic(w: Weight, p: float, sigma: np.ndarray | None = None) -> f
     its block of highest bound; up to it, blocks are bounded by their
     largest cells.  Each then skips every block whose bound lies below the
     best value so far, and evaluates each run of consecutive surviving
-    blocks as one slice (see the module docstring).
+    blocks as one slice, or, where its blocks hold 8 _REBOUND_FROM starts
+    or more, bounds the run again by blocks of an eighth the size and
+    evaluates the runs of those that survive (see the module docstring).
     """
     if not 1 < p < np.inf:
         raise ValueError("A_p requires a finite p > 1")
@@ -177,7 +181,7 @@ def ap_characteristic(w: Weight, p: float, sigma: np.ndarray | None = None) -> f
             raise ValueError(f"sigma needs {w.ncells} cell values, got shape {sigma.shape}")
         if not (sigma.min() > 0 and sigma.max() < np.inf):  # both are NaN if a value is
             raise ValueError("sigma values must be positive and finite")
-    ps = _prefix_sums(sigma)
+    ps = prefix_sums(sigma)
     n = w.ncells
     e = p - 1.0
     buf_w, buf_s = np.empty(min(n, _AP_CHUNK)), np.empty(min(n, _AP_CHUNK))
@@ -198,16 +202,31 @@ def ap_characteristic(w: Weight, p: float, sigma: np.ndarray | None = None) -> f
             m = np.maximum(m, np.max(avg_w))
         return m
 
-    def surviving_max(ln: int, size: int, bound: np.ndarray, m):
-        """m raised by every run of consecutive blocks of `size` starts
-        whose bound is not below the best value so far (a NaN bound keeps
-        its block)."""
+    def block_bound(ln: int, size: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Per block of `size` starts of [lo, hi), a bound on the value of
+        each of its windows (see the module docstring)."""
+        return _block_averages(pw, ln, size, lo, hi) * _block_averages(ps, ln, size, lo, hi) ** e * _POW_SLACK
+
+    def surviving_runs(ln: int, size: int, bound: np.ndarray, m, lo: int = 0) -> list[tuple[int, int]]:
+        """The starts [a0, a1) of each run of consecutive blocks of `size`
+        starts from lo whose bound is not below the best value so far (a
+        NaN bound keeps its block)."""
         keep = ~(bound < max(best, m))
-        flips = np.flatnonzero(np.diff(keep, prepend=False, append=False))
-        for k0, k1 in zip(flips[::2].tolist(), flips[1::2].tolist()):
-            # np.maximum keeps a NaN, so a length with a NaN window counts
-            # for nothing, as np.max and max() make it in the dense loop
-            m = np.maximum(m, window_max(ln, k0 * size, min(k1 * size, n - ln + 1)))
+        flips = np.flatnonzero(np.diff(keep, prepend=False, append=False)).tolist()
+        return [(lo + k0 * size, min(lo + k1 * size, n - ln + 1)) for k0, k1 in zip(flips[::2], flips[1::2])]
+
+    def surviving_max(ln: int, size: int, bound: np.ndarray, m, rebound: bool = False):
+        """m raised by the windows of every surviving run of blocks.  With
+        `rebound`, a run is bounded again by blocks of size // 8 starts,
+        and only the runs of those that survive are evaluated."""
+        for a0, a1 in surviving_runs(ln, size, bound, m):
+            runs = [(a0, a1)]
+            if rebound:
+                runs = surviving_runs(ln, size // 8, block_bound(ln, size // 8, a0, a1), m, a0)
+            for b0, b1 in runs:
+                # np.maximum keeps a NaN, so a length with a NaN window counts
+                # for nothing, as np.max and max() make it in the dense loop
+                m = np.maximum(m, window_max(ln, b0, b1))
         return m
 
     if n > _AP_CHUNK:  # the lengths up to _SHORT_BLOCK are bounded by their largest cells
@@ -219,11 +238,11 @@ def ap_characteristic(w: Weight, p: float, sigma: np.ndarray | None = None) -> f
             best = max(best, float(window_max(ln, 0, n - ln + 1)))
         elif ln > _SHORT_BLOCK:
             size = ln // 8
-            bound = _block_averages(pw, ln, size) * _block_averages(ps, ln, size) ** e * _POW_SLACK
+            bound = block_bound(ln, size)
             top = int(np.argmax(bound))
             m = window_max(ln, top * size, min((top + 1) * size, n - ln + 1))
             bound[top] = -np.inf  # its windows are in m
-            best = max(best, float(surviving_max(ln, size, bound, m)))
+            best = max(best, float(surviving_max(ln, size, bound, m, rebound=size // 8 >= _REBOUND_FROM)))
         else:
             bw, bs = ((peak + 2.0 * err / ln) * _ROUND_UP for peak, err in zip(peaks, errs))
             bound = (bw * bs**e * _POW_SLACK)[: -(-(n - ln + 1) // _SHORT_BLOCK)]

@@ -194,6 +194,53 @@ def test_maximal_in_small_chunks_matches_the_window_enumeration(chunk, bound_fro
     assert got == want.tobytes()
 
 
+def supported_values(rng, n, a, b, kind):
+    """Values on n cells, nonzero only in [a, b) (except where `kind` makes
+    a cell of it 0), signed zeros elsewhere."""
+    vals = np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0)
+    inner = {"normal": rng.standard_normal(b - a), "cauchy": rng.standard_cauchy(b - a),
+             "spike": np.zeros(b - a), "holes": np.where(rng.uniform(size=b - a) < 0.5, -0.0, 1.0)}[kind]
+    inner[0] = inner[-1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)  # the support's end cells
+    vals[a:b] = inner
+    return vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunk=st.integers(1, 40), bound_from=st.sampled_from([8, 32, operators._BOUND_FROM]),
+       s=st.integers(0, 9), kind=st.sampled_from(["normal", "cauchy", "spike", "holes", "zero"]),
+       data=st.data())
+def test_maximal_over_the_support_matches_the_whole_grid_pass(chunk, bound_from, s, kind, data):
+    # supports [a, b) of any placement, a one-cell spike among them, and
+    # -0.0 or +0.0 outside; a small chunk sends small grids down every path
+    n = 2**s
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(a + 1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0) if kind == "zero" else supported_values(rng, n, a, b, kind)
+    f = GridFunction(0, s, vals, origin=-1)
+    for patch in (False, True):
+        with mock.patch.object(operators, "_MAX_CHUNK", chunk if patch else operators._MAX_CHUNK), \
+                mock.patch.object(operators, "_BOUND_FROM", bound_from if patch else operators._BOUND_FROM):
+            assert maximal(f).values.tobytes() == maximal_whole_grid(f).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["normal", "spike", "holes"])
+def test_maximal_over_an_unaligned_support_above_two_chunks(kind):
+    # 2^17 cells: the bounded passes, their fallback and the chunks, with a
+    # support whose ends lie inside blocks and chunks
+    rng = np.random.default_rng(["normal", "spike", "holes"].index(kind))
+    n = 2**17
+    for a, b in ((12345, 12346), (12345, 98765), (0, 5), (n - 7, n), (3, n - 1)):
+        f = GridFunction(0, 17, supported_values(rng, n, a, b, kind))
+        assert maximal(f).values.tobytes() == maximal_whole_grid(f).tobytes()
+
+
+def test_maximal_of_zero_returns_the_absolute_values():
+    f = GridFunction(0, 6, np.where(np.arange(64) % 3 == 0, -0.0, 0.0))
+    out = maximal(f).values
+    assert out.tobytes() == np.zeros(64).tobytes() == maximal_whole_grid(f).tobytes()
+
+
 def trailing_max_oracle(s, w):
     rows = s.reshape(-1, s.shape[-1])
     out = [[row[max(0, x - w + 1) : x + 1].max() for x in range(row.size)] for row in rows]
@@ -255,6 +302,27 @@ def test_dyadic_square_matches_the_mean_per_level_bytewise(L, s):
                  signed_zeros, subnormal, mixed):
         f = GridFunction(L, s, vals, origin=-L)
         assert dyadic_square(f).values.tobytes() == dyadic_square_mean_per_level(f).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.integers(0, 10), kind=st.sampled_from(["normal", "cauchy", "spike", "holes", "zero"]),
+       data=st.data())
+def test_dyadic_square_over_the_support_matches_the_mean_per_level(s, kind, data):
+    # unaligned supports [a, b), zero prefixes and suffixes of -0.0 and
+    # +0.0, a one-cell spike, -0.0 cells inside, and all-zero input
+    n = 2**s
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(a + 1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0) if kind == "zero" else supported_values(rng, n, a, b, kind)
+    f = GridFunction(0, s, vals, origin=-1)
+    assert dyadic_square(f).values.tobytes() == dyadic_square_mean_per_level(f).tobytes()
+
+
+def test_dyadic_square_over_the_fit_support_matches_the_mean_per_level():
+    for name in ("sd-p3", "sd-p1.5"):
+        for f in fit_inputs(name):
+            assert dyadic_square(f).values.tobytes() == dyadic_square_mean_per_level(f).tobytes()
 
 
 # ---- psi kernel ----

@@ -110,8 +110,10 @@ def test_decompose_matches_per_call_construction(case):
     d = decompose(f, root)
     assert tree_bytes(d) == tree_bytes(decompose_per_call(f, root))
     assert verify_decomposition(f, d)["passed"]
-    d4 = decompose(f, root, Fraction(1, 4))
-    assert tree_bytes(d4) == tree_bytes(decompose_per_call(f, root, Fraction(1, 4)))
+    # a parent of fewer than 1/lam cells, floor(lam |P|) = 0, is skipped
+    # before its threshold is taken; the oracle takes it and selects nothing
+    for lam in (Fraction(1, 4), Fraction(1, 3)):
+        assert tree_bytes(decompose(f, root, lam)) == tree_bytes(decompose_per_call(f, root, lam))
 
 
 @pytest.mark.parametrize("kind", ["normal", "tied", "singular"])

@@ -152,12 +152,13 @@ def test_ap_matches_dense_loop_on_fit_weights():
         check_ap_matches_dense_loop(w, p)
 
 
-def _one_cell_short(prefix, ln, size):
-    """_block_averages over [lo, hi - 2 + ln): each block's last window loses its last cell."""
-    starts = prefix.size - ln
-    lo = np.arange(0, starts, size)
-    hi = np.minimum(lo + size, starts)
-    return (prefix[hi - 2 + ln] - prefix[lo]) / ln
+def _one_cell_short(prefix, ln, size, lo=0, hi=None):
+    """_block_averages over [s, e - 2 + ln) for each block [s, e) of the
+    starts [lo, hi): each block's last window loses its last cell."""
+    hi = prefix.size - ln if hi is None else hi
+    s = np.arange(lo, hi, size)
+    e = np.minimum(s + size, hi)
+    return (prefix[e - 2 + ln] - prefix[s]) / ln
 
 
 def _own_block_max(values):
@@ -184,6 +185,62 @@ def test_a_bound_one_cell_short_fails_the_dense_loop_test(monkeypatch):
 def test_a_pair_max_without_the_next_block_fails_the_dense_loop_test(monkeypatch):
     monkeypatch.setattr(weights, "_pair_max", _own_block_max)
     assert_the_stress_property_fails()
+
+
+@st.composite
+def decoy_weights(draw):
+    """A weight whose largest window is not in the block of highest bound,
+    so that it is found only through the re-bounded sub-blocks: a 1e6 cell
+    and a 1e-6 cell ln - 1 apart, the window that holds both starting
+    first or last in its sub-block of size // 8 starts, and a decoy pair
+    1.5e6 and 1 / 1.5e6 in another block, more than ln apart, whose block
+    bound is higher but whose windows are lower, those of length 2 ln that
+    hold both included.  With `_REBOUND_FROM` patched to 2
+    the lengths from 2 _SHORT_BLOCK on are re-bounded."""
+    s = draw(st.integers(10, 13))
+    n = 2**s
+    ln = 2 ** draw(st.integers(weights._SHORT_BLOCK.bit_length(), s - 3))  # 2 _SHORT_BLOCK .. n / 8
+    size = ln // 8
+    sub = size // 8
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = np.exp(0.1 * rng.standard_normal(n))
+    blocks = (n - ln) // size  # at least 56
+    k_true = draw(st.integers(0, blocks - 1))
+    k_decoy = k_true + 20 if k_true + 20 < blocks else k_true - 20  # 2.5 ln apart
+    a = k_true * size + draw(st.integers(0, 7)) * sub + draw(st.sampled_from([0, sub - 1]))
+    vals[a], vals[a + ln - 1] = draw(st.permutations([1e6, 1e-6]))
+    d = k_decoy * size
+    vals[d], vals[d + ln + size // 2] = draw(st.permutations([1.5e6, 1 / 1.5e6]))
+    return Weight(GridFunction(0, s, vals))
+
+
+@settings(max_examples=120, deadline=None)
+@given(decoy_weights(), st.sampled_from([1.5, 2.0]), st.sampled_from([2, weights._REBOUND_FROM]))
+def test_ap_matches_dense_loop_where_only_a_sub_block_holds_the_max(w, p, rebound_from):
+    with mock.patch.object(weights, "_REBOUND_FROM", rebound_from):
+        check_ap_matches_dense_loop(w, p)
+
+
+def _one_cell_short_in_a_run(prefix, ln, size, lo=0, hi=None):
+    """_block_averages one cell short where it bounds the sub-blocks of a
+    run of starts, but not over all the starts of a length."""
+    return (_one_cell_short if hi is not None else _BLOCK_AVERAGES)(prefix, ln, size, lo, hi)
+
+
+_BLOCK_AVERAGES = weights._block_averages
+
+
+def test_a_sub_block_bound_one_cell_short_fails_the_decoy_test(monkeypatch):
+    monkeypatch.setattr(weights, "_block_averages", _one_cell_short_in_a_run)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None, report_multiple_bugs=False)
+    @given(decoy_weights(), st.sampled_from([1.5, 2.0]))
+    def mutant_run(w, p):
+        with mock.patch.object(weights, "_REBOUND_FROM", 2):
+            check_ap_matches_dense_loop(w, p)
+
+    with pytest.raises(AssertionError):
+        mutant_run()
 
 
 # constant weights whose prefix sums round by more than _POW_SLACK relative
