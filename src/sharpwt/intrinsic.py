@@ -313,44 +313,6 @@ def _node_cells(f: GridFunction, edges: np.ndarray, lo: np.ndarray, hi: np.ndarr
         yield kept[part], idx, vals
 
 
-def _hat_diffs(edges: np.ndarray, idx: np.ndarray, z: np.ndarray, wh: np.ndarray, banded: bool) -> np.ndarray:
-    """np.diff(_hat_cdf((edges[idx][:, None, :] - z[:, :, None]) / wh[:, None, None]), axis=2):
-    per node and hat, the CDF differences over the node's cells.
-
-    A hat's CDF is 0 at every edge left of its support and 1 right of it,
-    so its differences there are 0.0 - 0.0 = 1.0 - 1.0 = +0.0.  Each hat's
-    CDF is therefore evaluated only on a band of columns: its support's
-    edges by arithmetic on the uniform edges (idx[:, c] is idx[:, 0] + c,
-    clamped at the last edge), two more on each side, and the band's
-    differences go into a tensor of zeros.  The CDF of a computed xi does
-    not decrease along the edges, so a CDF of 0 at a band's first edge (or
-    a band at column 0) and of 1 at its last (or a band at the last column)
-    shows that every column outside it is +0.0, and the tensor is the dense
-    one bit for bit; otherwise, where the band is not less than half the
-    columns, or without `banded`, the dense one is computed."""
-    last = idx.shape[1] - 1
-    scale = wh[:, None, None]
-
-    def dense():
-        return np.diff(_hat_cdf((edges[idx][:, None, :] - z[:, :, None]) / scale), axis=2)
-
-    if not banded:
-        return dense()
-    h, rel = edges[1] - edges[0], z - edges[idx[:, :1]]                           # rel: (n, q)
-    lo = np.floor((rel - wh[:, None]) / h) - 2
-    band = int(np.max(np.ceil((rel + wh[:, None]) / h) + 2 - lo)) + 1
-    if 2 * band > last + 1:
-        return dense()
-    start = np.clip(lo, 0, last + 1 - band).astype(np.intp)
-    cols = start[:, :, None] + np.arange(band)                                    # (n, q, band)
-    cdf = _hat_cdf((edges[np.minimum(idx[:, :1, None] + cols, edges.size - 1)] - z[:, :, None]) / scale)
-    if not (((cdf[..., 0] == 0) | (start == 0)) & ((cdf[..., -1] == 1) | (start == last + 1 - band))).all():
-        return dense()
-    out = np.zeros((idx.shape[0], z.shape[1], last))
-    np.put_along_axis(out, cols[..., :-1], np.diff(cdf, axis=2), axis=2)
-    return out
-
-
 def _exact_difference(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Whether d, the rounded x - y, is exact: Knuth's two-sum error of
     x + (-y) is zero."""
@@ -372,12 +334,11 @@ def _hat_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray, q: int) -> np.nda
     nodes_per_box powers of two); a node whose z - e rounds is a class of
     its own.  The contraction, the one the per-node evaluation runs, takes
     the C-contiguous gather of the class CDF differences: a matmul whose
-    stack is strided along the cells rounds differently.  Each hat's CDF is
-    evaluated on its band of columns only (`_hat_diffs`).  A chunk whose
+    stack is strided along the cells rounds differently.  A chunk whose
     tensor holds fewer than _CLASS_FROM floats is evaluated node by node,
-    each node its own class, and on every column: there (with q = 17 and
-    one node per box, on grids of 2^7 cells or fewer) finding the classes
-    and the bands costs more than the CDFs it saves."""
+    each node its own class: there (with q = 17 and one node per box, on
+    grids of 2^7 cells or fewer) finding the classes costs more than the
+    CDFs it saves."""
     h_node = 2.0 / (q - 1)
     wh = ts * h_node
     u = np.linspace(-1.0, 1.0, q)
@@ -386,8 +347,7 @@ def _hat_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray, q: int) -> np.nda
     for part, idx, vals in _node_cells(f, edges, ys - ts - wh, ys + ts + wh, q):
         z_centers = ys[part, None] - ts[part, None] * u                         # (n, q)
         rep = cls = slice(None)
-        large = idx.size * q >= _CLASS_FROM
-        if large:
+        if idx.size * q >= _CLASS_FROM:
             first = edges[idx[:, :1]]
             # the class key: t, the clamp (a code of its own for an inexact node), z - e
             key = np.empty((part.size, q + 2))
@@ -397,7 +357,8 @@ def _hat_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray, q: int) -> np.nda
                                  idx[:, -1] - idx[:, 0], -1 - np.arange(part.size))
             _, rep, cls = np.unique(key.view(np.dtype((np.void, key.shape[1] * 8))).ravel(),
                                     return_index=True, return_inverse=True)
-        diffs = _hat_diffs(edges, idx[rep], z_centers[rep], wh[part[rep]], large)[cls]  # (n, q, width)
+        xi = (edges[idx[rep]][:, None, :] - z_centers[rep][:, :, None]) / wh[part[rep], None, None]
+        diffs = np.diff(_hat_cdf(xi), axis=2)[cls]                              # (n, q, width)
         out[part] = h_node * (diffs @ vals[:, :, None])[:, :, 0]
     return out
 
@@ -559,7 +520,7 @@ def g_alpha(f: GridFunction, alpha: float = 0.5, q: int = 17, beta: float = 1.0,
     return intrinsic_engine(f, alpha, q, nodes_per_box, mode).g_cone(beta)
 
 
-def g_tilde(f: GridFunction, alpha: float = 0.5, nodes_per_box: int = 1,
-            q: int = 17, mode: str = "lp") -> GridFunction:
+def g_tilde(f: GridFunction, alpha: float = 0.5, q: int = 17, nodes_per_box: int = 1,
+            mode: str = "lp") -> GridFunction:
     """Carleson-box variant: sum over boxes of gamma_Q^2 chi_3Q."""
     return intrinsic_engine(f, alpha, q, nodes_per_box, mode).g_tilde()

@@ -198,8 +198,9 @@ def dyadic_square(f: GridFunction) -> GridFunction:
         return f.with_values(np.zeros(n))
     a, b = support
     sums = np.empty(n)  # each cell's sum, written when its cube is settled
-    acc = np.full(1, float(np.mean(v)) ** 2)
-    parent = np.full(1, np.mean(v))
+    m = np.mean(v)
+    acc = np.full(1, float(m) ** 2)
+    parent = np.full(1, m)
     j0 = 0  # the first carried cube of the level above
     size = n // 2
     while size >= 1:
@@ -328,9 +329,12 @@ class _WideConvolution:
     entries `taps` that they reach from the n outputs are convolved:
     np.convolve up to 4096 cells, a zero-padded numpy FFT above, over the
     shortest 2^j or 3 * 2^j points that hold the outputs and keep the
-    circular wrap-around before the first of them.  Each side enters
-    through `values` or `kernel`, so a side shared by several convolutions
-    is sliced and transformed once."""
+    circular wrap-around before the first of them.  The direct sum stays
+    up to 4096 cells because it keeps exact zeros where the kernel does
+    not reach f's support; the FFT leaves values near 1e-17 there, which
+    `test_s_psi_zero_and_jump_locality` rejects already at 64 cells.  Each
+    side enters through `values` or `kernel`, so a side shared by several
+    convolutions is sliced and transformed once."""
 
     def __init__(self, n: int, k: int, support: tuple[int, int]):
         a, b = support
@@ -399,8 +403,8 @@ def g_psi(f: GridFunction, t_levels: tuple[int, int] | None = None) -> GridFunct
         raise ValueError("t_levels (k_top, k_bot) must have k_top < k_bot")
     acc = np.zeros(f.ncells)
     ln2 = np.log(2.0)
-    for k in range(k_top, k_bot):  # octave [2^-k-1?, ...): t in [2^-k-1 .. ]
-        t = float(np.sqrt(2.0) * 0.5**(k + 1))  # log-midpoint of [2^-(k+1), 2^-k)
+    for k in range(k_top, k_bot):  # the octave [2^-(k+1), 2^-k) of t
+        t = float(np.sqrt(2.0) * 0.5**(k + 1))  # its log-midpoint
         conv = psi_convolve_grid(f, t)
         acc += conv * conv * ln2
     return f.with_values(np.sqrt(acc))

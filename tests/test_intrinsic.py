@@ -540,6 +540,14 @@ def test_g_tilde_matches_box_loop_bytewise(mode, nodes_per_box):
         assert eng.g_tilde().values.tobytes() == g_tilde_oracle(eng).tobytes(), (f.level_L, f.origin)
 
 
+def test_g_tilde_takes_q_before_nodes_per_box_as_the_engine_does():
+    """Positional arguments mean the same in g_tilde as in intrinsic_engine
+    and g_alpha: alpha, then q, then nodes_per_box."""
+    f = GridFunction(0, 5, np.random.default_rng(21).standard_normal(32))
+    got = g_tilde(f, 0.5, 17, 1)
+    assert got.values.tobytes() == intrinsic_engine(f, 0.5, 17, 1).g_tilde().values.tobytes()
+
+
 def test_g_tilde_double_summation_identity():
     f = GridFunction(0, 6, RNG.standard_normal(64))
     eng = intrinsic_engine(f)
