@@ -93,8 +93,10 @@ class PowerWeightSpec:
         if self.coeff <= 0:
             raise ValueError("coefficient must be positive")
 
-    def cell_averages(self, edges: np.ndarray) -> np.ndarray:
-        avg = power_cell_averages(edges, self.exponent, self.center)
+    def cell_averages(self, edges: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The exact cell averages between consecutive edges, written into
+        `out` when it is given."""
+        avg = power_cell_averages(edges, self.exponent, self.center, out)
         avg *= self.coeff
         return avg
 
@@ -338,21 +340,27 @@ def weighted_lp_norm(f: GridFunction, w: Weight, p: float) -> float:
     return float(np.sum(np.abs(f.values) ** p * w.values) * h) ** (1.0 / p)
 
 
-def power_cell_averages(edges: np.ndarray, a: float, center: float = 0.0) -> np.ndarray:
+def power_cell_averages(edges: np.ndarray, a: float, center: float = 0.0,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Exact cell averages of |x - center|^a (a > -1) between consecutive edges.
 
     Cells straddling the singularity get the exact finite average, so power
-    weights stay resolution-honest near the origin.
-    """
+    weights stay resolution-honest near the origin.  `out`, one float per
+    cell, receives the averages.  At center 0 the edges are u itself.
+    np.copysign gives an edge u = -0.0 the term -0.0 where negating at
+    u < 0 gave +0.0; between increasing edges that moves no average, since
+    the terms beside it are at most -0.0 on its left and at least +0.0 on
+    its right, and a difference with either zero is then the same."""
     if a <= -1:
         raise ValueError("|x|^a is locally integrable only for a > -1")
-    u = np.asarray(edges, dtype=float) - center
+    edges = np.asarray(edges, dtype=float)
+    u = edges - center if center else edges
     anti = np.abs(u)
     anti **= a + 1.0
-    np.negative(anti, out=anti, where=u < 0)  # sign(u) |u|^(a+1)
+    np.copysign(anti, u, out=anti)  # sign(u) |u|^(a+1)
     anti /= a + 1.0
-    avg = np.diff(anti)
-    avg /= np.diff(edges)
+    avg = np.subtract(anti[1:], anti[:-1], out=out)
+    avg /= np.subtract(edges[1:], edges[:-1], out=anti[:-1])
     return avg
 
 

@@ -14,8 +14,9 @@ member `HolderKernel`; the psi Hölder seminorm as one pass per lag; the maximal
 with one whole-grid pass per length; the dyadic square function with one
 mean(axis=1) per level and its sum carried in every cell; the exponent
 fit's ladder point with every power-family closed form evaluated on the
-whole grid, its A_p dual formed by Weight.sigma_values; and the q = 5
-Hölder-class supremum on an exhaustive lattice."""
+whole grid, its A_p dual formed by Weight.sigma_values; the power
+family's cell averages with the sign of u applied by a masked negation;
+and the q = 5 Hölder-class supremum on an exhaustive lattice."""
 
 import functools
 import math
@@ -369,6 +370,20 @@ def extremal_pair_full_grid(spec, grid: GridFunction, edges: np.ndarray, delta: 
     f = grid.with_values(vals)
     w_axis = w_eval if not dual else power(-(1 - delta))
     return f, w_eval, p_eval, w_axis, w_axis.sigma_values(p)
+
+
+def power_cell_averages_masked(edges: np.ndarray, a: float, center: float = 0.0) -> np.ndarray:
+    """Exact cell averages of |x - center|^a between consecutive edges, with
+    u = edges - center, sign(u) |u|^(a+1) negated where u < 0, and the
+    differences of the edges taken afresh."""
+    u = np.asarray(edges, dtype=float) - center
+    anti = np.abs(u)
+    anti **= a + 1.0
+    np.negative(anti, out=anti, where=u < 0)
+    anti /= a + 1.0
+    avg = np.diff(anti)
+    avg /= np.diff(edges)
+    return avg
 
 
 def exponent_experiment_full_grid(spec) -> FitResult:

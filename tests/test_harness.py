@@ -274,10 +274,12 @@ def test_free_ladder_has_a_point_whose_exponents_differ_by_rounding():
     assert -((1 - delta) * (p - 1)) / (p - 1) != delta - 1
 
 
-def _mirror_one_cell_off(half):
+def _mirror_one_cell_off(cells):
     """Each negative cell but the one next to the singularity reads the
     positive cell one nearer to it than its mirror image."""
-    return np.concatenate([half[-2::-1], half[:1], half])
+    mid = cells.size // 2
+    half = cells[mid:]
+    cells[:mid] = np.concatenate([half[-2::-1], half[:1]])
 
 
 def test_a_mirror_one_cell_off_fails_the_oracle_test(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ap_characteristic_dense
+from oracles import ap_characteristic_dense, power_cell_averages_masked
 
 import sharpwt.weights as weights
 from sharpwt.gridfn import GridFunction
@@ -312,6 +312,38 @@ def test_power_cell_averages_exact_near_origin():
     # int |x|^(1/2) over [-1/4, 0) = (1/4)^(3/2) / (3/2)
     assert avg[0] == pytest.approx((0.25**1.5 / 1.5) / 0.25, rel=1e-13)
     assert avg[2] == pytest.approx((0.5**1.5 - 0.25**1.5) / 1.5 / 0.25, rel=1e-13)
+
+
+def _power_grids():
+    """The edges of the corpus grids, the scans' refined grid and the
+    frozen fits' grid of 2^19 cells on [-1, 1)."""
+    for L, s, origin in ((0, 6, 0), (0, 7, 0), (1, 18, -1)):
+        yield GridFunction(L, s, np.zeros(2 ** (L + s)), origin=origin).cell_edges()
+
+
+@pytest.mark.parametrize("a", [-1 + 2**-1.5, -1.0 / 3.0, -0.25, 0.0, 0.5, 1.5, 400.0])
+def test_power_cell_averages_is_bytewise_the_masked_negation(a):
+    # a = 400 underflows the cells near the centre to zeros, whose sign the
+    # bytes compare; centres on the zero edge, of either sign, and off the
+    # grid's edges on both sides of it, where the differences of u = edges -
+    # centre round apart from those of the edges, then on an edge and
+    # between two edges
+    for edges in _power_grids():
+        n = edges.size - 1
+        centres = (0.0, -0.0, 1 / 3, -0.3, -0.7, 1e-300, float(edges[n // 3]), float(edges[n // 3] + edges[n // 3 + 1]) / 2)
+        for c in centres if n < 2**19 else centres[:4]:
+            want = power_cell_averages_masked(edges, a, c).tobytes()
+            assert power_cell_averages(edges, a, c).tobytes() == want, c
+            out = np.full(n, np.nan)
+            got = power_cell_averages(edges, a, c, out)
+            assert got is out and out.tobytes() == want, c
+
+
+def test_power_cell_averages_underflow_to_zero_on_both_sides_of_an_edge_centre():
+    # so that the bytewise test above compares the signs of zero cells
+    edges = next(_power_grids())
+    avg = power_cell_averages(edges, 400.0, float(edges[20]))
+    assert np.all(avg[12:28] == 0.0) and avg[0] > 0 and avg[-1] > 0
 
 
 def test_ainfty_constant_weight():
