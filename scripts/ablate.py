@@ -25,7 +25,7 @@ was faster in at least PAYS_FROM of the ROUNDS pairs and its median gap
 exceeds the interquartile range of both sides.  The same summary of the
 page faults is kept under `diagnostics`; `pays` does not read it.  A row
 that pays on no workload is listed under `retirement_candidates`.  Exits 1
-when a row is stale or changes an output.  A full run takes about 8
+when a row is stale or changes an output.  A full run takes about 9
 minutes on a 2-vCPU machine.  It is not part of Tier-1, like `perfbench`.
 """
 
@@ -92,6 +92,13 @@ ROWS = (
     ("sigma pass-through", "harness.py",
      'return {"w": w_axis, "sigma": None if sigma is None else cells.full(sigma)}',
      'return {"w": w_axis}'),
+    ("child medians on demand", "decomp.py",
+     "                next_parents.append((a, b))\n",
+     "                next_parents.append((a, b))\n"
+     "                median_of(a, b - a)\n"),
+    ("child walk on Python ints", "decomp.py",
+     "prefix_sums(mask, np.intp).tolist()",
+     "prefix_sums(mask, np.intp)"),
 )
 
 

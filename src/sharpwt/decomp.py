@@ -13,10 +13,14 @@ than assumed.
 Every median and oscillation coefficient the construction needs is a block
 of the root's dyadic grid, so `decompose` reads them from one
 `gridfn.SortedBlocks` table of the root: each block size sorted once, one
-vector per size.  `gridfn.median` and `gridfn.local_osc` give the same
-numbers one cube per call and stay as the public per-call oracle.  The
-sums over stopping cubes, A_gamma and the verifier's sum of oscillation
-coefficients, go through `gridfn.interval_sums`.
+vector per size.  A child's median is read only once the child is processed
+as a parent with floor(lambda|P|) >= 1; a smaller child can have no
+children, and its median would go unused.  The walk that selects a parent's
+children reads the mask's prefix counts as Python ints.  `gridfn.median`
+and `gridfn.local_osc` give the same numbers one cube per call and stay as
+the public per-call oracle.  The sums over stopping cubes, A_gamma and the
+verifier's sum of oscillation coefficients, go through
+`gridfn.interval_sums`.
 """
 
 from __future__ import annotations
@@ -114,9 +118,10 @@ class Decomposition:
         )
 
 
-def _select_children(mask_prefix: np.ndarray, pa: int, pb: int) -> list[tuple[int, int]]:
+def _select_children(mask_prefix: list[int], pa: int, pb: int) -> list[tuple[int, int]]:
     """Maximal proper dyadic subranges of [pa, pb) where the masked set has
-    density > 1/2."""
+    density > 1/2; `mask_prefix` is the mask's prefix counts as a list of
+    Python ints, so the walk's subtractions stay off numpy scalars."""
     out = []
     if pb - pa < 2:
         return out
@@ -124,7 +129,7 @@ def _select_children(mask_prefix: np.ndarray, pa: int, pb: int) -> list[tuple[in
     stack = [(pa, mid), (mid, pb)]
     while stack:
         a, b = stack.pop()
-        cnt = int(mask_prefix[b] - mask_prefix[a])
+        cnt = mask_prefix[b] - mask_prefix[a]
         if 2 * cnt > b - a:
             out.append((a, b))
         elif b - a > 1 and cnt > 0:
@@ -158,27 +163,27 @@ def decompose(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
 
     root_median = median_of(a0, b0 - a0)
     generations: list[list[StopCube]] = []
-    current = [(a0, b0, root_median, -1)]
+    current = [(a0, b0)]
     while True:
         next_gen: list[StopCube] = []
         next_parents = []
-        for parent_idx, (pa, pb, m_p, _) in enumerate(current):
+        for parent_idx, (pa, pb) in enumerate(current):
             m = pb - pa
             # floor(lam m): cells permitted above the threshold; with none,
             # tau is the largest |f - m_P| and no cell lies above it
             allowed = (lam.numerator * m) // lam.denominator
             if allowed == 0:
                 continue
-            g = np.abs(f.values[pa:pb] - m_p)
+            g = np.abs(f.values[pa:pb] - median_of(pa, m))
             tau = float(np.sort(g)[::-1][allowed])  # allowed < m, as lam < 1
             mask = g > tau
             if not mask.any():
                 continue
-            for a, b in _select_children(prefix_sums(mask, np.intp), 0, m):
+            for a, b in _select_children(prefix_sums(mask, np.intp).tolist(), 0, m):
                 a, b = a + pa, b + pa
                 next_gen.append(StopCube(a=a, b=b, osc_coeff=osc_of(a, 2 * (b - a)),
                                          parent_ref=parent_idx))
-                next_parents.append((a, b, median_of(a, b - a), parent_idx))
+                next_parents.append((a, b))
         if not next_gen:
             break
         generations.append(next_gen)
@@ -186,12 +191,12 @@ def decompose(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
     # sparse sets: children of other parents cannot enter Q_j^k, so
     # |E_j^k| = |Q_j^k| - sum of own children
     for k, gen in enumerate(generations):
-        child_cells = np.zeros(len(gen), dtype=int)
+        child_cells = [0] * len(gen)
         if k + 1 < len(generations):
             for sc in generations[k + 1]:
                 child_cells[sc.parent_ref] += sc.ncells
         for j, sc in enumerate(gen):
-            sc.e_cells = sc.ncells - int(child_cells[j])
+            sc.e_cells = sc.ncells - child_cells[j]
     return Decomposition(f, (a0, b0), root_median, lam, generations)
 
 

@@ -171,18 +171,21 @@ def test_criterion_1_dyadic_geometry(report):
 def test_criterion_2_decomposition_corpus(report):
     t0 = time.monotonic()
     rng = np.random.default_rng(20211)
-    worst_slack, fails = -np.inf, 0
+    worst_slack, fails, cubes, max_generations = -np.inf, 0, 0, 0
     for trial in range(1000):
         f = GridFunction(0, 10, rng.standard_normal(1024))
         d = decompose(f)
         rep = verify_decomposition(f, d, tol=1e-9)
         worst_slack = max(worst_slack, rep["i_pointwise"]["worst_slack"])
+        cubes += rep["n_cubes"]
+        max_generations = max(max_generations, rep["n_generations"])
         if not rep["passed"]:
             fails += 1
     elapsed = time.monotonic() - t0
     ok = fails == 0 and elapsed < 300.0
     report("criterion 2 (Theorem-4.1 decomposition, 1000 fns)", ok, elapsed,
-           fails=fails, worst_i_slack=float(worst_slack), seed=20211, resolution_s=10)
+           fails=fails, worst_i_slack=float(worst_slack), cubes=cubes, max_generations=max_generations,
+           seed=20211, resolution_s=10)
     assert ok
 
 

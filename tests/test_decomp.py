@@ -1,14 +1,19 @@
 """Stopping-time decomposition: construction examples, the four verified
-properties, sparse sets, and the averaging operator's direct-sum oracle."""
+properties, sparse sets, the child walk against its dense oracle, which
+medians the construction reads, and the averaging operator's direct-sum
+oracle."""
 
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sharpwt.decomp import Decomposition, a_gamma, decompose, verify_decomposition
-from sharpwt.gridfn import GridFunction
+from oracles import dense_children
+from sharpwt.decomp import Decomposition, _select_children, a_gamma, decompose, verify_decomposition
+from sharpwt.gridfn import GridFunction, SortedBlocks, prefix_sums
 
 RNG = np.random.default_rng(99)
 
@@ -84,6 +89,59 @@ def test_osc_coeff_is_on_dyadic_parent():
         size2 = 2 * sc.ncells
         qa = (sc.a // size2) * size2
         assert sc.osc_coeff == local_osc(f, (qa, qa + size2), Fraction(1, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(0, 10), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from((0.0, 0.2, 0.45, 0.55, 0.8, 1.0)), runs=st.booleans())
+def test_select_children_matches_dense_oracle(k, seed, density, runs):
+    # cellwise masks, or runs of equal cells between cuts at any cell,
+    # mostly off the dyadic grid; density >= 1/2 starts the runs masked
+    rng = np.random.default_rng(seed)
+    m = 2**k
+    if runs:
+        cuts = np.sort(rng.integers(0, m + 1, size=6))
+        mask = (np.searchsorted(cuts, np.arange(m), side="right") % 2 == 1) ^ (density >= 0.5)
+    else:
+        mask = rng.random(m) < density
+    assert _select_children(prefix_sums(mask, np.intp).tolist(), 0, m) == dense_children(mask)
+
+
+def singular_corpus_values(rng, n):
+    """Cell averages of |x - c|^a, a in (-0.9, -0.2), plus 0.1 noise, as in
+    the benchmark's decomposition corpus; trees nest several generations."""
+    edges = np.arange(n + 1) / n
+    a, c = float(rng.uniform(-0.9, -0.2)), int(rng.integers(n)) / n
+    u = edges - c
+    anti = np.sign(u) * np.abs(u) ** (a + 1.0) / (a + 1.0)
+    return np.diff(anti) * n + 0.1 * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)])
+@pytest.mark.parametrize("kind", ["normal", "singular"])
+def test_child_medians_only_for_parents_with_room(monkeypatch, kind, lam):
+    """A cube's median is read only when it is processed as a parent, that
+    is when floor(lam |P|) >= 1; the root's is read in any case."""
+    asked = []
+    medians = SortedBlocks.medians
+
+    def spy(self, size):
+        asked.append(size)
+        return medians(self, size)
+
+    monkeypatch.setattr(SortedBlocks, "medians", spy)
+    rng = np.random.default_rng([23, len(kind), lam.denominator])
+    n, child_sizes = 1024, set()
+    for _ in range(20):
+        values = rng.standard_normal(n) if kind == "normal" else singular_corpus_values(rng, n)
+        f = GridFunction(0, 10, values)
+        asked.clear()
+        d = decompose(f)
+        assert asked[0] == n
+        assert all((lam.numerator * size) // lam.denominator >= 1 for size in asked[1:]), asked
+        child_sizes.update(sc.ncells for _, _, sc in d.all_cubes())
+    # the property is not vacuous: some children were too small to be parents
+    assert any((lam.numerator * size) // lam.denominator == 0 for size in child_sizes)
 
 
 def test_a_gamma_empty_and_single_cube():
