@@ -11,9 +11,9 @@ is reported as stale and not run.  Then, for ROUNDS rounds, on every
 BENCHMARK.json workload, one fresh process per side (the baseline first in
 even rounds, the row first in odd ones) makes the workload's inputs from
 seed round + 1 with the copied perfbench/workload.py, runs its timed body
-once with OPENBLAS_NUM_THREADS=1, and reports the body's process CPU, its
-minor page faults (ru_minflt) and a digest of every output: the body's
-return value and the files it emits.
+once with OPENBLAS_NUM_THREADS=1, and reports the body's process CPU and
+a digest of every output: the body's return value and the files it
+emits.
 A row is bit-identical when each of its digests equals the baseline's of
 the same round.
 
@@ -22,11 +22,11 @@ scripts/bench_pairs.py, in ms of CPU, with the row's edit as the parent
 (the fast path off) and the baseline as the change (the fast path on),
 the extra CPU of the median with the path off, and `pays`: the baseline
 was faster in at least PAYS_FROM of the ROUNDS pairs and its median gap
-exceeds the interquartile range of both sides.  The same summary of the
-page faults is kept under `diagnostics`; `pays` does not read it.  A row
-that pays on no workload is listed under `retirement_candidates`.  Exits 1
-when a row is stale or changes an output.  A full run takes about 9
-minutes on a 2-vCPU machine.  It is not part of Tier-1, like `perfbench`.
+exceeds the interquartile range of both sides.  A row that pays on no
+workload is listed under `retirement_candidates`.  Exits 1 when a row is
+stale or changes an output.  A full run takes about 9 minutes on a 2-vCPU
+machine.  It is not part of Tier-1, like `perfbench`; tests/test_ledger.py
+checks in Tier-1 that every row still applies.
 """
 
 from __future__ import annotations
@@ -134,8 +134,6 @@ def child(name: str, seed: int, work: Path) -> None:
     """One process in a copied tree: one round of one workload, printed as
     one JSON line."""
     sys.path.insert(0, str(Path.cwd() / "perfbench"))
-    import resource
-
     import workload  # the copy, which puts the copy's src/ first on sys.path
 
     import sharpwt
@@ -143,19 +141,16 @@ def child(name: str, seed: int, work: Path) -> None:
     make_inputs, body, _check = workload.WORKLOADS[name]
     inp = make_inputs(seed)
     rnd = workload.Round()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.process_time()
     outputs = body(inp, rnd, work)
     cpu_ms = (time.process_time() - start) * 1e3
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     if rnd.failures:
         raise RuntimeError("\n".join(rnd.failures))
     h = hashlib.sha256()
     _feed(h, outputs)
     for path in sorted(work.iterdir()):
         _feed(h, (path.name, path.read_bytes()))
-    print(json.dumps({"src": str(Path(sharpwt.__file__).parent), "cpu_ms": cpu_ms, "minflt": faults,
-                      "digest": h.hexdigest()}))
+    print(json.dumps({"src": str(Path(sharpwt.__file__).parent), "cpu_ms": cpu_ms, "digest": h.hexdigest()}))
 
 
 def run_side(tree: Path, name: str, seed: int, work: Path) -> dict:
@@ -198,7 +193,7 @@ def ablate(row: tuple, workloads: list[str], base: Path, off: Path, work: Path) 
             for side in (("change", "parent") if r % 2 == 0 else ("parent", "change")):
                 sides[side] = run_side(base if side == "change" else off, wl, r + 1, work)
             pairs.append(sides)
-        summary, faults = (summarise(pairs, {"name": name, "better": "lower"}) for name in ("cpu_ms", "minflt"))
+        summary = summarise(pairs, {"name": "cpu_ms", "better": "lower"})
         iqr = max(hi - lo for lo, hi in (summary["parent_quartiles"], summary["change_quartiles"]))
         gap = summary["parent_median"] - summary["change_median"]
         same = all(p["parent"]["digest"] == p["change"]["digest"] for p in pairs)
@@ -207,10 +202,9 @@ def ablate(row: tuple, workloads: list[str], base: Path, off: Path, work: Path) 
         if pays:
             result["pays_on"].append(wl)
         result["workloads"][wl] = {"extra_ms": round(gap, 1), "pays": pays, "identical": same,
-                                   "summary": summary, "diagnostics": {"minflt": faults}}
+                                   "summary": summary}
         print(f"{name} / {wl}: extra {gap:+.1f} ms, IQR {iqr:.1f} ms, baseline faster in "
-              f"{summary['change_better_pairs']} of {ROUNDS}, minor faults {faults['parent_median']:.0f} off, "
-              f"{faults['change_median']:.0f} on", file=sys.stderr, flush=True)
+              f"{summary['change_better_pairs']} of {ROUNDS}", file=sys.stderr, flush=True)
     return result
 
 
@@ -232,8 +226,7 @@ def main(argv=None) -> int:
         "git_describe": describe,
         "rounds": ROUNDS,
         "method": "per workload, ROUNDS alternating pairs of fresh processes, one body each, seeds 1..ROUNDS; "
-                  "summaries in ms of process CPU (and, as a diagnostic, minor page faults) from "
-                  "scripts/bench_pairs.py, with parent = the row's edit "
+                  "summaries in ms of process CPU from scripts/bench_pairs.py, with parent = the row's edit "
                   "(fast path off) and change = the baseline (fast path on); quartiles are inclusive",
         "retirement_candidates": [r["row"] for r in results if not r["stale"] and not r["pays_on"]],
         "rows": results,

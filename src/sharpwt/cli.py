@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ from sharpwt.harness import (
     OPERATOR_REGISTRY,
     SCANS,
     ExperimentSpec,
+    _write_report,
     emit,
     exponent_experiment,
     ratio_scan,
@@ -99,13 +101,6 @@ def _read(ap, args, flags, reads, who: str) -> dict:
     if unread:
         ap.error(f"{who} does not read {' '.join(unread)}")
     return given
-
-
-def _write_csv_function(g: GridFunction, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,value\n")
-        for x, v in g.to_csv_rows():
-            fh.write(f"{x!r},{v!r}\n")
 
 
 REPORT_OUT = "report path; JSON if it ends in .json, else CSV"
@@ -239,11 +234,8 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
     elif args.command == "decompose":
         f = _parse_fn(ap, args)
         d = decompose(f)
-        payload = d.to_json()
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_report(args.out, d.to_json())
         rep = verify_decomposition(f, d)
         print(f"generations={len(d.generations)} cubes={rep['n_cubes']} verified={rep['passed']}")
         if not rep["passed"]:
@@ -265,7 +257,7 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
         f = _parse_fn(ap, args)
         g = op(f, **cone)
         if args.out:
-            _write_csv_function(g, args.out)
+            _write_report(args.out, itertools.chain(["x,value"], (f"{x!r},{v!r}" for x, v in g.to_csv_rows())))
         print(f"{args.op}: n={g.ncells} min={g.values.min():.6g} max={g.values.max():.6g}")
 
     elif args.command == "ap":

@@ -143,10 +143,6 @@ class GridFunction:
             obj["level_L"], obj["resolution_s"], obj["values"], Fraction(obj["origin"])
         )
 
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
     @staticmethod
     def load(path) -> "GridFunction":
         with open(path) as fh:

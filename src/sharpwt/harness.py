@@ -563,36 +563,39 @@ def ratio_scan(lemma: str, seed: int = 0, resolution_s: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def emit(result, path: str) -> str:
-    """Write a FitResult or ScanReport: a JSON document with the full report
-    when path ends in .json, else CSV rows plus a '#'-prefixed footer."""
+def _write_report(path: str, report) -> str:
+    """Write `report` to path: a dict as JSON (indent 2, sorted keys), any
+    other iterable as lines of text, one at a time; each ends in a newline.
+    An OSError names the path."""
+    lines = [json.dumps(report, indent=2, sort_keys=True)] if isinstance(report, dict) else report
     try:
-        if path.endswith(".json"):
-            payload = result.to_json()
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        elif isinstance(result, FitResult):
-            lines = ["delta,ap_char,ratio,log_ap,log_ratio"]
-            for q in result.points:
-                lines.append(f"{q.delta!r},{q.ap_char!r},{q.ratio!r},{q.log_ap!r},{q.log_ratio!r}")
-            lines.append(f"# slope={result.slope!r} intercept={result.intercept!r} r2={result.r2!r}")
-            s = result.spec
-            lines.append(f"# spec: op={s.operator} p={s.p!r} s={s.resolution_s} L={s.level_L} "
-                         f"family={s.weight_family}")
-            flagged = [q.delta for q in result.points if q.flagged]
-            if flagged:
-                lines.append(f"# flagged (first-cell share > 10%): {flagged!r}")
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        else:
-            lines = ["case,ratio_base,ratio_refined"]
-            for c in result.cases:
-                lines.append(f"{c.label},{c.ratio_base!r},{c.ratio_refined!r}")
-            lines.append(f"# lemma={result.lemma} max={result.max_base!r} drift={result.drift!r} "
-                         f"argmax={result.argmax} passed={result.passed}")
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+        with open(path, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
     return path
+
+
+def emit(result, path: str) -> str:
+    """Write a FitResult or ScanReport: a JSON document with the full report
+    when path ends in .json, else CSV rows plus a '#'-prefixed footer."""
+    if path.endswith(".json"):
+        return _write_report(path, result.to_json())
+    if isinstance(result, FitResult):
+        lines = ["delta,ap_char,ratio,log_ap,log_ratio"]
+        for q in result.points:
+            lines.append(f"{q.delta!r},{q.ap_char!r},{q.ratio!r},{q.log_ap!r},{q.log_ratio!r}")
+        lines.append(f"# slope={result.slope!r} intercept={result.intercept!r} r2={result.r2!r}")
+        s = result.spec
+        lines.append(f"# spec: op={s.operator} p={s.p!r} s={s.resolution_s} L={s.level_L} "
+                     f"family={s.weight_family}")
+        flagged = [q.delta for q in result.points if q.flagged]
+        if flagged:
+            lines.append(f"# flagged (first-cell share > 10%): {flagged!r}")
+    else:
+        lines = ["case,ratio_base,ratio_refined"]
+        for c in result.cases:
+            lines.append(f"{c.label},{c.ratio_base!r},{c.ratio_refined!r}")
+        lines.append(f"# lemma={result.lemma} max={result.max_base!r} drift={result.drift!r} "
+                     f"argmax={result.argmax} passed={result.passed}")
+    return _write_report(path, lines)

@@ -37,8 +37,9 @@ them takes 3n/2 points, and a full support still takes 2n.
 Every truncated Hilbert kernel on a grid comes from one table of the logs
 of its cell edges, log((j + 1/2) h): a cell's log difference, or the log of
 delta for the cell that holds it, bitwise what the per-cell sum of the two
-pieces gives.  `hilbert_on` builds the kernel and its spectrum once for
-every run of functions on one grid with one support, and
+pieces gives.  `hilbert_truncated` builds one `_HilbertConvolution` per
+call; the one `hilbert_on` returns serves every function on its grid and
+builds the kernel and its spectrum once per run of one support.
 `hilbert_max` transforms f once and builds each truncation's kernel from
 one table.
 
@@ -462,24 +463,27 @@ def _support(values: np.ndarray) -> tuple[int, int] | None:
 
 
 class _HilbertConvolution:
-    """values -> the truncated transform at delta of the step function with
-    those values on `grid`'s cells, convolving only the cells from the
-    first nonzero one to the last.  The spectrum of the kernel entries
-    that range reaches is kept for the last range seen; another range
-    builds the kernel again, so that it is not held between calls."""
+    """f -> the truncated transform at delta of a step function f on
+    `grid`'s cells, convolving only the cells from f's first nonzero one to
+    the last.  The spectrum of the kernel entries that range reaches is
+    kept for the last range seen; another range builds the kernel again,
+    so that it is not held between calls."""
 
     def __init__(self, grid: GridFunction, delta: float):
-        self.n, self.h, self.delta = grid.ncells, float(grid.cell_width), delta
+        self.n, self.width, self.delta = grid.ncells, grid.cell_width, delta
         self.support = self.conv = self.kernel_t = None
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        support = _support(values)
+    def __call__(self, f: GridFunction) -> GridFunction:
+        if f.ncells != self.n or f.cell_width != self.width:
+            raise ValueError("function and bound operator live on different grids")
+        support = _support(f.values)
         if support is None:
-            return np.zeros(values.size)
+            return f.with_values(np.zeros(self.n))
         if support != self.support:
+            h = float(self.width)
             self.support, self.conv = support, _WideConvolution(self.n, 2 * self.n + 1, support)
-            self.kernel_t = self.conv.kernel(_hilbert_kernel(_log_table(self.n, self.h), self.h, self.delta))
-        return self.conv(self.conv.values(values), self.kernel_t)
+            self.kernel_t = self.conv.kernel(_hilbert_kernel(_log_table(self.n, h), h, self.delta))
+        return f.with_values(self.conv(self.conv.values(f.values), self.kernel_t))
 
 
 def hilbert_truncated(f: GridFunction, delta) -> GridFunction:
@@ -487,7 +491,7 @@ def hilbert_truncated(f: GridFunction, delta) -> GridFunction:
     delta = float(delta)
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
-    return f.with_values(_HilbertConvolution(f, delta)(f.values))
+    return _HilbertConvolution(f, delta)(f)
 
 
 def hilbert(f: GridFunction) -> GridFunction:
@@ -495,17 +499,10 @@ def hilbert(f: GridFunction) -> GridFunction:
     return hilbert_truncated(f, float(f.cell_width))
 
 
-def hilbert_on(grid: GridFunction):
+def hilbert_on(grid: GridFunction) -> _HilbertConvolution:
     """`hilbert` for functions on `grid`'s cells, with the kernel and its
     spectrum built once per run of calls on one support."""
-    conv = _HilbertConvolution(grid, float(grid.cell_width))
-
-    def apply(f: GridFunction) -> GridFunction:
-        if f.ncells != grid.ncells or f.cell_width != grid.cell_width:
-            raise ValueError("function and bound operator live on different grids")
-        return f.with_values(conv(f.values))
-
-    return apply
+    return _HilbertConvolution(grid, float(grid.cell_width))
 
 
 def hilbert_max(f: GridFunction) -> GridFunction:

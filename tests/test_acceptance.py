@@ -175,7 +175,7 @@ def test_criterion_2_decomposition_corpus(report):
     for trial in range(1000):
         f = GridFunction(0, 10, rng.standard_normal(1024))
         d = decompose(f)
-        rep = verify_decomposition(f, d, tol=1e-9)
+        rep = verify_decomposition(f, d)
         worst_slack = max(worst_slack, rep["i_pointwise"]["worst_slack"])
         cubes += rep["n_cubes"]
         max_generations = max(max_generations, rep["n_generations"])
@@ -271,7 +271,8 @@ def test_criterion_4_sandwich(report):
     # on any interval wider than _WIDTH_TOL * max|c|
     widest = max(eng.widest_interval for eng in engines)
     report("criterion 4 (Lemma 5.1 sandwich, 50 fns, s=8)", ok, time.monotonic() - t0,
-           left=worst_left, right=worst_right, widest_interval=widest, seed=51, resolution_s=8)
+           left=worst_left, right=worst_right, widest_interval=widest, engine_builds=len(engines),
+           quadrature_nodes=sum(eng.node_vals.size for eng in engines), seed=51, resolution_s=8)
     assert ok
 
 
@@ -286,6 +287,7 @@ def test_criterion_5_lp_oracles(report):
     cls5 = _holder_class(0.5, 5)
     cls17 = _holder_class(0.5, 17)
     worst5, ncases = 0.0, 0
+    lp_solves = 0  # objectives with a nonzero interior coefficient: the rows the simplex solves
     for _ in range(24):
         vals = np.zeros(64)
         vals[int(rng.integers(0, 64))] = 1.0
@@ -295,6 +297,7 @@ def test_criterion_5_lp_oracles(report):
         if tol == 0:
             continue
         ncases += 1
+        lp_solves += bool(c[1:-1].any())
         worst5 = max(worst5, abs(cls5.lp_sup(c) - lattice_sup_q5(c, 0.5)) - tol)
     worst_dict, widest = -np.inf, 0.0
     for _, f in corpus_functions(seed=56, resolution_s=6, n_random=10):
@@ -306,12 +309,13 @@ def test_criterion_5_lp_oracles(report):
             # interval can be read; the pool raises on one too wide
             pool = _VertexPool(cls17)
             lp = float(pool.sup_rows(c[None, :])[0])
+            lp_solves += bool(c[1:-1].any())
             widest = max(widest, pool.widest)
             worst_dict = max(worst_dict, cls17.dict_sup(c) - lp)
     ok = worst5 <= 0 and ncases >= 10 and worst_dict <= 1e-9
     report("criterion 5 (LP vs lattice oracle; dictionary <= LP)", ok, time.monotonic() - t0,
            lattice_excess=worst5, lattice_cases=ncases, dict_minus_lp=worst_dict,
-           widest_interval=widest, seed=55, corpus_seed=56, resolution_s=6)
+           widest_interval=widest, lp_solves=lp_solves, seed=55, corpus_seed=56, resolution_s=6)
     assert ok
 
 

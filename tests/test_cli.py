@@ -106,6 +106,18 @@ def test_cli_decompose_verify_roundtrip(tmp_path, capsys):
     assert out.count("pass") >= 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--fn", "random:4", "--res", "4"],
+    ["apply", "--op", "maximal", "--fn", "random:4", "--res", "4"],
+])
+def test_cli_unwritable_out_names_the_path(argv, tmp_path, capsys):
+    out = tmp_path / "no" / "dir" / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"cannot write report to {out}" in capsys.readouterr().err
+
+
 def test_cli_apply_operator(tmp_path, capsys):
     out = tmp_path / "mf.csv"
     rc = main(["apply", "--op", "maximal", "--fn", "indicator:0:1/2",

@@ -85,7 +85,7 @@ def test_osc_coeff_is_on_dyadic_parent():
 
     f = GridFunction(0, 8, RNG.standard_normal(256))
     d = decompose(f)
-    for _, _, sc in d.all_cubes():
+    for sc in d.all_cubes():
         size2 = 2 * sc.ncells
         qa = (sc.a // size2) * size2
         assert sc.osc_coeff == local_osc(f, (qa, qa + size2), Fraction(1, 8))
@@ -139,7 +139,7 @@ def test_child_medians_only_for_parents_with_room(monkeypatch, kind, lam):
         d = decompose(f)
         assert asked[0] == n
         assert all((lam.numerator * size) // lam.denominator >= 1 for size in asked[1:]), asked
-        child_sizes.update(sc.ncells for _, _, sc in d.all_cubes())
+        child_sizes.update(sc.ncells for sc in d.all_cubes())
     # the property is not vacuous: some children were too small to be parents
     assert any((lam.numerator * size) // lam.denominator == 0 for size in child_sizes)
 
@@ -162,7 +162,7 @@ def a_gamma_oracle(f, d, gamma):
     h = float(f.cell_width)
     edges = f.cell_edges()
     out = np.zeros(f.ncells)
-    for _, _, sc in d.all_cubes():
+    for sc in d.all_cubes():
         lo = float(f.origin) + (sc.a + sc.b) / 2 * h - gamma * (sc.b - sc.a) / 2 * h
         hi = lo + gamma * (sc.b - sc.a) * h
         total = 0.0
