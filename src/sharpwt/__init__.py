@@ -7,7 +7,6 @@ from sharpwt.weights import (
     Weight,
     ainfty_fujii,
     ap_characteristic,
-    ap_characteristic_full,
     power_weight,
     weighted_lp_norm,
 )
@@ -29,7 +28,7 @@ __all__ = [
     "DyadicCube", "RealCube", "companion", "dilate", "family_index",
     "GridFunction", "rearrangement_value", "median",
     "local_osc", "local_sharp_max_dyadic",
-    "Weight", "PowerWeightSpec", "ap_characteristic", "ap_characteristic_full",
+    "Weight", "PowerWeightSpec", "ap_characteristic",
     "ainfty_fujii", "weighted_lp_norm", "power_weight",
     "Decomposition", "StopCube", "decompose", "verify_decomposition", "a_gamma",
     "ConeQuadrature", "g_alpha", "g_tilde", "intrinsic_engine", "intrinsic_engines",

@@ -24,6 +24,7 @@ from sharpwt.harness import (
     ACCEPTANCE_RUNS,
     OPERATOR_REGISTRY,
     SCANS,
+    _WEIGHT_FAMILIES,
     ExperimentSpec,
     _write_report,
     emit,
@@ -88,8 +89,8 @@ def parse_weight(spec: str, level_L: int, resolution_s: int, origin=0) -> Weight
 
 # the exponent fit's spec flags and their defaults; --run fixes the spec, so
 # it rejects every one of them
-EXPONENT_SPEC = {"op": "maximal", "p": 2.0, "deltas": "0.5,0.25,0.125,0.0625",
-                 "res": 8, "L": 1, "family": "buckley", "window": None}
+EXPONENT_SPEC = {"op": "maximal", "p": 2.0, "deltas": "0.5,0.25,0.125,0.0625", "res": 8,
+                 "L": ExperimentSpec.level_L, "family": ExperimentSpec.weight_family, "window": None}
 
 
 def _read(ap, args, flags, reads, who: str) -> dict:
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="an operator that takes --mode fits in dictionary mode", **unset)
     spec.add_argument("--p", type=float, **unset)
     spec.add_argument("--deltas", **unset)
-    spec.add_argument("--family", choices=("buckley", "dual-pair"), **unset)
+    spec.add_argument("--family", choices=_WEIGHT_FAMILIES, **unset)
     spec.add_argument("--window", help="lo,hi slope assertion", **unset)
 
     pr = sub.add_parser("ratio-scan", help="lemma inequality scan over the corpus")

@@ -29,31 +29,8 @@ class DyadicCube:
     def side(self) -> Fraction:
         return Fraction(1, 2**self.level) if self.level >= 0 else Fraction(2**-self.level)
 
-    def lower(self) -> tuple[Fraction, ...]:
-        return tuple(j * self.side for j in self.index)
-
-    def upper(self) -> tuple[Fraction, ...]:
-        return tuple((j + 1) * self.side for j in self.index)
-
     def center(self) -> tuple[Fraction, ...]:
         return tuple((Fraction(2 * j + 1, 2)) * self.side for j in self.index)
-
-    def parent(self) -> "DyadicCube":
-        # floor division keeps negative indices on the lattice
-        return DyadicCube(self.level - 1, tuple(j >> 1 for j in self.index))
-
-    def children(self) -> list["DyadicCube"]:
-        kids = [()]
-        for j in self.index:
-            kids = [t + (2 * j + b,) for t in kids for b in (0, 1)]
-        return [DyadicCube(self.level + 1, t) for t in kids]
-
-    def to_json(self) -> dict:
-        return {"level": self.level, "index": list(self.index)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "DyadicCube":
-        return DyadicCube(int(obj["level"]), tuple(obj["index"]))
 
 
 @dataclass(frozen=True)
@@ -80,13 +57,6 @@ class RealCube:
     def contains(self, other: "RealCube") -> bool:
         return all(a <= c for a, c in zip(self.lower(), other.lower())) and all(
             c <= b for c, b in zip(other.upper(), self.upper())
-        )
-
-    def disjoint(self, other: "RealCube") -> bool:
-        # half-open boxes: touching faces do not intersect
-        return any(
-            b1 <= a2 or b2 <= a1
-            for a1, b1, a2, b2 in zip(self.lower(), self.upper(), other.lower(), other.upper())
         )
 
 

@@ -65,6 +65,11 @@ from sharpwt.weights import (
 # ---------------------------------------------------------------------------
 
 
+# the x-axis weight of a fit is the evaluation weight (buckley) or the
+# p'-family's w'^(1-p) (dual-pair); see _extremal_pair
+_WEIGHT_FAMILIES = ("buckley", "dual-pair")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     operator: str
@@ -72,9 +77,13 @@ class ExperimentSpec:
     deltas: tuple[float, ...]
     resolution_s: int
     level_L: int = 1
-    weight_family: str = "buckley"  # "buckley" | "dual-pair"
+    weight_family: str = "buckley"
 
     def __post_init__(self):
+        if self.operator not in OPERATOR_REGISTRY:
+            raise ValueError(f"unknown operator {self.operator!r}")
+        if self.weight_family not in _WEIGHT_FAMILIES:
+            raise ValueError(f"unknown weight family {self.weight_family!r}; known: {list(_WEIGHT_FAMILIES)}")
         if not 1 < self.p < math.inf:
             raise ValueError("p must be finite and > 1")
         if self.level_L < 1:
@@ -239,8 +248,6 @@ def _operator_on(name: str, grid: GridFunction):
 
 
 def exponent_experiment(spec: ExperimentSpec) -> FitResult:
-    if spec.operator not in OPERATOR_REGISTRY:
-        raise ValueError(f"unknown operator {spec.operator!r}")
     grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(cell_count(spec.level_L, spec.resolution_s)),
                         origin=-(2 ** (spec.level_L - 1)))
     edges = grid.cell_edges()
@@ -330,10 +337,6 @@ def corpus_weights(seed: int = 0, resolution_s: int = 6, n: int = 100) -> list[t
 def refine(f: GridFunction) -> GridFunction:
     """The same step function represented at resolution s + 1."""
     return GridFunction(f.level_L, f.resolution_s + 1, np.repeat(f.values, 2), f.origin)
-
-
-def refine_weight(w: Weight) -> Weight:
-    return Weight(refine(w.base), power=w.power)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +472,7 @@ def _cases_53(seed, s, n):
     cases = []
     for (label, f), (wlabel, w) in zip(fs, ws):
         vals = []
-        for g, wt in ((f, w), (refine(f), refine_weight(w))):
+        for g, wt in ((f, w), (refine(f), Weight(refine(w.base)))):
             d = decompose(g)
             ag = a_gamma(g, d, gamma)
             h = float(g.cell_width)
@@ -517,7 +520,7 @@ def _cases_23(seed, s, n):
 
 def _cases_513(seed, s, n):
     return [ScanCase(label, *(ainfty_fujii(wt) / ap_characteristic(wt, 2.0)
-                              for wt in (w, refine_weight(w))))
+                              for wt in (w, Weight(refine(w.base)))))
             for label, w in corpus_weights(seed, s, n=n)]
 
 

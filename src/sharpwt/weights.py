@@ -3,9 +3,9 @@ the Fujii-Wilson A_infty functional, power-weight families with exact cell
 averages, and weighted L^p norms.
 
 The supremum in every characteristic runs over the fixed test family of
-grid-aligned intervals of dyadic length (2^m cells, any position); the full
-O(N^2) enumeration over all grid intervals is kept available as an oracle
-for small N.
+grid-aligned intervals of dyadic length (2^m cells, any position);
+tests/oracles.py keeps the dense loop over that family, and over all grid
+intervals, as the oracle for small N.
 
 `ap_characteristic` evaluates (avg w)(avg sigma)^(p-1) only where the
 supremum can be.  On grids with more windows of a length than one chunk
@@ -116,6 +116,8 @@ class Weight:
     For a generic weight the dual side is formed cell-wise from the stored
     step values.  A weight declared through a PowerWeightSpec keeps its
     closed form, and the dual-exponent cell averages are then exact as well.
+    Its values must be that closed form's cell averages on the base's grid:
+    the same step values on a finer grid are a generic weight.
     """
 
     def __init__(self, base: GridFunction, power: PowerWeightSpec | None = None):
@@ -142,9 +144,6 @@ class Weight:
             if dual is not None:
                 return dual.cell_averages(self.base.cell_edges())
         return self.values ** (-1.0 / (p - 1.0))
-
-    def sigma_prefix(self, p: float) -> np.ndarray:
-        return prefix_sums(self.sigma_values(p))
 
 
 def _dyadic_lengths(ncells: int):
@@ -267,20 +266,6 @@ def _cumsum_error(prefix: np.ndarray) -> float:
     n = prefix.size - 1
     gamma = n * _UNIT / (1.0 - n * _UNIT)
     return gamma * float(prefix[n]) / (1.0 - gamma)
-
-
-def ap_characteristic_full(w: Weight, p: float) -> float:
-    """O(N^2) oracle: the same supremum over ALL grid-aligned intervals."""
-    if not 1 < p < np.inf:
-        raise ValueError("A_p requires a finite p > 1")
-    pw = w.base._prefix
-    ps = w.sigma_prefix(p)
-    best = 1.0
-    for ln in range(1, w.ncells + 1):
-        avg_w = (pw[ln:] - pw[:-ln]) / ln
-        avg_s = (ps[ln:] - ps[:-ln]) / ln
-        best = max(best, float(np.max(avg_w * avg_s ** (p - 1.0))))
-    return best
 
 
 def ainfty_fujii(w: Weight) -> float:

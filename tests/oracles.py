@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from sharpwt.decomp import LAMBDA_N, Decomposition, StopCube, _integral_abs_interval
-from sharpwt.gridfn import GridFunction, local_osc, median
+from sharpwt.gridfn import GridFunction, local_osc, median, prefix_sums
 from sharpwt.harness import FitPoint, FitResult, _least_squares, _operator_on
 from sharpwt.intrinsic import _NODE_CHUNK, _hat_cdf, _trapezoid_weights
 from sharpwt.operators import PSI, _hilbert_kernel, _log_table, _trailing_max, hilbert_truncated, truncation_ladder
@@ -161,20 +161,20 @@ def local_sharp_ratio_per_cube(g: GridFunction, gt2: np.ndarray) -> float:
     return worst
 
 
-def ap_characteristic_dense(w, p: float) -> float:
+def ap_characteristic_dense(w, p: float, every_length: bool = False) -> float:
     """sup over the test family of (avg_Q w) (avg_Q w^(-1/(p-1)))^(p-1),
-    every window of every dyadic length evaluated."""
+    every window of every dyadic length evaluated; with `every_length`, the
+    same supremum over all grid-aligned intervals, O(N^2)."""
     if p <= 1:
         raise ValueError("A_p requires p > 1")
     pw = w.base._prefix
-    ps = w.sigma_prefix(p)
+    ps = prefix_sums(w.sigma_values(p))
+    lengths = range(1, w.ncells + 1) if every_length else (1 << k for k in range(w.ncells.bit_length()))
     best = 1.0
-    ln = 1
-    while ln <= w.ncells:
+    for ln in lengths:
         avg_w = (pw[ln:] - pw[:-ln]) / ln
         avg_s = (ps[ln:] - ps[:-ln]) / ln
         best = max(best, float(np.max(avg_w * avg_s ** (p - 1.0))))
-        ln *= 2
     return best
 
 

@@ -141,6 +141,7 @@ def test_criterion_1_dyadic_geometry(report):
     groups2: dict[int, list] = {}
     for c in cubes2:
         groups2.setdefault(family_index(c), []).append(c)
+    violations += set(groups2) != set(range(9))  # every family occurs
     for fam, cs in groups2.items():
         boxes = [dilate(c, 3) for c in cs]
         lo = np.array([[float(v) for v in b.lower()] for b in boxes])

@@ -93,18 +93,6 @@ def cubes_2d(level_range=(-3, 3), window=(-2, 2)):
     return out
 
 
-def test_lemma_31_2d_spot():
-    groups: dict[int, list] = {}
-    for c in cubes_2d():
-        groups.setdefault(family_index(c), []).append(c)
-    assert set(groups) == set(range(9))
-    for fam, cubes in groups.items():
-        boxes = [dilate(c, 3) for c in cubes]
-        for i, a in enumerate(boxes):
-            for b in boxes[i + 1 :]:
-                assert a.disjoint(b) or a.contains(b) or b.contains(a)
-
-
 def test_lemma_32_2d_spot():
     for c in cubes_2d((-2, 2), (-1, 1)):
         five = dilate(c, 5)
@@ -142,22 +130,8 @@ def test_dilate_examples():
     assert dilate(wide, 5).upper() == (Fraction(8),)
 
 
-def test_parent_child_roundtrip():
-    for k in (-3, 0, 4):
-        for j in (-5, -1, 0, 7):
-            c = DyadicCube(k, (j,))
-            for child in c.children():
-                assert child.parent() == c
-            assert c.side == 2 * c.children()[0].side
-
-
 def test_companion_rejects_bad_family():
     with pytest.raises(ValueError):
         companion(DyadicCube(0, (0,)), 3)
     with pytest.raises(ValueError):
         companion(DyadicCube(0, (0, 0)), 9)
-
-
-def test_cube_json_roundtrip():
-    c = DyadicCube(-2, (3, -1))
-    assert DyadicCube.from_json(c.to_json()) == c

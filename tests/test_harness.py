@@ -26,6 +26,7 @@ from sharpwt.harness import (
     ratio_scan,
     refine,
 )
+from sharpwt.weights import Weight, ainfty_fujii, ap_characteristic
 
 
 def test_spec_validation():
@@ -35,8 +36,15 @@ def test_spec_validation():
         ExperimentSpec("maximal", 2.0, (0.25, 0.5, 0.125, 0.0625), 8)  # not decreasing
     with pytest.raises(ValueError):
         ExperimentSpec("maximal", 2.0, (0.5, 0.25, 0.125, 0.0625), 8, level_L=0)  # (1/2, 1) off the domain
-    with pytest.raises(ValueError):
-        exponent_experiment(ExperimentSpec("nope", 2.0, (0.5, 0.25, 0.125, 0.0625), 8))
+    with pytest.raises(ValueError, match="unknown operator"):
+        ExperimentSpec("nope", 2.0, (0.5, 0.25, 0.125, 0.0625), 8)
+
+
+@pytest.mark.parametrize("family", ["dual", "Dual-Pair", ""])
+def test_spec_rejects_an_unknown_weight_family(family):
+    # each ran the buckley family: slope 0.33699 on a hilbert p = 3, s = 8 fit
+    with pytest.raises(ValueError, match="unknown weight family"):
+        ExperimentSpec("hilbert", 3.0, (0.5, 0.25, 0.125, 0.0625), 8, weight_family=family)
 
 
 @pytest.mark.parametrize("deltas", [(0.5, np.nan, 0.1, 0.05), (np.inf, 0.5, 0.1, 0.05),
@@ -213,6 +221,21 @@ def test_scan_report_fields():
     assert rep.argmax
     assert rep.max_base > 0
     assert rep.drift == pytest.approx(rep.max_refined / rep.max_base)
+
+
+def test_scans_take_a_refined_power_weights_ap_from_its_step_values():
+    # a refinement that kept the PowerWeightSpec paired the step values with
+    # the exact dual at s + 1: A_2 1.7239 for power-0.50-004 at s = 7 -> 8,
+    # against 1.3331 for the step values
+    rep = ratio_scan("5.13", seed=0, n_random=10)
+    for (label, w), case in zip(corpus_weights(0, 7, n=10), rep.cases):
+        step = Weight(GridFunction(0, 8, np.repeat(w.values, 2)))
+        assert case.ratio_refined == ainfty_fujii(step) / ap_characteristic(step, 2.0), label
+
+
+def test_scan_513_drift_at_criterion_6_settings():
+    # 0.805 while the refined power weights were hybrids
+    assert abs(ratio_scan("5.13", seed=6, n_random=50).drift - 1.0) <= 0.01
 
 
 # ---- one closed form per exponent, mirrored onto the negative half ----

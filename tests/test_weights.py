@@ -18,7 +18,6 @@ from sharpwt.weights import (
     Weight,
     ainfty_fujii,
     ap_characteristic,
-    ap_characteristic_full,
     power_cell_averages,
     power_weight,
     weighted_lp_norm,
@@ -51,8 +50,6 @@ def test_ap_rejects_a_p_that_is_not_finite_and_above_one(p):
     w = power_weight(0, 6, 0.5)
     with pytest.raises(ValueError, match="finite p > 1"):
         ap_characteristic(w, p)
-    with pytest.raises(ValueError, match="finite p > 1"):
-        ap_characteristic_full(w, p)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.3])
@@ -72,7 +69,7 @@ def test_ap_rejects_a_sigma_that_is_not_one_positive_finite_value_per_cell(bad):
 def test_power_weight_matches_full_enumeration():
     w = power_weight(1, 10, 0.5, origin=-1)  # |x|^(1/2) on [-1,1) at s=10
     got = ap_characteristic(w, 2.0)
-    full = ap_characteristic_full(w, 2.0)
+    full = ap_characteristic_dense(w, 2.0, every_length=True)
     assert got <= full + 1e-12
     assert full <= 2.0**2 * got + 1e-12
     # free positioning makes the dyadic-length family nearly exhaustive; the
@@ -280,7 +277,7 @@ def test_restricted_vs_full_within_2p():
         for _ in range(20):
             w = random_weight(32)
             got = ap_characteristic(w, p)
-            full = ap_characteristic_full(w, p)
+            full = ap_characteristic_dense(w, p, every_length=True)
             assert 1.0 - 1e-12 <= full / got <= 2.0**p + 1e-12
 
 
