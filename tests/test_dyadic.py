@@ -93,6 +93,25 @@ def cubes_2d(level_range=(-3, 3), window=(-2, 2)):
     return out
 
 
+def test_lemma_31_2d_spot():
+    groups: dict[int, list] = {}
+    for c in cubes_2d():
+        groups.setdefault(family_index(c), []).append(c)
+    assert set(groups) == set(range(9))
+    violations = 0
+    for fam, cubes in groups.items():
+        boxes = [dilate(c, 3) for c in cubes]
+        # exact in floats: every endpoint is an integer multiple of 2^-4
+        lo = np.array([[float(v) for v in b.lower()] for b in boxes])
+        hi = np.array([[float(v) for v in b.upper()] for b in boxes])
+        disj = np.any(
+            (hi[:, None, :] <= lo[None, :, :]) | (hi[None, :, :] <= lo[:, None, :]), axis=2
+        )
+        a_in_b = np.all((lo[None, :, :] <= lo[:, None, :]) & (hi[:, None, :] <= hi[None, :, :]), axis=2)
+        violations += int(np.sum(~(disj | a_in_b | a_in_b.T)))
+    assert violations == 0
+
+
 def test_lemma_32_2d_spot():
     for c in cubes_2d((-2, 2), (-1, 1)):
         five = dilate(c, 5)
