@@ -1,10 +1,11 @@
 """Who reaches each function of src/sharpwt: Tier-1 tests and benchmark workloads.
 
-    python3 scripts/callers.py [--seed 3]
+    python3 scripts/callers.py
 
-Runs Tier-1 (pytest on tests/) in this process under a `sys.setprofile`
-hook, then builds the inputs of each workload in perfbench/workload.py from
-`--seed` and runs its body once, into a temporary directory.  Every Python
+Needs Python 3.11 or later (`co_qualname`).  Runs Tier-1 (pytest on
+tests/) in this process under a `sys.setprofile` hook, then builds the
+inputs of each workload in perfbench/workload.py from seed `SEED` (3) and
+runs its body once, into a temporary directory.  Every Python
 call into a src/sharpwt file is recorded against the test file whose test
 was running, against `workload:<name>`, or against `(import)` for calls
 made while test modules are collected and import sharpwt.  Calls made in
@@ -12,7 +13,7 @@ subprocesses that tests start (the CLI and fresh-interpreter checks) are
 not seen.  Module caches are cleared before each workload, so that a
 cache filled by a test does not hide the calls a workload makes.
 
-Functions are keyed by file and `co_qualname` (Python 3.11+), not by line,
+Functions are keyed by file and `co_qualname`, not by line,
 since decorators shift `co_firstlineno`; nested functions and
 comprehensions are keyed as their own code objects.
 
@@ -30,7 +31,6 @@ It is not part of Tier-1, like `perfbench` and scripts/ablate.py.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
@@ -41,7 +41,11 @@ import threading
 import types
 from pathlib import Path
 
+if sys.version_info < (3, 11):
+    sys.exit("callers.py needs Python 3.11 or later: it keys functions by co_qualname")
+
 sys.dont_write_bytecode = True
+SEED = 3  # of the workload inputs
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sharpwt"
 sys.path.insert(0, str(ROOT / "src"))
@@ -119,7 +123,7 @@ def run_tier1(rec: CallRecorder, tmp: Path) -> int:
         return int(pytest.main(args, plugins=[ReacherPlugin(rec)]))
 
 
-def run_workloads(rec: CallRecorder, seed: int, tmp: Path) -> dict[str, int]:
+def run_workloads(rec: CallRecorder, tmp: Path) -> dict[str, int]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workload
 
@@ -131,17 +135,14 @@ def run_workloads(rec: CallRecorder, seed: int, tmp: Path) -> dict[str, int]:
         rec.reacher(f"workload:{name}")
         rnd = workload.Round()
         with contextlib.redirect_stdout(sys.stderr):
-            body(make_inputs(seed), rnd, work)
+            body(make_inputs(SEED), rnd, work)
         failed[name] = len(rnd.failures)
         for msg in rnd.failures:
             print(f"workload {name}: {msg}", file=sys.stderr)
     return failed
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=3, help="seed of the workload inputs")
-    args = ap.parse_args(argv)
+def main() -> int:
     describe = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                               capture_output=True, text=True).stdout.strip()
     functions = src_functions()
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
         rec.install()
         try:
             tier1_exit = run_tier1(rec, Path(tmp))
-            failed_ops = run_workloads(rec, args.seed, Path(tmp))
+            failed_ops = run_workloads(rec, Path(tmp))
         finally:
             rec.uninstall()
             os.chdir(here)
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
             own_test_only.append(f"{name}:{qualname}")
     print(json.dumps({
         "commit": describe,
-        "seed": args.seed,
+        "seed": SEED,
         "tier1_exit_code": tier1_exit,
         "workload_failures": failed_ops,
         "functions": {f"{name}:{qualname}": reachers for (name, qualname), reachers in by_function.items()},

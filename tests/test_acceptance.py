@@ -141,7 +141,6 @@ def test_criterion_1_dyadic_geometry(report):
     groups2: dict[int, list] = {}
     for c in cubes2:
         groups2.setdefault(family_index(c), []).append(c)
-    violations += set(groups2) != set(range(9))  # every family occurs
     for fam, cs in groups2.items():
         boxes = [dilate(c, 3) for c in cs]
         lo = np.array([[float(v) for v in b.lower()] for b in boxes])
@@ -334,6 +333,8 @@ def test_criterion_6_ratio_scan(lemma, report, report_dir):
     path = report_dir / f"scan-{lemma.replace('.', '_')}.csv"
     emit(rep, str(path))
     ok = rep.passed and np.isfinite(rep.max_base)
+    # 5.13's drift read 0.805 while the refined power weights were hybrids
+    ok = ok and (lemma != "5.13" or abs(rep.drift - 1.0) <= 0.01)
     report(f"criterion 6 (ratio scan {lemma})", ok, time.monotonic() - t0,
            max=rep.max_base, drift=rep.drift, argmax=rep.argmax, path=str(path),
            seed=rep.seed, resolution_s=rep.resolution_s)

@@ -233,11 +233,6 @@ def test_scans_take_a_refined_power_weights_ap_from_its_step_values():
         assert case.ratio_refined == ainfty_fujii(step) / ap_characteristic(step, 2.0), label
 
 
-def test_scan_513_drift_at_criterion_6_settings():
-    # 0.805 while the refined power weights were hybrids
-    assert abs(ratio_scan("5.13", seed=6, n_random=50).drift - 1.0) <= 0.01
-
-
 # ---- one closed form per exponent, mirrored onto the negative half ----
 
 # p = 4 with delta = 0.6342224535750253 is a ladder point where the dual
