@@ -4,10 +4,13 @@
 
 Needs Python 3.11 or later (`co_qualname`).  Runs Tier-1 (pytest on
 tests/) in this process under a `sys.setprofile` hook, then builds the
-inputs of each workload in perfbench/workload.py from seed `SEED` (3) and
-runs its body once, into a temporary directory.  Every Python
+inputs of each workload in perfbench/workload.py from seed `SEED` (3),
+runs its body once into a temporary directory with perfbench/tracer.py's
+`Tracer` installed, as a traced benchmark round does, and then runs the
+workload's checks.  Every Python
 call into a src/sharpwt file is recorded against the test file whose test
-was running, against `workload:<name>`, or against `(import)` for calls
+was running, against `workload:<name>` (inputs, body, tracer counters and
+checks), or against `(import)` for calls
 made while test modules are collected and import sharpwt.  Calls made in
 subprocesses that tests start (the CLI and fresh-interpreter checks) are
 not seen.  Module caches are cleared before each workload, so that a
@@ -24,8 +27,9 @@ reaches but the unit test of their own module, tests/test_<module>.py, or
 that nothing reaches at all.  Pytest's and the workloads' output goes to
 stderr.  Nothing is written into the repository: the run works in a
 temporary directory, writes no bytecode and turns off pytest's cache.
-Exits 1 when a test or a workload operation failed, since the trace is
-then incomplete.  Takes about 50 seconds on a 2-vCPU machine.
+Exits 1 when a test, a workload operation or a workload check failed
+(each failed check counts as a failed operation), since the trace is then
+incomplete.  Takes about 50 seconds on a 2-vCPU machine.
 It is not part of Tier-1, like `perfbench` and scripts/ablate.py.
 """
 
@@ -126,18 +130,26 @@ def run_tier1(rec: CallRecorder, tmp: Path) -> int:
 def run_workloads(rec: CallRecorder, tmp: Path) -> dict[str, int]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workload
+    from tracer import Tracer
 
     failed = {}
-    for name, (make_inputs, body, _) in workload.WORKLOADS.items():
+    for name, (make_inputs, body, check) in workload.WORKLOADS.items():
         work = tmp / name
         work.mkdir()
         clear_caches()
         rec.reacher(f"workload:{name}")
         rnd = workload.Round()
-        with contextlib.redirect_stdout(sys.stderr):
-            body(make_inputs(SEED), rnd, work)
-        failed[name] = len(rnd.failures)
-        for msg in rnd.failures:
+        inp = make_inputs(SEED)
+        tracer = Tracer()  # its counters call into sharpwt, as in a traced round
+        tracer.install()
+        try:
+            with contextlib.redirect_stdout(sys.stderr):
+                out = body(inp, rnd, work)
+        finally:
+            tracer.uninstall()
+        failures = rnd.failures + check(inp, out)
+        failed[name] = len(failures)
+        for msg in failures:
             print(f"workload {name}: {msg}", file=sys.stderr)
     return failed
 

@@ -450,14 +450,11 @@ class SquareFunctionEngine:
         self.box_k, self.box_j = np.hstack(boxes)
         self.node_ys, self.node_ts, self.node_weights, self.node_vals = np.hstack(nodes)
 
-    def _box_gamma_sq(self) -> np.ndarray:
+    def gamma_sq(self) -> np.ndarray:
+        """gamma_Q^2 of every box, in box_k/box_j order."""
         m = self.quad.nodes_per_box
         terms = self.node_vals**2 * (self.node_weights / self.node_ts**2)
         return terms.reshape(-1, m, m).sum(axis=(1, 2))
-
-    def gamma_sq(self) -> list[tuple[int, int, float]]:
-        """(level k, index j, gamma_Q^2) for every box."""
-        return list(zip(self.box_k.tolist(), self.box_j.tolist(), self._box_gamma_sq().tolist()))
 
     def g_tilde(self) -> GridFunction:
         centers = self.f.cell_centers()
@@ -465,7 +462,7 @@ class SquareFunctionEngine:
         a = np.searchsorted(centers, (self.box_j - 1) * side, "left")
         b = np.searchsorted(centers, (self.box_j + 2) * side, "left")
         keep = b > a
-        acc = interval_sums(self.f.ncells, a[keep], b[keep], self._box_gamma_sq()[keep])
+        acc = interval_sums(self.f.ncells, a[keep], b[keep], self.gamma_sq()[keep])
         return self.f.with_values(np.sqrt(np.maximum(acc, 0.0)))
 
     def g_cone(self, beta: float, closed: bool = False) -> GridFunction:

@@ -296,17 +296,6 @@ class PsiKernel:
 PSI = PsiKernel()
 
 
-def psi_convolve_at(f: GridFunction, y: float, t: float) -> float:
-    """Exact f * psi_t(y) for step f, psi_t(x) = t^-1 psi(x/t)."""
-    edges = f.cell_edges()
-    a = max(int(np.searchsorted(edges, y - t, "right")) - 1, 0)
-    b = min(int(np.searchsorted(edges, y + t, "left")), f.ncells)
-    if b <= a:
-        return 0.0
-    w = PSI.cumulative((y - edges[a : b + 1]) / t)
-    return float(np.dot(f.values[a:b], -np.diff(w)))
-
-
 def psi_convolve_grid(f: GridFunction, t: float) -> np.ndarray:
     """f * psi_t at every cell center, via one translation-invariant kernel."""
     h = float(f.cell_width)
@@ -371,8 +360,8 @@ def _conv_wide(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _psi_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """psi_convolve_at at every node (ys[n], ts[n]), one row-wise dot per
-    chunk of nodes."""
+    """Exact f * psi_t(y) for step f, psi_t(x) = t^-1 psi(x/t), at every node
+    (ys[n], ts[n]), one row-wise dot per chunk of nodes."""
     edges = f.cell_edges()
     out = np.zeros(ys.size)
     for part, idx, vals in _node_cells(f, edges, ys - ts, ys + ts, 1):
@@ -383,7 +372,8 @@ def _psi_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 def psi_engine(f: GridFunction, nodes_per_box: int = 1) -> SquareFunctionEngine:
     """SquareFunctionEngine on f's own quadrature whose node functional is
-    |f * psi_t(y)|, exact per node (psi_convolve_at is the one-node oracle)."""
+    |f * psi_t(y)|, exact per node (tests/oracles.py keeps the one-node
+    oracle, psi_convolve_at)."""
     quad = ConeQuadrature.for_grid(f, nodes_per_box)
     return SquareFunctionEngine(f, quad, lambda ys, ts: np.abs(_psi_rows(f, ys, ts)))
 

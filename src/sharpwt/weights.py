@@ -116,13 +116,23 @@ class Weight:
     For a generic weight the dual side is formed cell-wise from the stored
     step values.  A weight declared through a PowerWeightSpec keeps its
     closed form, and the dual-exponent cell averages are then exact as well.
-    Its values must be that closed form's cell averages on the base's grid:
-    the same step values on a finer grid are a generic weight.
+    So the constructor checks the first, the last and the singular cell
+    against the closed form's average over that cell, to 1e-12 relative:
+    the same step values on a finer grid are a generic weight, and with
+    the spec they raise ValueError.
     """
 
     def __init__(self, base: GridFunction, power: PowerWeightSpec | None = None):
         if np.any(base.values <= 0):
             raise ValueError("weights must be strictly positive")
+        if power is not None:
+            x0, h, n = float(base.origin), float(base.cell_width), base.ncells
+            singular = min(max(int((power.center - x0) // h), 0), n - 1)
+            for i in sorted({0, singular, n - 1}):
+                want = power.cell_averages(x0 + h * np.array([i, i + 1]))[0]
+                if not abs(base.values[i] - want) <= 1e-12 * want:
+                    raise ValueError(f"cell {i} holds {base.values[i]!r}, not {power} "
+                                     f"whose average there is {want!r}")
         self.base = base
         self.power = power
 
@@ -349,8 +359,8 @@ def power_cell_averages(edges: np.ndarray, a: float, center: float = 0.0,
     return avg
 
 
-def power_weight(level_L: int, resolution_s: int, a: float, origin=0, center: float = 0.0) -> Weight:
-    """Weight with exact cell averages of |x - center|^a."""
-    spec = PowerWeightSpec(a, center)
+def power_weight(level_L: int, resolution_s: int, a: float, origin=0) -> Weight:
+    """Weight with exact cell averages of |x|^a."""
+    spec = PowerWeightSpec(a)
     probe = GridFunction(level_L, resolution_s, np.zeros(cell_count(level_L, resolution_s)), origin)
     return Weight(probe.with_values(spec.cell_averages(probe.cell_edges())), power=spec)

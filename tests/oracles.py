@@ -9,7 +9,8 @@ A_p characteristic evaluated at every window of every length; the Hilbert
 kernel summed directly per cell, the truncated transform as one
 convolution of every cell with the whole kernel, and T* as one truncated
 transform per delta; the hat coefficients and psi convolutions of every
-node, each node's hat CDFs evaluated on its own; the feasible Hölder-class
+node, each node's hat CDFs evaluated on its own; the psi engine's
+one-node oracle, f * psi_t(y) at a single point; the feasible Hölder-class
 member `HolderKernel`; the psi Hölder seminorm as one pass per lag; the maximal function
 with one whole-grid pass per length; the dyadic square function with one
 mean(axis=1) per level and its sum carried in every cell; the exponent
@@ -253,6 +254,18 @@ def psi_rows_per_node(f: GridFunction, ys: np.ndarray, ts: np.ndarray) -> np.nda
         cdf = PSI.cumulative((ys[part, None] - edges) / ts[part, None])
         out[part] = np.einsum("ij,ij->i", vals, -np.diff(cdf, axis=1))
     return out
+
+
+def psi_convolve_at(f: GridFunction, y: float, t: float) -> float:
+    """Exact f * psi_t(y) for step f, psi_t(x) = t^-1 psi(x/t): the psi
+    engine's one-node oracle."""
+    edges = f.cell_edges()
+    a = max(int(np.searchsorted(edges, y - t, "right")) - 1, 0)
+    b = min(int(np.searchsorted(edges, y + t, "left")), f.ncells)
+    if b <= a:
+        return 0.0
+    w = PSI.cumulative((y - edges[a : b + 1]) / t)
+    return float(np.dot(f.values[a:b], -np.diff(w)))
 
 
 @dataclass(frozen=True)

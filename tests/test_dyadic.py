@@ -1,4 +1,6 @@
-"""Exhaustive geometry checks for the 3^n-family partition and companions."""
+"""Geometry checks for the 3^n-family partition and companions.  The
+exhaustive 1-D checks of Lemmas 3.1 and 3.2 are criterion 1 of
+tests/test_acceptance.py."""
 
 from fractions import Fraction
 
@@ -6,19 +8,6 @@ import numpy as np
 import pytest
 
 from sharpwt.dyadic import DyadicCube, RealCube, companion, dilate, family_index
-
-
-def intervals_in_window(level_range=(-6, 6), window=(-8, 8)):
-    lo, hi = window
-    out = []
-    for k in range(level_range[0], level_range[1] + 1):
-        side = Fraction(2) ** -k
-        j_lo = int(np.floor(lo / float(side)))
-        j_hi = int(np.ceil(hi / float(side)))
-        for j in range(j_lo, j_hi):
-            if (j + 1) * side > lo and j * side < hi:
-                out.append(DyadicCube(k, (j,)))
-    return out
 
 
 def triple_endpoints(c: DyadicCube):
@@ -46,39 +35,6 @@ def test_triples_of_different_families_may_overlap():
     b = DyadicCube(-1, (0,))
     assert family_index(a) != family_index(b)
     assert not nested_or_disjoint(triple_endpoints(a), triple_endpoints(b))
-
-
-def test_lemma_31_exhaustive_1d():
-    cubes = intervals_in_window()
-    by_family = {0: [], 1: [], 2: []}
-    for c in cubes:
-        by_family[family_index(c)].append(triple_endpoints(c))
-    violations = 0
-    for fam, triples in by_family.items():
-        arr = np.array([(float(a), float(b)) for a, b in triples])
-        lo, hi = arr[:, 0], arr[:, 1]
-        # pairwise: disjoint or nested, exact because all endpoints are
-        # integer multiples of 2^-6
-        disj = (hi[:, None] <= lo[None, :]) | (hi[None, :] <= lo[:, None])
-        nest = ((lo[:, None] >= lo[None, :]) & (hi[:, None] <= hi[None, :])) | (
-            (lo[None, :] >= lo[:, None]) & (hi[None, :] <= hi[:, None])
-        )
-        violations += int(np.sum(~(disj | nest)))
-    assert violations == 0
-
-
-def test_lemma_32_exhaustive_1d():
-    for c in intervals_in_window():
-        side = c.side
-        q_lo, q_hi = c.index[0] * side, (c.index[0] + 1) * side
-        five_lo, five_hi = (c.index[0] - 2) * side, (c.index[0] + 3) * side
-        for fam in range(3):
-            comp = companion(c, fam)
-            assert comp.level == c.level
-            assert family_index(comp) == fam
-            t_lo, t_hi = triple_endpoints(comp)
-            assert t_lo <= q_lo and q_hi <= t_hi, "Q not inside 3Q_k"
-            assert five_lo <= t_lo and t_hi <= five_hi, "3Q_k not inside 5Q"
 
 
 def cubes_2d(level_range=(-3, 3), window=(-2, 2)):

@@ -358,7 +358,7 @@ def test_engine_build_has_no_hidden_state():
 
     def fingerprint(h):
         eng = intrinsic_engine(h)
-        return np.array([g2 for _, _, g2 in eng.gamma_sq()]).tobytes() + eng.g_cone(1.0).values.tobytes()
+        return eng.gamma_sq().tobytes() + eng.g_cone(1.0).values.tobytes()
 
     first = fingerprint(f)
     fingerprint(g)
@@ -516,7 +516,7 @@ def g_tilde_oracle(eng):
     """The per-box loop that SquareFunctionEngine.g_tilde vectorizes."""
     centers = eng.f.cell_centers()
     acc = np.zeros(eng.f.ncells + 1)
-    for k, j, g2 in eng.gamma_sq():
+    for k, j, g2 in zip(eng.box_k.tolist(), eng.box_j.tolist(), eng.gamma_sq().tolist()):
         side = 2.0**-k
         lo = (j - 1) * side
         hi = (j + 2) * side
@@ -554,7 +554,7 @@ def test_g_tilde_double_summation_identity():
     gt2 = eng.g_tilde().values ** 2
     centers = f.cell_centers()
     percell = np.zeros(f.ncells)
-    for k, j, g2 in eng.gamma_sq():
+    for k, j, g2 in zip(eng.box_k.tolist(), eng.box_j.tolist(), eng.gamma_sq().tolist()):
         side = 2.0**-k
         mask = (centers >= (j - 1) * side) & (centers < (j + 2) * side)
         percell[mask] += g2
@@ -568,7 +568,7 @@ def test_single_box_quadrature():
     cls = HolderClass(0.5, 17)
     eng = SquareFunctionEngine(f, quad, lambda ys, ts: [
         cls.lp_sup(hat_coefficients(f, y, t, 17)) for y, t in zip(ys, ts)])
-    [(k, j, g2)] = eng.gamma_sq()
+    [g2] = eng.gamma_sq().tolist()
     gt = eng.g_tilde().values
     centers = f.cell_centers()
     inside = (centers >= 0.0) & (centers < 0.75)

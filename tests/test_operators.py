@@ -20,6 +20,7 @@ from oracles import (
     hilbert_max_per_delta,
     holder_seminorm_per_lag,
     maximal_whole_grid,
+    psi_convolve_at,
 )
 
 import sharpwt
@@ -40,7 +41,6 @@ from sharpwt.operators import (
     hilbert_on,
     hilbert_truncated,
     maximal,
-    psi_convolve_at,
     psi_convolve_grid,
     psi_engine,
     s_psi,

@@ -11,7 +11,7 @@ from oracles import ap_characteristic_dense, power_cell_averages_masked
 
 import sharpwt.weights as weights
 from sharpwt.gridfn import GridFunction
-from sharpwt.harness import corpus_weights
+from sharpwt.harness import corpus_weights, refine
 from sharpwt.operators import maximal
 from sharpwt.weights import (
     PowerWeightSpec,
@@ -100,8 +100,8 @@ def stress_weights(draw):
                                  "spike beside small"]))
     if kind == "power":
         k = draw(st.integers(0, n - 1)) + draw(st.sampled_from([0.0, 0.5]))
-        center = float(origin) + k * float(probe.cell_width)
-        return power_weight(level_L, s, draw(st.floats(-0.95, 4.0)), origin, center)
+        spec = PowerWeightSpec(draw(st.floats(-0.95, 4.0)), float(origin) + k * float(probe.cell_width))
+        return Weight(probe.with_values(spec.cell_averages(probe.cell_edges())), power=spec)
     if kind == "constant":
         vals = np.full(n, draw(st.sampled_from([1e-3, 1.0, 7.0])))
     else:
@@ -292,6 +292,26 @@ def test_scaling_invariance():
     spec = PowerWeightSpec(0.5, coeff=7.5)
     scaled = Weight(wp.base.with_values(7.5 * wp.values), power=spec)
     assert ap_characteristic(scaled, 2.0) == pytest.approx(basep, rel=1e-12)
+
+
+def test_a_power_spec_beside_values_it_does_not_average_to_is_refused():
+    # a power weight's step values on a grid twice as fine are a generic
+    # weight; kept beside the spec, its dual would be the closed form's,
+    # the hybrid whose A_2 read 1.7239 where the step function's is 1.3331
+    powers = [w for _, w in corpus_weights(0, 7) if w.power is not None]
+    assert len(powers) == 20
+    for w in powers:
+        with pytest.raises(ValueError, match="not PowerWeightSpec"):
+            Weight(refine(w.base), power=w.power)
+        Weight(refine(w.base))
+    # the singular cell is checked too, to 1e-12 relative
+    spec = PowerWeightSpec(-0.5, 0.5)
+    near, off = (spec.cell_averages(np.arange(65) / 64) for _ in range(2))
+    near[32] *= 1 + 1e-13
+    off[32] *= 1 + 1e-9
+    Weight(GridFunction(0, 6, near), power=spec)
+    with pytest.raises(ValueError, match="cell 32 holds"):
+        Weight(GridFunction(0, 6, off), power=spec)
 
 
 def test_power_weight_spec_validation_and_duals():
