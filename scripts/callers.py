@@ -29,7 +29,9 @@ stderr.  Nothing is written into the repository: the run works in a
 temporary directory, writes no bytecode and turns off pytest's cache.
 Exits 1 when a test, a workload operation or a workload check failed
 (each failed check counts as a failed operation), since the trace is then
-incomplete.  Takes about 50 seconds on a 2-vCPU machine.
+incomplete, and when `own_test_only` is not empty, since the design aim is
+no public API whose only caller is its own unit test.  Takes about 50
+seconds on a 2-vCPU machine.
 It is not part of Tier-1, like `perfbench` and scripts/ablate.py.
 """
 
@@ -188,7 +190,7 @@ def main() -> int:
         "functions": {f"{name}:{qualname}": reachers for (name, qualname), reachers in by_function.items()},
         "own_test_only": own_test_only,
     }, indent=2))
-    return 1 if tier1_exit or any(failed_ops.values()) else 0
+    return 1 if tier1_exit or any(failed_ops.values()) or own_test_only else 0
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import argparse
 import inspect
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -31,13 +32,12 @@ from sharpwt.harness import (
     exponent_experiment,
     ratio_scan,
 )
-from sharpwt.weights import Weight, ap_characteristic, power_cell_averages, power_weight
+from sharpwt.weights import PowerWeightSpec, Weight, ap_characteristic, power_cell_averages
 
 
-def parse_function(spec: str, level_L: int, resolution_s: int, origin=0,
-                   seed: int = 0) -> GridFunction:
+def parse_function(spec: str, level_L: int, resolution_s: int, origin=0) -> GridFunction:
     """Function specs: const:<c> | indicator:<a>:<b> | haar:<a>:<b> |
-    power:<a> | spike:<i> | random:<seed> | file:<path.json>."""
+    power:<a> | spike:<i> | random:<seed> (random: is seed 0) | file:<path.json>."""
     n = cell_count(level_L, resolution_s)
     probe = GridFunction(level_L, resolution_s, np.zeros(n), origin)
     kind, _, rest = spec.partition(":")
@@ -46,7 +46,7 @@ def parse_function(spec: str, level_L: int, resolution_s: int, origin=0,
     if kind == "const":
         return probe.with_values(np.full(n, float(rest)))
     if kind == "random":
-        rng = np.random.default_rng(int(rest) if rest else seed)
+        rng = np.random.default_rng(int(rest) if rest else 0)
         return probe.with_values(rng.standard_normal(n))
     if kind == "power":
         return probe.with_values(power_cell_averages(probe.cell_edges(), float(rest)))
@@ -74,19 +74,6 @@ def parse_function(spec: str, level_L: int, resolution_s: int, origin=0,
     raise ValueError(f"cannot parse function spec {spec!r}")
 
 
-def parse_weight(spec: str, level_L: int, resolution_s: int, origin=0) -> Weight:
-    """Weight specs: const:<c> | power:<a> | file:<path.json>."""
-    kind, _, rest = spec.partition(":")
-    if kind == "const":
-        n = cell_count(level_L, resolution_s)
-        return Weight(GridFunction(level_L, resolution_s, np.full(n, float(rest)), origin))
-    if kind == "power":
-        return power_weight(level_L, resolution_s, float(rest), origin)
-    if kind == "file":
-        return Weight(GridFunction.load(rest))
-    raise ValueError(f"cannot parse weight spec {spec!r}")
-
-
 # the exponent fit's spec flags and their defaults; --run fixes the spec, so
 # it rejects every one of them
 EXPONENT_SPEC = {"op": "maximal", "p": 2.0, "deltas": "0.5,0.25,0.125,0.0625", "res": 8,
@@ -109,18 +96,19 @@ REPORT_OUT = "report path; JSON if it ends in .json, else CSV"
 
 def _fn_flags(p) -> None:
     p.add_argument("--fn", required=True)
-    # None lets _parse_fn tell an unread --seed from an absent one
-    p.add_argument("--seed", type=int, default=None, help="seed of --fn random: (default 0)")
     p.add_argument("--out", default=None)
 
 
-def _parse_fn(ap: argparse.ArgumentParser, args) -> GridFunction:
-    """--fn on the grid flags; only a random: spec without a seed of its own
-    reads --seed, and any other spec rejects it."""
-    kind, _, rest = args.fn.partition(":")
-    if args.seed is not None and (kind != "random" or rest):
-        ap.error(f"--fn {args.fn} does not read --seed")
-    return parse_function(args.fn, args.L, args.res, Fraction(args.origin), args.seed or 0)
+def _window(ap: argparse.ArgumentParser, text: str) -> tuple[float, float]:
+    """--window lo,hi: exactly two finite numbers with lo <= hi; exits 2
+    on anything else, before the fit runs."""
+    try:
+        lo, hi = (float(x) for x in text.split(","))
+    except ValueError:
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        ap.error(f"--window takes lo,hi, two finite numbers with lo <= hi, not {text!r}")
+    return lo, hi
 
 
 def _grid_flags(p) -> None:
@@ -167,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     _fn_flags(pa)
     _grid_flags(pa)
     # each apply operator's parameters; their defaults are apply's
-    ops = {name: inspect.signature(op).parameters for name, op in OPERATOR_REGISTRY.items() if op}
+    ops = {name: inspect.signature(op).parameters for name, op in OPERATOR_REGISTRY.items()}
     pa.add_argument("--op", choices=ops, required=True)
     cone = pa.add_argument_group("cone")
     flags = [cone.add_argument("--alpha", type=float, **unset).dest,
@@ -211,10 +199,7 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
             opt = argparse.Namespace(**{**EXPONENT_SPEC, **given})
             deltas = tuple(float(x) for x in opt.deltas.split(","))
             spec = ExperimentSpec(opt.op, opt.p, deltas, opt.res, opt.L, opt.family)
-            window = None
-            if opt.window:
-                lo, hi = (float(x) for x in opt.window.split(","))
-                window = (lo, hi)
+            window = None if opt.window is None else _window(ap, opt.window)
         result = exponent_experiment(spec)
         print(f"slope={result.slope:.6g} intercept={result.intercept:.6g} r2={result.r2:.6g}")
         if args.out:
@@ -233,7 +218,7 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
             failures.append(f"ratio scan {args.lemma} failed (max={report.max_base}, drift={report.drift})")
 
     elif args.command == "decompose":
-        f = _parse_fn(ap, args)
+        f = parse_function(args.fn, args.L, args.res, Fraction(args.origin))
         d = decompose(f)
         if args.out:
             _write_report(args.out, d.to_json())
@@ -253,16 +238,19 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
 
     elif args.command == "apply":
         op = OPERATOR_REGISTRY[args.op]
-        params = [key for fn in OPERATOR_REGISTRY.values() if fn for key in inspect.signature(fn).parameters]
+        params = [key for fn in OPERATOR_REGISTRY.values() for key in inspect.signature(fn).parameters]
         cone = _read(ap, args, params, inspect.signature(op).parameters, f"apply --op {args.op}")
-        f = _parse_fn(ap, args)
+        f = parse_function(args.fn, args.L, args.res, Fraction(args.origin))
         g = op(f, **cone)
         if args.out:
             _write_report(args.out, itertools.chain(["x,value"], (f"{x!r},{v!r}" for x, v in g.to_csv_rows())))
         print(f"{args.op}: n={g.ncells} min={g.values.min():.6g} max={g.values.max():.6g}")
 
     elif args.command == "ap":
-        w = parse_weight(args.weight, args.L, args.res, Fraction(args.origin))
+        # a power: weight keeps its closed form, so its dual averages are exact
+        kind, _, rest = args.weight.partition(":")
+        w = Weight(parse_function(args.weight, args.L, args.res, Fraction(args.origin)),
+                   power=PowerWeightSpec(float(rest)) if kind == "power" else None)
         val = ap_characteristic(w, args.p)
         print(f"A_p(p={args.p:g}) = {val!r}")
     return failures

@@ -121,9 +121,6 @@ class FitResult:
     r2: float
     points: list[FitPoint]
 
-    def to_json(self) -> dict:
-        return {**asdict(self), "git_describe": _git_describe()}
-
 
 def _git_describe() -> str:
     """git describe of the tree these sources sit in, not of the working directory."""
@@ -149,9 +146,8 @@ def _least_squares(xs, ys) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-# each op(f, **params), its defaults in its signature; apply takes all but identity
+# each op(f, **params), its defaults in its signature
 OPERATOR_REGISTRY = {
-    "identity": None,  # analytic image: ratio is exactly 1
     "maximal": maximal,
     "sd": dyadic_square,
     "hilbert": hilbert,
@@ -242,7 +238,7 @@ def _operator_on(name: str, grid: GridFunction):
     here once for the whole run.  The fits' one rule: an operator that
     takes `mode` runs in "dictionary" mode."""
     op = hilbert_on(grid) if name == "hilbert" else OPERATOR_REGISTRY[name]
-    if op is not None and "mode" in inspect.signature(op).parameters:
+    if "mode" in inspect.signature(op).parameters:
         return functools.partial(op, mode="dictionary")
     return op
 
@@ -256,7 +252,7 @@ def exponent_experiment(spec: ExperimentSpec) -> FitResult:
     for delta in spec.deltas:
         f, w_eval, p_eval, ap_args = _extremal_pair(spec, grid, edges, delta)
         den = (1.0 / delta) ** (1.0 / p_eval)  # closed form: integrand is |x|^(delta-1)
-        ratio = 1.0 if op is None else weighted_lp_norm(op(f), w_eval, p_eval) / den
+        ratio = weighted_lp_norm(op(f), w_eval, p_eval) / den
         ap = ap_characteristic(p=spec.p, **ap_args())
         # resolution diagnostic: share of the exact norm carried by (0, h)
         share = float(f.cell_width) ** delta
@@ -380,9 +376,6 @@ class ScanReport:
         else:
             self.drift = (self.max_refined / self.max_base) if self.max_base > 0 else 1.0
             self.passed = (not flagged) and math.isfinite(self.max_base) and self.drift <= 1.5
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "git_describe": _git_describe()}
 
 
 def _ratio_max(num: np.ndarray, den: np.ndarray, floor: float) -> float:
@@ -558,6 +551,8 @@ def ratio_scan(lemma: str, seed: int = 0, resolution_s: int | None = None,
     s_def, n_def, tol, cases = SCANS[lemma]
     s = s_def if resolution_s is None else resolution_s
     n = n_def if n_random is None else n_random
+    if n < 0:
+        raise ValueError(f"n_random must be >= 0, got {n}")
     return ScanReport(lemma, seed, s, cases(seed, s, n), exact_tolerance=tol)
 
 
@@ -583,7 +578,7 @@ def emit(result, path: str) -> str:
     """Write a FitResult or ScanReport: a JSON document with the full report
     when path ends in .json, else CSV rows plus a '#'-prefixed footer."""
     if path.endswith(".json"):
-        return _write_report(path, result.to_json())
+        return _write_report(path, {**asdict(result), "git_describe": _git_describe()})
     if isinstance(result, FitResult):
         lines = ["delta,ap_char,ratio,log_ap,log_ratio"]
         for q in result.points:

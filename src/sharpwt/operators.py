@@ -238,6 +238,7 @@ def dyadic_square(f: GridFunction) -> GridFunction:
 # the fixed polynomial bump and its square functions
 # ---------------------------------------------------------------------------
 
+_HOLDER_SAMPLES = 4001  # grid points on [-1, 1] of PsiKernel.holder_seminorm
 _LAG_CHUNK = 32  # lags per 2-D pass of PsiKernel.holder_seminorm, a 1 MB buffer at 4001 samples
 
 
@@ -272,11 +273,12 @@ class PsiKernel:
         at_m1 = -(c0 + c2 / 3.0 + c4 / 5.0 + c6 / 7.0)
         return anti - at_m1
 
-    def holder_seminorm(self, alpha: float, samples: int = 4001) -> float:
-        """Numerical sup of |psi(u)-psi(v)| / |u-v|^alpha on a dense grid,
-        per chunk of lags as one 2-D array: row j holds
-        psi(u[i + lag_j]) - psi(u[i]) for every i, NaN past the grid's end,
-        which np.fmax skips."""
+    def holder_seminorm(self, alpha: float) -> float:
+        """Numerical sup of |psi(u)-psi(v)| / |u-v|^alpha on the
+        _HOLDER_SAMPLES-point grid of [-1, 1], per chunk of lags as one 2-D
+        array: row j holds psi(u[i + lag_j]) - psi(u[i]) for every i, NaN
+        past the grid's end, which np.fmax skips."""
+        samples = _HOLDER_SAMPLES
         u = np.linspace(-1.0, 1.0, samples)
         vals = self(u)
         padded = np.concatenate([vals, np.full(_LAG_CHUNK, np.nan)])
@@ -384,17 +386,15 @@ def s_psi(f: GridFunction, beta: float = 1.0, nodes_per_box: int = 1) -> GridFun
     return psi_engine(f, nodes_per_box).g_cone(beta)
 
 
-def g_psi(f: GridFunction, t_levels: tuple[int, int] | None = None) -> GridFunction:
+def g_psi(f: GridFunction) -> GridFunction:
     """Vertical square function g_psi: log-midpoint quadrature of
-    int |f * psi_t(x)|^2 dt/t over the dyadic t-ladder."""
-    if t_levels is None:
-        t_levels = (-f.level_L, f.resolution_s)
-    k_top, k_bot = t_levels
-    if not k_top < k_bot:
-        raise ValueError("t_levels (k_top, k_bot) must have k_top < k_bot")
+    int |f * psi_t(x)|^2 dt/t over the dyadic t-ladder, one octave per level
+    k in [-L, s): from the domain's side down to the cell width."""
+    if f.ncells < 2:
+        raise ValueError("g_psi needs at least two cells: on one, its t-ladder [-L, s) is empty")
     acc = np.zeros(f.ncells)
     ln2 = np.log(2.0)
-    for k in range(k_top, k_bot):  # the octave [2^-(k+1), 2^-k) of t
+    for k in range(-f.level_L, f.resolution_s):  # the octave [2^-(k+1), 2^-k) of t
         t = float(np.sqrt(2.0) * 0.5**(k + 1))  # its log-midpoint
         conv = psi_convolve_grid(f, t)
         acc += conv * conv * ln2

@@ -29,6 +29,7 @@ from sharpwt.dyadic import DyadicCube, companion, dilate, family_index
 from sharpwt.gridfn import GridFunction, local_osc, median, rearrangement_value
 from sharpwt.harness import (
     ACCEPTANCE_RUNS,
+    SCANS,
     _corpus_engines,
     _git_describe,
     corpus_functions,
@@ -320,13 +321,11 @@ def test_criterion_5_lp_oracles(report):
 
 
 # ---------------------------------------------------------------------------
-# 6. ratio scans: bounded, drift <= 1.5 under s -> s+1, archived as CSV
+# 6. every ratio scan of SCANS: the exact ones within 1e-12, the others
+#    bounded with drift <= 1.5 under s -> s+1; each archived as CSV
 # ---------------------------------------------------------------------------
 
-SCAN_IDS = ("5.2", "5.3", "5.9", "2.1", "2.2", "2.3", "5.13", "5.5-dom")
-
-
-@pytest.mark.parametrize("lemma", SCAN_IDS)
+@pytest.mark.parametrize("lemma", SCANS)
 def test_criterion_6_ratio_scan(lemma, report, report_dir):
     t0 = time.monotonic()
     rep = ratio_scan(lemma, seed=6, n_random=50)
@@ -354,7 +353,11 @@ def test_criterion_7_exponent(name, report, report_dir):
     elapsed = time.monotonic() - t0
     emit(result, str(report_dir / f"exponent-{name}.csv"))
     ok = lo <= result.slope <= hi and elapsed < 600.0
-    # fitted slopes are lower-bound estimates; they must not overshoot
+    # fitted slopes are estimates, not lower bounds: the grid's f_delta has a
+    # larger L^p(w) norm than the closed form the ratio divides by (2.306
+    # times at delta = 2^-4 on the hilbert p = 2, s = 12 pair), so a ratio
+    # can exceed the discrete operator norm (docs/convergence.md); the
+    # ceiling bounds the estimate
     ok = ok and result.slope <= target + 0.1
     report(f"criterion 7 (exponent {name})", ok, elapsed,
            slope=result.slope, target=target, window_lo=lo, window_hi=hi, r2=result.r2,

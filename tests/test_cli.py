@@ -11,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sharpwt.cli import build_parser, main, parse_function, parse_weight
+import sharpwt.cli
+from sharpwt.cli import build_parser, main, parse_function
+from sharpwt.gridfn import GridFunction
 from sharpwt.harness import OPERATOR_REGISTRY
 from sharpwt.intrinsic import g_tilde
+from sharpwt.weights import Weight, ap_characteristic, power_weight
 
 
 def test_parse_function_specs():
@@ -32,15 +35,6 @@ def test_parse_function_specs():
         parse_function("bogus:1", 0, 4)
 
 
-def test_parse_weight_specs():
-    w = parse_weight("const:5", 0, 4)
-    assert np.all(w.values == 5.0)
-    pw = parse_weight("power:0.5", 0, 4)
-    assert np.all(pw.values > 0)
-    with pytest.raises(ValueError):
-        parse_weight("bogus:1", 0, 4)
-
-
 def test_cli_ap_constant(capsys):
     rc = main(["ap", "--weight", "const:5", "--p", "2", "--res", "6"])
     out = capsys.readouterr().out
@@ -48,16 +42,50 @@ def test_cli_ap_constant(capsys):
     assert "A_p(p=2) = 1.0" in out
 
 
-def test_cli_exponent_identity_window(capsys):
-    rc = main(["exponent", "--op", "identity", "--p", "2",
+def test_cli_ap_prints_the_librarys_value(tmp_path, capsys):
+    """`ap` prints ap_characteristic's value bitwise: a power weight keeps
+    its closed-form dual, here with the singularity inside the domain."""
+    file_weight = GridFunction(0, 4, np.exp(np.sin(np.arange(16.0))))
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(file_weight.to_json()))
+    cases = [
+        ("power:-0.5", ["--L", "1", "--origin", "-1", "--res", "8"], power_weight(1, 8, -0.5, origin=-1)),
+        ("const:2", ["--res", "6"], Weight(GridFunction(0, 6, np.full(64, 2.0)))),
+        (f"file:{path}", [], Weight(file_weight)),
+    ]
+    for spec, flags, w in cases:
+        assert main(["ap", "--weight", spec, "--p", "2", *flags]) == 0
+        assert capsys.readouterr().out == f"A_p(p=2) = {ap_characteristic(w, 2.0)!r}\n"
+    # the step values alone give another value (1.49976 against 1.4999973)
+    assert ap_characteristic(Weight(cases[0][2].base), 2.0) != ap_characteristic(cases[0][2], 2.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["ap", "--weight", "bogus:1"])
+    assert exc.value.code == 2
+
+
+def test_cli_exponent_window_holds_the_slope(capsys):
+    rc = main(["exponent", "--op", "sd", "--p", "2",
                "--deltas", "0.5,0.25,0.125,0.0625", "--res", "8", "--L", "1",
-               "--window=-0.02,0.02"])
+               "--window=0.70,0.76"])
     assert rc == 0
-    assert "slope=" in capsys.readouterr().out
+    assert "slope=0.73" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("window", ["nan,1", "1.05,0.8", "inf,inf", "-inf,1", "1", "0.5,0.6,0.7", "a,b", ""])
+def test_cli_exponent_rejects_a_window_that_is_not_lo_le_hi(window, monkeypatch, capsys):
+    # each ran the whole fit, then failed as a check (exit 1) or on unpacking
+    def no_fit(spec):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(sharpwt.cli, "exponent_experiment", no_fit)
+    with pytest.raises(SystemExit) as exc:
+        main(["exponent", "--op", "sd", "--res", "6", f"--window={window}"])
+    assert exc.value.code == 2
+    assert "--window takes lo,hi" in capsys.readouterr().err
 
 
 def test_cli_exponent_window_failure_is_nonzero(capsys):
-    rc = main(["exponent", "--op", "identity", "--p", "2",
+    rc = main(["exponent", "--op", "sd", "--p", "2",
                "--deltas", "0.5,0.25,0.125,0.0625", "--res", "8", "--L", "1",
                "--window", "0.5,0.6"])
     captured = capsys.readouterr()
@@ -155,9 +183,9 @@ def test_cli_file_weight_rejects_non_finite(tmp_path, bad):
 FLAGS = {
     "exponent": "--out --res --L --run --op --p --deltas --family --window",
     "ratio-scan": "--seed --out --lemma --n --res",
-    "decompose": "--seed --out --res --L --origin --fn",
+    "decompose": "--out --res --L --origin --fn",
     "verify": "--in",
-    "apply": "--seed --out --res --L --origin --op --fn --alpha --q --beta --mode --nodes-per-box",
+    "apply": "--out --res --L --origin --op --fn --alpha --q --beta --mode --nodes-per-box",
     "ap": "--res --L --origin --weight --p",
 }
 
@@ -202,11 +230,14 @@ APPLY_UNREAD = [
     ["exponent", "--run", "maximal-p4", "--deltas", "0.5,0.25,0.125,0.0625"],
     ["exponent", "--run", "maximal-p4", "--family", "buckley"],
     ["exponent", "--run", "maximal-p4", "--window", "5,6"],
-    ["exponent", "--op", "identity", "--seed", "5"],
-    ["exponent", "--op", "identity", "--format", "json"],
+    ["exponent", "--op", "sd", "--seed", "5"],
+    ["exponent", "--op", "sd", "--format", "json"],
     ["ratio-scan", "--lemma", "4.3", "--format", "json"],
     *(["apply", "--op", op, "--fn", "random:3", "--res", "5", flag, value]
       for op, flag, value in APPLY_UNREAD),
+    # random:<seed> names the seed; random: is seed 0
+    ["decompose", "--fn", "random:", "--seed", "5"],
+    ["apply", "--op", "maximal", "--fn", "random:", "--seed", "5"],
 ])
 def test_cli_rejects_flags_it_would_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -241,7 +272,7 @@ def test_cli_apply_takes_the_flags_its_operator_reads(op, flags, tmp_path, capsy
     ["decompose", "--fn", "bogus:1"],
     ["verify", "--in", "missing.json"],
     ["apply", "--op", "maximal", "--fn", "const:1", "--res", "3", "--out", "no/such/dir/g.csv"],
-    ["exponent", "--op", "identity", "--out", "no/such/dir/fit.csv"],
+    ["exponent", "--op", "sd", "--out", "no/such/dir/fit.csv"],
     ["apply", "--op", "maximal", "--fn", "spike:99", "--res", "4"],
     ["apply", "--op", "maximal", "--fn", "spike:-1", "--res", "4"],
     ["apply", "--op", "maximal", "--fn", "indicator:1/2:0", "--res", "4"],
@@ -257,6 +288,7 @@ def test_cli_apply_takes_the_flags_its_operator_reads(op, flags, tmp_path, capsy
     ["ratio-scan", "--lemma", "5.9", "--res", "-8"],
     ["exponent", "--op", "sd", "--deltas", "0.5,nan,0.1,0.05"],
     ["exponent", "--op", "sd", "--deltas", "inf,0.5,0.1,0.05"],
+    ["ratio-scan", "--lemma", "2.2", "--n", "-5"],
 ])
 def test_cli_library_errors_exit_2_without_traceback(argv, tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -284,32 +316,14 @@ def test_cli_rejects_nodes_per_box_below_one(argv, tmp_path):
     assert proc.stderr.strip().splitlines()[-1] == "sharpwt: error: nodes_per_box must be >= 1"
 
 
-@pytest.mark.parametrize("argv", [
-    ["apply", "--op", "maximal", "--fn", "const:1", "--res", "3"],
-    ["apply", "--op", "maximal", "--fn", "random:2", "--res", "3"],
-    ["decompose", "--fn", "spike:1", "--res", "4"],
-    ["decompose", "--fn", "random:4", "--res", "4"],
-])
-def test_cli_seed_is_read_only_by_a_random_spec_without_one(argv, tmp_path, capsys):
-    # the spec fixes the function, so --seed would be ignored: any value exits 2
-    for seed in ("5", "0"):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--seed", seed])
-        assert exc.value.code == 2
-        assert "does not read --seed" in capsys.readouterr().err
-    # without --seed the same call runs
-    assert main([*argv, "--out", str(tmp_path / "g.out")]) == 0
-
-
 def test_cli_seed_picks_the_random_function(tmp_path, capsys):
-    def run(*seed):
-        out = tmp_path / f"g{''.join(seed)}.csv"
-        assert main(["apply", "--op", "maximal", "--fn", "random:", "--res", "3", "--out", str(out),
-                     *seed]) == 0
+    def run(spec):
+        out = tmp_path / f"g{spec.replace(':', '-')}.csv"
+        assert main(["apply", "--op", "maximal", "--fn", spec, "--res", "3", "--out", str(out)]) == 0
         return out.read_bytes()
 
-    assert run("--seed", "5") != run("--seed", "0")
-    assert run("--seed", "0") == run()
+    assert run("random:5") != run("random:0")
+    assert run("random:0") == run("random:")
 
 
 @pytest.mark.parametrize("op, params", [
@@ -327,11 +341,11 @@ def test_cli_apply_writes_the_registry_operators_image(op, params, tmp_path, cap
     assert out.read_bytes() == want.encode()
 
 
-def test_cli_exponent_fits_every_apply_operator_and_identity():
+def test_cli_exponent_and_apply_offer_every_registry_operator():
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     ops = {name: set(next(a.choices for a in sub.choices[name]._actions if a.dest == "op"))
            for name in ("exponent", "apply")}
-    assert ops["exponent"] == ops["apply"] | {"identity"} == set(OPERATOR_REGISTRY)
+    assert ops["exponent"] == ops["apply"] == set(OPERATOR_REGISTRY)
 
 
 def test_cli_exponent_gtilde_fits_the_dictionary_lower_bound(monkeypatch, capsys):

@@ -60,7 +60,7 @@ def test_spec_rejects_a_ladder_delta_that_is_not_finite(deltas):
 def test_spec_rejects_a_negative_resolution(s):
     # cells of width 2 or more leave f_delta no cell inside (0, 1)
     with pytest.raises(ValueError, match="resolution_s must be >= 0"):
-        ExperimentSpec("identity", 2.0, (0.5, 0.25, 0.125, 0.0625), s, level_L=3)
+        ExperimentSpec("sd", 2.0, (0.5, 0.25, 0.125, 0.0625), s, level_L=3)
 
 
 @pytest.mark.parametrize("p", [np.nan, np.inf, 1.0])
@@ -68,12 +68,6 @@ def test_spec_rejects_a_p_that_is_not_finite_and_above_one(p):
     # p = nan used to fail only at the first grid, as "grid values must be finite"
     with pytest.raises(ValueError, match="p must be finite and > 1"):
         ExperimentSpec("sd", p, (0.5, 0.25, 0.125, 0.0625), 8)
-
-
-def test_identity_operator_slope_zero():
-    r = exponent_experiment(ExperimentSpec("identity", 2.0, (0.5, 0.25, 0.125, 0.0625), 8))
-    assert abs(r.slope) <= 0.02
-    assert all(pt.ratio == 1.0 for pt in r.points)
 
 
 def test_ratio_monotone_down_the_ladder():
@@ -130,7 +124,7 @@ def test_git_describe_names_the_source_tree_not_the_working_directory(tmp_path, 
 
 
 def test_emit_csv_shape(tmp_path):
-    spec = ExperimentSpec("identity", 2.0, tuple(2.0**-k for k in range(1, 7)), 8)
+    spec = ExperimentSpec("sd", 2.0, tuple(2.0**-k for k in range(1, 7)), 8)
     result = exponent_experiment(spec)
     path = tmp_path / "fit.csv"
     emit(result, str(path))
@@ -140,24 +134,24 @@ def test_emit_csv_shape(tmp_path):
     footer = [ln for ln in lines[1:] if ln.startswith("#")]
     assert len(data) == 6
     assert any("slope=" in ln for ln in footer)
-    assert footer[1] == "# spec: op=identity p=2.0 s=8 L=1 family=buckley"  # no seed: nothing reads one
+    assert footer[1] == "# spec: op=sd p=2.0 s=8 L=1 family=buckley"  # no seed: nothing reads one
 
 
 def test_emit_json_roundtrip(tmp_path):
-    spec = ExperimentSpec("identity", 2.0, (0.5, 0.25, 0.125, 0.0625), 8)
+    spec = ExperimentSpec("sd", 2.0, (0.5, 0.25, 0.125, 0.0625), 8)
     result = exponent_experiment(spec)
     path = tmp_path / "fit.json"
     emit(result, str(path))
     payload = json.loads(path.read_text())
     assert payload["slope"] == result.slope
-    assert payload["spec"]["operator"] == "identity"
+    assert payload["spec"]["operator"] == "sd"
     assert "seed" not in payload["spec"]
     assert len(payload["points"]) == 4
     assert "git_describe" in payload
 
 
 def test_emit_failure_surfaces_path():
-    spec = ExperimentSpec("identity", 2.0, (0.5, 0.25, 0.125, 0.0625), 8)
+    spec = ExperimentSpec("sd", 2.0, (0.5, 0.25, 0.125, 0.0625), 8)
     result = exponent_experiment(spec)
     with pytest.raises(OSError, match="no/such/dir"):
         emit(result, "no/such/dir/out.csv")
@@ -187,6 +181,13 @@ def test_refine_preserves_function():
 def test_unknown_lemma_rejected():
     with pytest.raises(ValueError):
         ratio_scan("9.9")
+
+
+def test_ratio_scan_rejects_a_negative_corpus_size():
+    # n_random = -5 ran only the ten structured cases and passed
+    with pytest.raises(ValueError, match="n_random must be >= 0"):
+        ratio_scan("2.2", n_random=-5)
+    assert len(ratio_scan("4.3", n_random=0).cases) == 10
 
 
 def test_engine_memo_gives_the_bytes_of_a_fresh_build(tmp_path):
