@@ -20,18 +20,30 @@ Functions are keyed by file and `co_qualname`, not by line,
 since decorators shift `co_firstlineno`; nested functions and
 comprehensions are keyed as their own code objects.
 
+Each call into a public function (no component of the qualified name
+starts with `_` or `<`) also records the value of each parameter that is
+a scalar: int, float, str, bool, None, Fraction, or a tuple of these.  The
+call counts as `test` when the calling frame's file is under tests/, and
+as `program` otherwise (src/sharpwt itself, perfbench, pytest).  A
+program call that passes a parameter anything else (an array, a grid
+function) marks that parameter as data, never a setting.
+
 Prints one JSON document: for each function of src/sharpwt, the test files
-and workloads that reach it, and `own_test_only`, the public functions
-(no component of the qualified name starts with `_` or `<`) that nothing
-reaches but the unit test of their own module, tests/test_<module>.py, or
-that nothing reaches at all.  Pytest's and the workloads' output goes to
-stderr.  Nothing is written into the repository: the run works in a
-temporary directory, writes no bytecode and turns off pytest's cache.
+and workloads that reach it; `own_test_only`, the public functions that
+nothing reaches but the unit test of their own module,
+tests/test_<module>.py, or that nothing reaches at all; and
+`test_only_settings`, the parameters of public functions to which
+programs pass one value, a scalar, and tests pass others,
+each with those values and, if it is in `KEPT`, the reason it stays.
+Pytest's and the workloads' output goes to stderr.  Nothing is written
+into the repository: the run works in a temporary directory, writes no
+bytecode and turns off pytest's cache.
 Exits 1 when a test, a workload operation or a workload check failed
 (each failed check counts as a failed operation), since the trace is then
-incomplete, and when `own_test_only` is not empty, since the design aim is
-no public API whose only caller is its own unit test.  Takes about 50
-seconds on a 2-vCPU machine.
+incomplete; when `own_test_only` is not empty, since the design aim is
+no public API whose only caller is its own unit test; and when a setting
+of `test_only_settings` is not in `KEPT`, since a setting that only tests
+set is a constant.  Takes 50 to 85 seconds on a 2-vCPU machine.
 It is not part of Tier-1, like `perfbench` and scripts/ablate.py.
 """
 
@@ -45,6 +57,7 @@ import sys
 import tempfile
 import threading
 import types
+from fractions import Fraction
 from pathlib import Path
 
 if sys.version_info < (3, 11):
@@ -54,7 +67,28 @@ sys.dont_write_bytecode = True
 SEED = 3  # of the workload inputs
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sharpwt"
+TESTS = str(ROOT / "tests") + os.sep
 sys.path.insert(0, str(ROOT / "src"))
+
+# test-only settings that stay, each with the reason
+KEPT = {
+    "gridfn.py:median.cube": "the per-call oracle of SortedBlocks.medians: tests pass "
+                             "every block, programs the whole grid",
+}
+
+SCALARS = (int, float, str, bool, type(None), Fraction)
+NAN = float("nan")  # one object, so that a set holds one NaN
+DATA = object()  # stands for every non-scalar value a program passes
+
+
+def scalar(value) -> bool:
+    if isinstance(value, tuple):
+        return all(isinstance(v, SCALARS) for v in value)
+    return isinstance(value, SCALARS)
+
+
+def public(qualname: str) -> bool:
+    return not any(part.startswith(("_", "<")) for part in qualname.split("."))
 
 
 def src_functions() -> dict[tuple[str, str], None]:
@@ -75,22 +109,47 @@ def src_functions() -> dict[tuple[str, str], None]:
 
 class CallRecorder:
     """A profile hook that files each call into src/sharpwt under the reacher
-    currently set."""
+    currently set, and the scalar arguments of each call into a public
+    function under `test` or `program`."""
 
     def __init__(self):
         self.files = {str(p): p.name for p in SRC.glob("*.py")}
         self.reached: dict[str, set[tuple[str, str]]] = {}
         self.now = self.reached.setdefault("(import)", set())
+        self.params: dict[types.CodeType, tuple[str, ...]] = {}
+        # (file, qualname, parameter) -> {"test": values, "program": values}
+        self.values: dict[tuple[str, str, str], dict[str, set]] = {}
 
     def reacher(self, name: str) -> None:
         self.now = self.reached.setdefault(name, set())
 
     def __call__(self, frame, event, arg) -> None:
-        if event == "call":
-            code = frame.f_code
-            name = self.files.get(code.co_filename)
-            if name is not None:
-                self.now.add((name, code.co_qualname))
+        if event != "call":
+            return
+        code = frame.f_code
+        name = self.files.get(code.co_filename)
+        if name is None:
+            return
+        self.now.add((name, code.co_qualname))
+        params = self.params.get(code)
+        if params is None:
+            n = code.co_argcount + code.co_kwonlyargcount
+            params = self.params[code] = code.co_varnames[:n] if public(code.co_qualname) else ()
+        if not params:
+            return
+        caller = frame.f_back
+        side = "test" if caller is not None and caller.f_code.co_filename.startswith(TESTS) else "program"
+        args = frame.f_locals
+        for param in params:
+            value = args.get(param, DATA)
+            if not scalar(value):
+                if side == "test":
+                    continue
+                value = DATA
+            elif isinstance(value, float) and value != value:
+                value = NAN
+            seen = self.values.setdefault((name, code.co_qualname, param), {"test": set(), "program": set()})
+            seen[side].add(value)
 
     def install(self) -> None:
         threading.setprofile(self)
@@ -156,6 +215,22 @@ def run_workloads(rec: CallRecorder, tmp: Path) -> dict[str, int]:
     return failed
 
 
+def list_test_only_settings(rec: CallRecorder) -> dict[str, dict]:
+    """`file:qualname.parameter` of each parameter to which programs pass
+    one value, a scalar, and tests pass others: the program's value, the
+    number of other test values and the first few of them in repr order,
+    and the `KEPT` reason or None."""
+    out = {}
+    for (name, qualname, param), seen in rec.values.items():
+        program, others = seen["program"], seen["test"] - seen["program"]
+        if len(program) == 1 and DATA not in program and others:
+            key = f"{name}:{qualname}.{param}"
+            shown = sorted(map(repr, others))
+            out[key] = {"program": sorted(map(repr, program)), "test_values": len(shown),
+                        "test": shown[:6], "kept": KEPT.get(key)}
+    return dict(sorted(out.items()))
+
+
 def main() -> int:
     describe = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                               capture_output=True, text=True).stdout.strip()
@@ -179,9 +254,9 @@ def main() -> int:
             by_function.setdefault(key, []).append(reacher)
     own_test_only = []
     for (name, qualname), reachers in by_function.items():
-        public = not any(part.startswith(("_", "<")) for part in qualname.split("."))
-        if public and set(reachers) <= {f"tests/test_{Path(name).stem}.py"}:
+        if public(qualname) and set(reachers) <= {f"tests/test_{Path(name).stem}.py"}:
             own_test_only.append(f"{name}:{qualname}")
+    settings = list_test_only_settings(rec)
     print(json.dumps({
         "commit": describe,
         "seed": SEED,
@@ -189,8 +264,10 @@ def main() -> int:
         "workload_failures": failed_ops,
         "functions": {f"{name}:{qualname}": reachers for (name, qualname), reachers in by_function.items()},
         "own_test_only": own_test_only,
+        "test_only_settings": settings,
     }, indent=2))
-    return 1 if tier1_exit or any(failed_ops.values()) or own_test_only else 0
+    unkept = [key for key in settings if key not in KEPT]
+    return 1 if tier1_exit or any(failed_ops.values()) or own_test_only or unkept else 0
 
 
 if __name__ == "__main__":

@@ -201,9 +201,14 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
             spec = ExperimentSpec(opt.op, opt.p, deltas, opt.res, opt.L, opt.family)
             window = None if opt.window is None else _window(ap, opt.window)
         result = exponent_experiment(spec)
-        print(f"slope={result.slope:.6g} intercept={result.intercept:.6g} r2={result.r2:.6g}")
+        flagged = sum(q.flagged for q in result.points)
+        print(f"slope={result.slope:.6g} intercept={result.intercept:.6g} r2={result.r2:.6g} "
+              f"flagged={flagged}/{len(result.points)}")
         if args.out:
             emit(result, args.out)
+        if window is not None and flagged == len(result.points):
+            failures.append(f"every ladder point is flagged (first-cell share > 10%) at resolution "
+                            f"--res {spec.resolution_s}, so the slope reflects the grid, not the operator")
         if window is not None and not window[0] <= result.slope <= window[1]:
             failures.append(f"slope {result.slope:.4f} outside window [{window[0]}, {window[1]}]")
 

@@ -10,31 +10,35 @@ selected cubes exactly; properties (ii)-(iv) hold by construction and the
 pointwise domination (i) with constant 4 is checked by the verifier rather
 than assumed.
 
-Every median and oscillation coefficient the construction needs is a block
-of the root's dyadic grid, so `decompose` reads them from one
-`gridfn.SortedBlocks` table of the root: each block size sorted once, one
-vector per size.  A child's median is read only once the child is processed
-as a parent with floor(lambda|P|) >= 1; a smaller child can have no
-children, and its median would go unused.  The walk that selects a parent's
+The root is the whole grid and lambda is LAMBDA_N = 1/8, the paper's
+lambda_n = 2^-(n+2) in dimension 1.  Every median and oscillation
+coefficient the construction needs is a dyadic block of the grid, so
+`decompose` reads them from one `gridfn.SortedBlocks` table: each block
+size sorted once, one vector per size.  A child's median is read only
+once the child is processed as a parent with floor(lambda|P|) >= 1; a
+smaller child can have no children, and its median would go unused.  The walk that selects a parent's
 children reads the mask's prefix counts as Python ints.  `gridfn.median`
 and `gridfn.local_osc` give the same numbers one cube per call and stay as
 the public per-call oracle.  The sums over stopping cubes, A_gamma and the
 verifier's sum of oscillation coefficients, go through
-`gridfn.interval_sums`.
+`gridfn.interval_sums`.  A_gamma is taken at GAMMA = 45, the dilation of
+scans 5.3 and 5.9; as 45 is odd, each 45Q is a range of whole cells.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from sharpwt.gridfn import GridFunction, SortedBlocks, interval_sums, local_sharp_max_dyadic, prefix_sums
+from sharpwt.gridfn import (GridFunction, SortedBlocks, _dilate_averages_abs, interval_sums,
+                            local_sharp_max_dyadic, prefix_sums)
 
-# lambda_n = 1/2^(n+2) in dimension n = 1, decompose's default lambda
+# lambda_n = 1/2^(n+2) in dimension n = 1, the lambda of every decomposition
 LAMBDA_N = Fraction(1, 8)
+# the dilation of the stopping cubes in A_gamma
+GAMMA = 45
 
 
 @dataclass
@@ -55,10 +59,10 @@ class StopCube:
 
 @dataclass
 class Decomposition:
+    """The stopping cubes of f on its whole grid at LAMBDA_N."""
+
     f: GridFunction
-    root: tuple[int, int]
     root_median: float
-    lam: Fraction
     generations: list[list[StopCube]]
 
     def all_cubes(self) -> list[StopCube]:
@@ -84,15 +88,21 @@ class Decomposition:
             )
         return {
             "grid_function": self.f.to_json(),
-            "root_cells": list(self.root),
+            "root_cells": [0, self.f.ncells],
             "root_median": self.root_median,
-            "lambda": str(self.lam),
+            "lambda": str(LAMBDA_N),
             "generations": gens,
         }
 
     @staticmethod
     def from_json(obj: dict) -> "Decomposition":
+        """The decomposition of a `to_json` dump; a root other than the whole
+        grid or a lambda other than LAMBDA_N raises ValueError."""
         f = GridFunction.from_json(obj["grid_function"])
+        if obj["root_cells"] != [0, f.ncells] or obj["lambda"] != str(LAMBDA_N):
+            raise ValueError(f"a decomposition covers the whole grid, root_cells [0, {f.ncells}], "
+                             f"at lambda {LAMBDA_N}, not root_cells {obj['root_cells']} "
+                             f"at lambda {obj['lambda']}")
         h = f.cell_width
         gens = []
         for gen in obj["generations"]:
@@ -108,13 +118,7 @@ class Decomposition:
                     for rec in gen
                 ]
             )
-        return Decomposition(
-            f=f,
-            root=(obj["root_cells"][0], obj["root_cells"][1]),
-            root_median=obj["root_median"],
-            lam=Fraction(obj["lambda"]),
-            generations=gens,
-        )
+        return Decomposition(f=f, root_median=obj["root_median"], generations=gens)
 
 
 def _select_children(mask_prefix: list[int], pa: int, pb: int) -> list[tuple[int, int]]:
@@ -139,30 +143,28 @@ def _select_children(mask_prefix: list[int], pa: int, pb: int) -> list[tuple[int
     return out
 
 
-def decompose(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
-    """Generations of stopping cubes for f on Q0, with oscillation
-    coefficients taken on the dyadic parent of each stopping cube."""
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
-    table = SortedBlocks(f, cube)
-    a0, b0 = table.a0, table.b0
+def decompose(f: GridFunction) -> Decomposition:
+    """Generations of stopping cubes for f on its whole grid at LAMBDA_N,
+    with oscillation coefficients taken on the dyadic parent of each
+    stopping cube."""
+    lam = LAMBDA_N
+    table = SortedBlocks(f)
     medians: dict[int, list[float]] = {}
     oscs: dict[int, list[float]] = {}
 
     def median_of(a, size):
         if size not in medians:
             medians[size] = table.medians(size).tolist()
-        return medians[size][(a - a0) // size]
+        return medians[size][a // size]
 
     def osc_of(a, size):
         if size not in oscs:
             oscs[size] = table.osc(size, lam).tolist()
-        return oscs[size][(a - a0) // size]
+        return oscs[size][a // size]
 
-    root_median = median_of(a0, b0 - a0)
+    root_median = median_of(0, f.ncells)
     generations: list[list[StopCube]] = []
-    current = [(a0, b0)]
+    current = [(0, f.ncells)]
     while True:
         next_gen: list[StopCube] = []
         next_parents = []
@@ -196,7 +198,7 @@ def decompose(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
                 child_cells[sc.parent_ref] += sc.ncells
         for j, sc in enumerate(gen):
             sc.e_cells = sc.ncells - child_cells[j]
-    return Decomposition(f, (a0, b0), root_median, lam, generations)
+    return Decomposition(f, root_median, generations)
 
 
 # (i) is checked in floating point, and its right side's sums err by a few
@@ -213,7 +215,6 @@ def verify_decomposition(f: GridFunction, d: Decomposition) -> dict:
     Returns a report with per-property pass flags and worst observed slack;
     failures are report entries, not exceptions.
     """
-    a0, b0 = d.root
     report: dict = {"passed": True}
 
     # (ii) pairwise disjoint within each generation
@@ -256,12 +257,12 @@ def verify_decomposition(f: GridFunction, d: Decomposition) -> dict:
     report["sparse_sets"] = {"passed": ok_e}
 
     # (i) pointwise domination with constant 4
-    msharp = local_sharp_max_dyadic(f, (a0, b0), Fraction(1, 4))
+    msharp = local_sharp_max_dyadic(f)
     cubes = d.all_cubes()
-    coeff = interval_sums(b0 - a0, [sc.a - a0 for sc in cubes], [sc.b - a0 for sc in cubes],
+    coeff = interval_sums(f.ncells, [sc.a for sc in cubes], [sc.b for sc in cubes],
                           [sc.osc_coeff for sc in cubes])
-    lhs = np.abs(f.values[a0:b0] - d.root_median)
-    rhs = 4.0 * msharp.values[a0:b0] + 4.0 * coeff
+    lhs = np.abs(f.values - d.root_median)
+    rhs = 4.0 * msharp.values + 4.0 * coeff
     slack = float(np.max(lhs - rhs))
     report["i_pointwise"] = {"passed": slack <= _SLACK_TOL, "worst_slack": slack}
 
@@ -274,46 +275,17 @@ def verify_decomposition(f: GridFunction, d: Decomposition) -> dict:
     return report
 
 
-def a_gamma(f: GridFunction, d: Decomposition, gamma=1) -> GridFunction:
-    """x -> sum_{k,j} (avg_{gamma Q_j^k} |f|)^2 chi_{Q_j^k}(x).
+def a_gamma(f: GridFunction, d: Decomposition) -> GridFunction:
+    """x -> sum_{k,j} (avg_{45 Q_j^k} |f|)^2 chi_{Q_j^k}(x).
 
-    Averages divide by the full |gamma Q| with f extended by zero outside
+    Averages divide by the full |45 Q| with f extended by zero outside
     its domain (no renormalization on partial overlap).
     """
-    gamma = Fraction(gamma)
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    h = f.cell_width
     cubes = d.all_cubes()
-    sq = []
-    for sc in cubes:
-        lo = f.origin + Fraction(sc.a + sc.b, 2) * h - gamma * Fraction(sc.ncells, 2) * h
-        width = gamma * sc.ncells * h
-        avg = _integral_abs_interval(f, lo, lo + width) / float(width)
-        sq.append(avg * avg)
-    acc = interval_sums(f.ncells, [sc.a for sc in cubes], [sc.b for sc in cubes], sq)
+    a = np.array([sc.a for sc in cubes], dtype=np.intp)
+    b = np.array([sc.b for sc in cubes], dtype=np.intp)
+    avg = _dilate_averages_abs(f, a, b - a, GAMMA)
+    acc = interval_sums(f.ncells, a, b, avg * avg)
     # cancellation in the running sum can leave -1e-18 where the exact
     # value is zero; the operator is a sum of squares
     return f.with_values(np.maximum(acc, 0.0))
-
-
-def _integral_abs_interval(f: GridFunction, lo: Fraction, hi: Fraction) -> float:
-    """Exact integral of |f| over [lo, hi), f extended by zero; endpoints
-    need not be grid-aligned."""
-    lo = max(lo, f.origin)
-    hi = min(hi, f.domain_end)
-    if hi <= lo:
-        return 0.0
-    h = f.cell_width
-    ia = (lo - f.origin) / h
-    ib = (hi - f.origin) / h
-    full_a = int(math.ceil(ia))
-    full_b = int(math.floor(ib))
-    if full_a > full_b:  # entirely inside one cell
-        return abs(f.values[int(math.floor(ia))]) * float((ib - ia) * h)
-    total = f.integral_abs(full_a, full_b) if full_b > full_a else 0.0
-    if ia < full_a:
-        total += abs(f.values[full_a - 1]) * float((full_a - ia) * h)
-    if ib > full_b:
-        total += abs(f.values[full_b]) * float((ib - full_b) * h)
-    return total

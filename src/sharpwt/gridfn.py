@@ -16,10 +16,10 @@ the decomposition's sums over stopping cubes and its verifier all build
 their sums of weighted indicators with it, so the order of the additions,
 and with it the rounding, is decided in one place.
 
-`SortedBlocks` holds, per dyadic block size of one root range, that size's
+`SortedBlocks` holds, per dyadic block size of the grid, that size's
 blocks sorted once, and reads the median and the oscillation coefficient of
 every block of a level as one vector; the stopping-time decomposition,
-M^{#,d} and the scans read it.  `median` and `local_osc` compute the same
+M^{#,d}_{1/4} and the scans read it.  `median` and `local_osc` compute the same
 numbers for one cube per call and stay as the public per-call oracle.
 """
 
@@ -169,6 +169,16 @@ def interval_sums(ncells: int, a, b, c) -> np.ndarray:
     return np.cumsum(acc[:-1])
 
 
+def _dilate_averages_abs(f: GridFunction, a, n, gamma: int) -> np.ndarray:
+    """avg_{gamma Q} |f| of the cubes Q = [a, a + n) (cell indices, arrays
+    or ints) for an odd gamma: gamma Q is then the whole cells
+    [a - (gamma - 1) n / 2, a + (gamma + 1) n / 2), clipped to the grid, and
+    the integral is divided by the full |gamma Q|."""
+    lo = np.maximum(a - (gamma - 1) // 2 * n, 0)
+    hi = np.minimum(a + (gamma + 1) // 2 * n, f.ncells)
+    return f.integral_abs(lo, hi) / (gamma * n * float(f.cell_width))
+
+
 def rearrangement_value(f: GridFunction, cube, t) -> float:
     """(f chi_Q)*(t) = inf{tau >= 0 : |{x in Q : |f(x)| > tau}| <= t}."""
     a, b = f.cell_range(cube)
@@ -226,22 +236,18 @@ def local_osc(f: GridFunction, cube, lam) -> float:
 
 
 class SortedBlocks:
-    """Order statistics of the aligned dyadic blocks of a root range of f.
+    """Order statistics of the aligned dyadic blocks of f's grid.
 
-    Level `size` is the root's values cut into blocks of `size` cells, each
-    block sorted once, built on first use.  The median and the oscillation
+    Level `size` is f's values cut into blocks of `size` cells, each block
+    sorted once, built on first use.  The median and the oscillation
     coefficient of every block of a level come out as one vector, by the
     same index arithmetic, subtraction and `min` as `median` and
     `local_osc`, so every value has their bits.  One table serves one call;
     it is never shared between calls.
     """
 
-    def __init__(self, f: GridFunction, cube=None):
-        self.a0, self.b0 = f.cell_range(cube)
-        m = self.b0 - self.a0
-        if m & (m - 1):
-            raise ValueError("Q0 must contain a power-of-two number of cells")
-        self._values = f.values[self.a0 : self.b0]
+    def __init__(self, f: GridFunction):
+        self._values = f.values
         self._levels: dict[int, np.ndarray] = {}
 
     def _sorted(self, size: int) -> np.ndarray:
@@ -264,17 +270,13 @@ class SortedBlocks:
         return (blocks[:, k - 1 :] - blocks[:, : size - k + 1]).min(axis=1) / 2.0
 
 
-def local_sharp_max_dyadic(f: GridFunction, cube=None, lam=Fraction(1, 4)) -> GridFunction:
-    """M^{#,d}_{lam;Q0} f: per cell, the max of local_osc over the dyadic
-    subcubes of Q0 containing the cell."""
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
-    table = SortedBlocks(f, cube)
-    a, b = table.a0, table.b0
+def local_sharp_max_dyadic(f: GridFunction) -> GridFunction:
+    """M^{#,d}_{1/4} f: per cell, the max of local_osc at lambda = 1/4 over
+    the dyadic cubes of f's grid containing the cell."""
+    table = SortedBlocks(f)
     out = np.zeros(f.ncells)
     size = 2
-    while size <= b - a:
-        np.maximum(out[a:b], np.repeat(table.osc(size, lam), size), out=out[a:b])
+    while size <= f.ncells:
+        np.maximum(out, np.repeat(table.osc(size, Fraction(1, 4)), size), out=out)
         size *= 2
     return f.with_values(out)

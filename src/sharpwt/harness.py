@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from sharpwt.decomp import a_gamma, decompose
-from sharpwt.gridfn import GridFunction, SortedBlocks, cell_count, local_osc, median
+from sharpwt.gridfn import GridFunction, SortedBlocks, _dilate_averages_abs, cell_count, local_osc, median
 from sharpwt.intrinsic import g_alpha, g_tilde, intrinsic_engines
 from sharpwt.operators import (
     PSI,
@@ -323,7 +323,7 @@ def corpus_weights(seed: int = 0, resolution_s: int = 6, n: int = 100) -> list[t
     for i in range(n):
         if i % 5 == 4:
             a = power_exps[(i // 5) % len(power_exps)]
-            out.append((f"power{a:+.2f}-{i:03d}", power_weight(0, resolution_s, a)))
+            out.append((f"power{a:+.2f}-{i:03d}", power_weight(resolution_s, a)))
         else:
             vals = np.exp(0.8 * rng.standard_normal(ncells))
             out.append((f"logn-{i:03d}", Weight(probe.with_values(vals))))
@@ -447,9 +447,7 @@ def _local_sharp_ratio(g, eng):
         size = g.ncells >> lev
         if size < 1:
             continue
-        a = np.arange(0, g.ncells, size)
-        lo, hi = np.maximum(a - 7 * size, 0), np.minimum(a + 8 * size, g.ncells)
-        avg = g.integral_abs(lo, hi) / float(15 * size * g.cell_width)
+        avg = _dilate_averages_abs(g, np.arange(0, g.ncells, size), size, 15)
         keep = avg > 1e-9
         # scalar `v ** 2` is libm pow, which can differ in the last bit from
         # the array square v * v; the scan's value is defined by the scalar
@@ -461,13 +459,12 @@ def _local_sharp_ratio(g, eng):
 def _cases_53(seed, s, n):
     fs = corpus_functions(seed, s, n_random=n)
     ws = corpus_weights(seed, s, n=len(fs))
-    gamma = 45
     cases = []
     for (label, f), (wlabel, w) in zip(fs, ws):
         vals = []
         for g, wt in ((f, w), (refine(f), Weight(refine(w.base)))):
             d = decompose(g)
-            ag = a_gamma(g, d, gamma)
+            ag = a_gamma(g, d)
             h = float(g.cell_width)
             lhs = (np.sum(ag.values ** 1.5 * wt.values) * h) ** (2.0 / 3.0)
             denom = ap_characteristic(wt, 3.0) * weighted_lp_norm(g, wt, 3.0) ** 2
@@ -480,7 +477,7 @@ def _median_ratio(g, eng):
     gt2 = eng.g_tilde().values ** 2
     gt2f = g.with_values(gt2)
     d = decompose(gt2f)
-    rhs = maximal(g).values ** 2 + a_gamma(g, d, 45).values + 1e-9
+    rhs = maximal(g).values ** 2 + a_gamma(g, d).values + 1e-9
     lhs = np.abs(gt2 - median(gt2f))
     return float(np.max(lhs / rhs))
 
@@ -502,7 +499,7 @@ def _aperture(g, eng):
 
 
 def _cases_23(seed, s, n):
-    rho = PSI.holder_seminorm(0.5)
+    rho = PSI.holder_seminorm()
 
     def value(g, eng):
         spsi = psi_engine(g).g_cone(1.0).values

@@ -273,16 +273,24 @@ class PsiKernel:
         at_m1 = -(c0 + c2 / 3.0 + c4 / 5.0 + c6 / 7.0)
         return anti - at_m1
 
-    def holder_seminorm(self, alpha: float) -> float:
-        """Numerical sup of |psi(u)-psi(v)| / |u-v|^alpha on the
-        _HOLDER_SAMPLES-point grid of [-1, 1], per chunk of lags as one 2-D
+    def holder_seminorm(self) -> float:
+        """Numerical sup of |psi(u)-psi(v)| / |u-v|^(1/2) on the grid u of
+        `_holder_peaks`."""
+        u, peaks = self._holder_peaks()
+        # the scalar ** of each lag, as a per-lag loop takes it
+        spans = np.array([(u[lag] - u[0]) ** 0.5 for lag in range(1, u.size)])
+        return float(np.max(peaks / spans, initial=0.0))
+
+    def _holder_peaks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The _HOLDER_SAMPLES-point grid u of [-1, 1] and, per lag, the max
+        of |psi(u[i + lag]) - psi(u[i])|, per chunk of lags as one 2-D
         array: row j holds psi(u[i + lag_j]) - psi(u[i]) for every i, NaN
         past the grid's end, which np.fmax skips."""
         samples = _HOLDER_SAMPLES
         u = np.linspace(-1.0, 1.0, samples)
         vals = self(u)
         padded = np.concatenate([vals, np.full(_LAG_CHUNK, np.nan)])
-        peaks = np.empty(samples - 1)  # per lag, max |psi(u[i + lag]) - psi(u[i])|
+        peaks = np.empty(samples - 1)
         buf = np.empty((_LAG_CHUNK, samples))
         for lo in range(1, samples, _LAG_CHUNK):
             hi = min(lo + _LAG_CHUNK, samples)
@@ -290,9 +298,7 @@ class PsiKernel:
             diff = np.subtract(rows, vals[: samples - lo], out=buf[: hi - lo, : samples - lo])
             np.abs(diff, out=diff)
             peaks[lo - 1 : hi - 1] = np.fmax.reduce(diff, axis=1)
-        # the scalar ** of each lag, as a per-lag loop takes it
-        spans = np.array([(u[lag] - u[0]) ** alpha for lag in range(1, samples)])
-        return float(np.max(peaks / spans, initial=0.0))
+        return u, peaks
 
 
 PSI = PsiKernel()

@@ -359,8 +359,8 @@ def power_cell_averages(edges: np.ndarray, a: float, center: float = 0.0,
     return avg
 
 
-def power_weight(level_L: int, resolution_s: int, a: float, origin=0) -> Weight:
-    """Weight with exact cell averages of |x|^a."""
+def power_weight(resolution_s: int, a: float) -> Weight:
+    """Weight on [0, 1) with exact cell averages of |x|^a."""
     spec = PowerWeightSpec(a)
-    probe = GridFunction(level_L, resolution_s, np.zeros(cell_count(level_L, resolution_s)), origin)
+    probe = GridFunction(0, resolution_s, np.zeros(cell_count(0, resolution_s)))
     return Weight(probe.with_values(spec.cell_averages(probe.cell_edges())), power=spec)

@@ -1,11 +1,13 @@
 """Per-call reference implementations kept as test oracles: for the
 sorted-blocks table, the oscillation window count in Fraction arithmetic,
 the stopping-time decomposition with one `median` and one `local_osc` call
-per cube and its child selection taken from the definition, and the
-scan-5.2 value with one `local_osc` call and one exact-Fraction 15Q average
-per dyadic cube; for the shared vertex pool, the "lp" evaluator of one
+per cube and its child selection taken from the definition, the exact
+integral of |f| over an interval with Fraction endpoints, A_gamma with one
+exact-Fraction 45Q average per stopping cube, and the scan-5.2 value with
+one `local_osc` call and one exact-Fraction 15Q average per dyadic cube; for the shared vertex pool, the "lp" evaluator of one
 engine build with a pool of its own and every basis inverted afresh; the
-A_p characteristic evaluated at every window of every length; the Hilbert
+A_p characteristic evaluated at every window of every length, and the
+power weight |x|^a on [-1, 1) that the A_p tests take; the Hilbert
 kernel summed directly per cell, the truncated transform as one
 convolution of every cell with the whole kernel, and T* as one truncated
 transform per delta; the hat coefficients and psi convolutions of every
@@ -26,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from sharpwt.decomp import LAMBDA_N, Decomposition, StopCube, _integral_abs_interval
-from sharpwt.gridfn import GridFunction, local_osc, median, prefix_sums
+from sharpwt.decomp import GAMMA, LAMBDA_N, Decomposition, StopCube
+from sharpwt.gridfn import GridFunction, interval_sums, local_osc, median, prefix_sums
 from sharpwt.harness import FitPoint, FitResult, _least_squares, _operator_on
 from sharpwt.intrinsic import _NODE_CHUNK, _hat_cdf, _trapezoid_weights
 from sharpwt.operators import PSI, _hilbert_kernel, _log_table, _trailing_max, hilbert_truncated, truncation_ladder
@@ -91,16 +93,13 @@ def dense_children(mask: np.ndarray) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def decompose_per_call(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decomposition:
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie in (0, 1)")
-    a0, b0 = f.cell_range(cube)
-    if (b0 - a0) & (b0 - a0 - 1):
-        raise ValueError("Q0 must contain a power-of-two number of cells")
-    root_median = median(f, (a0, b0))
+def decompose_per_call(f: GridFunction) -> Decomposition:
+    """The decomposition of f on its whole grid at LAMBDA_N, every median
+    and oscillation coefficient by its own per-cube call."""
+    lam = LAMBDA_N
+    root_median = median(f)
     generations: list[list[StopCube]] = []
-    current = [(a0, b0, root_median, -1)]
+    current = [(0, f.ncells, root_median, -1)]
     while True:
         next_gen: list[StopCube] = []
         next_parents = []
@@ -117,7 +116,7 @@ def decompose_per_call(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decompositio
             for a, b in dense_children(mask):
                 a, b = a + pa, b + pa
                 size2 = 2 * (b - a)
-                qa = a0 + ((a - a0) // size2) * size2
+                qa = (a // size2) * size2
                 next_gen.append(
                     StopCube(
                         a=a,
@@ -138,7 +137,45 @@ def decompose_per_call(f: GridFunction, cube=None, lam=LAMBDA_N) -> Decompositio
                 child_cells[sc.parent_ref] += sc.ncells
         for j, sc in enumerate(gen):
             sc.e_cells = sc.ncells - int(child_cells[j])
-    return Decomposition(f, (a0, b0), root_median, lam, generations)
+    return Decomposition(f, root_median, generations)
+
+
+def integral_abs_interval(f: GridFunction, lo: Fraction, hi: Fraction) -> float:
+    """Exact integral of |f| over [lo, hi), f extended by zero; endpoints
+    need not be grid-aligned."""
+    lo = max(lo, f.origin)
+    hi = min(hi, f.domain_end)
+    if hi <= lo:
+        return 0.0
+    h = f.cell_width
+    ia = (lo - f.origin) / h
+    ib = (hi - f.origin) / h
+    full_a = int(math.ceil(ia))
+    full_b = int(math.floor(ib))
+    if full_a > full_b:  # entirely inside one cell
+        return abs(f.values[int(math.floor(ia))]) * float((ib - ia) * h)
+    total = f.integral_abs(full_a, full_b) if full_b > full_a else 0.0
+    if ia < full_a:
+        total += abs(f.values[full_a - 1]) * float((full_a - ia) * h)
+    if ib > full_b:
+        total += abs(f.values[full_b]) * float((ib - full_b) * h)
+    return total
+
+
+def a_gamma_per_cube(f: GridFunction, d: Decomposition) -> np.ndarray:
+    """A_gamma's values with each stopping cube's 45Q placed in exact
+    Fraction coordinates, centred on the cube, and its average taken by
+    `integral_abs_interval`, one cube at a time."""
+    h = f.cell_width
+    cubes = d.all_cubes()
+    sq = []
+    for sc in cubes:
+        lo = f.origin + Fraction(sc.a + sc.b, 2) * h - GAMMA * Fraction(sc.ncells, 2) * h
+        width = GAMMA * sc.ncells * h
+        avg = integral_abs_interval(f, lo, lo + width) / float(width)
+        sq.append(avg * avg)
+    acc = interval_sums(f.ncells, [sc.a for sc in cubes], [sc.b for sc in cubes], sq)
+    return np.maximum(acc, 0.0)
 
 
 def local_sharp_ratio_per_cube(g: GridFunction, gt2: np.ndarray) -> float:
@@ -156,7 +193,7 @@ def local_sharp_ratio_per_cube(g: GridFunction, gt2: np.ndarray) -> float:
             osc = local_osc(gt2f, (a, a + size), lam)
             lo = g.origin + a * g.cell_width - 7 * size * g.cell_width
             width = 15 * size * g.cell_width
-            avg = _integral_abs_interval(g, lo, lo + width) / float(width)
+            avg = integral_abs_interval(g, lo, lo + width) / float(width)
             if avg > 1e-9:
                 worst = max(worst, osc / avg**2)
     return worst
@@ -177,6 +214,14 @@ def ap_characteristic_dense(w, p: float, every_length: bool = False) -> float:
         avg_s = (ps[ln:] - ps[:-ln]) / ln
         best = max(best, float(np.max(avg_w * avg_s ** (p - 1.0))))
     return best
+
+
+def power_weight_pm1(resolution_s: int, a: float) -> Weight:
+    """The power weight |x|^a on [-1, 1) at resolution s, with its spec:
+    the singularity sits mid-grid, where the A_p tests want it."""
+    spec = PowerWeightSpec(a)
+    probe = GridFunction(1, resolution_s, np.zeros(2 ** (1 + resolution_s)), -1)
+    return Weight(probe.with_values(spec.cell_averages(probe.cell_edges())), power=spec)
 
 
 def hilbert_kernel_direct(n: int, h: float, delta: float) -> np.ndarray:

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import sharpwt.cli
+from oracles import power_weight_pm1
 from sharpwt.cli import build_parser, main, parse_function
 from sharpwt.gridfn import GridFunction
 from sharpwt.harness import OPERATOR_REGISTRY
 from sharpwt.intrinsic import g_tilde
-from sharpwt.weights import Weight, ap_characteristic, power_weight
+from sharpwt.weights import Weight, ap_characteristic
 
 
 def test_parse_function_specs():
@@ -49,7 +50,7 @@ def test_cli_ap_prints_the_librarys_value(tmp_path, capsys):
     path = tmp_path / "w.json"
     path.write_text(json.dumps(file_weight.to_json()))
     cases = [
-        ("power:-0.5", ["--L", "1", "--origin", "-1", "--res", "8"], power_weight(1, 8, -0.5, origin=-1)),
+        ("power:-0.5", ["--L", "1", "--origin", "-1", "--res", "8"], power_weight_pm1(8, -0.5)),
         ("const:2", ["--res", "6"], Weight(GridFunction(0, 6, np.full(64, 2.0)))),
         (f"file:{path}", [], Weight(file_weight)),
     ]
@@ -93,6 +94,19 @@ def test_cli_exponent_window_failure_is_nonzero(capsys):
     assert "ASSERTION FAILED" in captured.err
 
 
+def test_cli_exponent_window_fails_when_every_point_is_flagged(capsys):
+    # at --res 0 f_delta sits in one cell and every ladder point is flagged:
+    # the slope, 0.5, reflects the two-cell grid, though the window holds it
+    rc = main(["exponent", "--op", "sd", "--res", "0", "--window", "0.4,0.6"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "slope=0.5 " in captured.out and "flagged=4/4" in captured.out
+    assert "every ladder point is flagged" in captured.err and "--res 0" in captured.err
+    # one unflagged point is enough: this fit passes a window that holds its slope
+    assert main(["exponent", "--op", "sd", "--res", "8", "--window", "0.70,0.76"]) == 0
+    assert "flagged=3/4" in capsys.readouterr().out
+
+
 def test_cli_exponent_emits_csv(tmp_path, capsys):
     out = tmp_path / "fit.csv"
     rc = main(["exponent", "--op", "sd", "--p", "2",
@@ -132,6 +146,21 @@ def test_cli_decompose_verify_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("pass") >= 5
+
+
+@pytest.mark.parametrize("edit", [{"root_cells": [0, 128]}, {"root_cells": [128, 256]},
+                                  {"lambda": "1/4"}])
+def test_cli_verify_rejects_a_dump_of_another_root_or_lambda(edit, tmp_path, capsys):
+    # a dump is outside input, and every tree the program writes is of the
+    # whole grid at lambda 1/8; any other root or lambda is refused
+    tree = tmp_path / "tree.json"
+    assert main(["decompose", "--fn", "random:4", "--res", "8", "--out", str(tree)]) == 0
+    tree.write_text(json.dumps({**json.loads(tree.read_text()), **edit}))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", str(tree)])
+    assert exc.value.code == 2
+    assert "covers the whole grid, root_cells [0, 256], at lambda 1/8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

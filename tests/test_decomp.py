@@ -1,7 +1,7 @@
 """Stopping-time decomposition: construction examples, the four verified
 properties, sparse sets, the child walk against its dense oracle, which
-medians the construction reads, and the averaging operator's direct-sum
-oracle."""
+medians the construction reads, and the averaging operator against its
+direct-sum oracle and, bytewise, its exact-Fraction oracle."""
 
 import json
 from fractions import Fraction
@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_children
-from sharpwt.decomp import Decomposition, _select_children, a_gamma, decompose, verify_decomposition
+from oracles import a_gamma_per_cube, dense_children
+from sharpwt.decomp import Decomposition, StopCube, _select_children, a_gamma, decompose, verify_decomposition
 from sharpwt.gridfn import GridFunction, SortedBlocks, prefix_sums
 
 RNG = np.random.default_rng(99)
@@ -107,11 +107,13 @@ def test_select_children_matches_dense_oracle(k, seed, density, runs):
     assert _select_children(prefix_sums(mask, np.intp).tolist(), 0, m) == dense_children(mask)
 
 
-def singular_corpus_values(rng, n):
-    """Cell averages of |x - c|^a, a in (-0.9, -0.2), plus 0.1 noise, as in
-    the benchmark's decomposition corpus; trees nest several generations."""
+def singular_corpus_values(rng, n, c=None):
+    """Cell averages of |x - c|^a on n cells of [0, 1), a in (-0.9, -0.2),
+    plus 0.1 noise, as in the benchmark's decomposition corpus; c is a
+    random cell edge unless given.  Trees nest several generations."""
     edges = np.arange(n + 1) / n
-    a, c = float(rng.uniform(-0.9, -0.2)), int(rng.integers(n)) / n
+    a = float(rng.uniform(-0.9, -0.2))
+    c = int(rng.integers(n)) / n if c is None else c
     u = edges - c
     anti = np.sign(u) * np.abs(u) ** (a + 1.0) / (a + 1.0)
     return np.diff(anti) * n + 0.1 * rng.standard_normal(n)
@@ -147,30 +149,29 @@ def test_child_medians_only_for_parents_with_room(monkeypatch, kind, lam):
 def test_a_gamma_empty_and_single_cube():
     f = GridFunction(0, 8, np.full(256, 1.0))
     d = decompose(f)  # empty
-    assert np.all(a_gamma(f, d, 45).values == 0.0)
+    assert np.all(a_gamma(f, d).values == 0.0)
 
-    # one synthetic stopping cube [0, 1/4) with gamma = 1 and f = 1
-    from sharpwt.decomp import StopCube
-
+    # one synthetic stopping cube [0, 1/4) and f = 1: 45Q, clipped to the
+    # grid, holds all 256 cells, and its average divides by 45 * 64 cells
     d.generations = [[StopCube(a=0, b=64, osc_coeff=0.0, parent_ref=0, e_cells=64)]]
-    out = a_gamma(f, d, 1)
-    assert np.allclose(out.values[:64], 1.0)
+    out = a_gamma(f, d)
+    assert np.allclose(out.values[:64], (256 / (45 * 64)) ** 2)
     assert np.all(out.values[64:] == 0.0)
 
 
-def a_gamma_oracle(f, d, gamma):
+def a_gamma_oracle(f, d):
     h = float(f.cell_width)
     edges = f.cell_edges()
     out = np.zeros(f.ncells)
     for sc in d.all_cubes():
-        lo = float(f.origin) + (sc.a + sc.b) / 2 * h - gamma * (sc.b - sc.a) / 2 * h
-        hi = lo + gamma * (sc.b - sc.a) * h
+        lo = float(f.origin) + (sc.a + sc.b) / 2 * h - 45 * (sc.b - sc.a) / 2 * h
+        hi = lo + 45 * (sc.b - sc.a) * h
         total = 0.0
         for i in range(f.ncells):
             seg = min(hi, edges[i + 1]) - max(lo, edges[i])
             if seg > 0:
                 total += abs(f.values[i]) * seg
-        avg = total / (gamma * (sc.b - sc.a) * h)
+        avg = total / (45 * (sc.b - sc.a) * h)
         out[sc.a : sc.b] += avg * avg
     return out
 
@@ -181,18 +182,30 @@ def test_a_gamma_matches_direct_summation():
         d = decompose(f)
         if not d.generations:
             continue
-        got = a_gamma(f, d, 45).values
-        want = a_gamma_oracle(f, d, 45)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-        got1 = a_gamma(f, d, 3).values
-        want1 = a_gamma_oracle(f, d, 3)
-        assert np.allclose(got1, want1, rtol=1e-12, atol=1e-12)
+        assert np.allclose(a_gamma(f, d).values, a_gamma_oracle(f, d), rtol=1e-12, atol=1e-12)
 
 
-def test_a_gamma_rejects_small_gamma():
-    f = GridFunction(0, 6, RNG.standard_normal(64))
-    with pytest.raises(ValueError):
-        a_gamma(f, decompose(f), 0.5)
+@pytest.mark.parametrize("L,origin", [(0, 0), (0, -1), (1, 0), (1, -1)])
+def test_a_gamma_is_bytewise_the_exact_fraction_oracle(L, origin):
+    # hand-placed cubes: one cell at either end and inside, 45Q clipped at
+    # the left, at the right and at both ends, and unclipped; then
+    # decompositions of singular functions, whose trees reach one-cell cubes
+    s = 7 - L
+    n = 2 ** (L + s)
+    rng = np.random.default_rng([L, -origin])
+    f = GridFunction(L, s, rng.standard_normal(n) * np.geomspace(1e-3, 1.0, n), origin)
+    spans = [(0, 1), (n - 1, n), (n // 2, n // 2 + 1), (0, 2), (n - 4, n), (0, n // 2),
+             (n // 2 - 1, n // 2), (n // 2 - 2, n // 2)]
+    d = Decomposition(f, 0.0, [[StopCube(a, b, 0.0, -1) for a, b in spans]])
+    assert a_gamma(f, d).values.tobytes() == a_gamma_per_cube(f, d).tobytes()
+    one_cell = 0
+    for _ in range(20):
+        c = float(rng.uniform(0, 2.0**L))
+        g = f.with_values(singular_corpus_values(rng, n, c / 2.0**L))
+        d = decompose(g)
+        one_cell += sum(sc.ncells == 1 for sc in d.all_cubes())
+        assert a_gamma(g, d).values.tobytes() == a_gamma_per_cube(g, d).tobytes()
+    assert one_cell > 0
 
 
 def test_decomposition_json_roundtrip(tmp_path):
@@ -203,7 +216,6 @@ def test_decomposition_json_roundtrip(tmp_path):
         json.dump(d.to_json(), fh)
     with open(path) as fh:
         d2 = Decomposition.from_json(json.load(fh))
-    assert d2.root == d.root
     assert d2.root_median == d.root_median
     assert len(d2.generations) == len(d.generations)
     for g1, g2 in zip(d.generations, d2.generations):
@@ -229,12 +241,10 @@ def _hand_tree(first, second):
     """A tree on f = 0 over 16 cells with the given (a, b, parent, e_cells)
     cubes in its two generations; f = 0 makes (i) hold for any cubes, so only
     the structural checks can fail."""
-    from sharpwt.decomp import StopCube
-
     f = GridFunction(0, 4, np.zeros(16))
     gens = [[StopCube(a=a, b=b, osc_coeff=0.0, parent_ref=p, e_cells=e) for a, b, p, e in gen]
             for gen in (first, second)]
-    return f, Decomposition(f, (0, 16), 0.0, Fraction(1, 8), gens)
+    return f, Decomposition(f, 0.0, gens)
 
 
 VALID_FIRST = [(0, 4, -1, 2), (8, 12, -1, 4)]

@@ -219,7 +219,7 @@ def test_sharp_max_constant_zero():
 def test_sharp_max_matches_enumeration():
     for _ in range(25):
         f = random_f(64)
-        got = local_sharp_max_dyadic(f, None, Fraction(1, 4)).values
+        got = local_sharp_max_dyadic(f).values
         assert np.allclose(got, sharp_max_oracle(f, Fraction(1, 4)), atol=1e-14)
 
 
@@ -227,7 +227,7 @@ def test_sharp_max_indicator_case():
     vals = np.zeros(32)
     vals[:16] = 1.0
     f = GridFunction(0, 5, vals)
-    got = local_sharp_max_dyadic(f, None, Fraction(1, 4)).values
+    got = local_sharp_max_dyadic(f).values
     assert np.allclose(got, sharp_max_oracle(f, Fraction(1, 4)), atol=1e-14)
 
 

@@ -397,14 +397,19 @@ def test_s_psi_monotone_in_beta():
 @pytest.mark.parametrize("samples", [1, 2, 3, 33, 100, 4001])
 def test_psi_holder_seminorm_matches_per_lag_loop_bytewise(alpha, samples, monkeypatch):
     # 4001 samples give 4000 lags, 125 whole chunks of 32: only the smaller
-    # grids reach a partial last chunk, so the test sets the grid size
+    # grids reach a partial last chunk, so the test sets the grid size.
+    # holder_seminorm divides the per-lag peaks by |u - v|^(1/2); the other
+    # exponents move the lag that attains the sup, so the quotient's max
+    # checks the chunked peaks at three lags
     monkeypatch.setattr(operators, "_HOLDER_SAMPLES", samples)
-    got = PSI.holder_seminorm(alpha)
+    u, peaks = PSI._holder_peaks()
+    spans = np.array([(u[lag] - u[0]) ** alpha for lag in range(1, samples)])
+    got = float(np.max(peaks / spans, initial=0.0)) if alpha != 0.5 else PSI.holder_seminorm()
     assert np.float64(got).tobytes() == np.float64(holder_seminorm_per_lag(PSI, alpha, samples)).tobytes()
 
 
 def test_psi_holder_seminorm_positive():
-    rho = PSI.holder_seminorm(0.5)
+    rho = PSI.holder_seminorm()
     assert rho > 0
     # the sampled difference quotient can never exceed the reported sup
     u = np.linspace(-1, 1, 101)

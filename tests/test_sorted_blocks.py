@@ -41,7 +41,7 @@ def singular_values(L, s, origin, c, a):
 
 
 @st.composite
-def grids(draw, kinds=("normal", "tied", "singular")):
+def grids(draw):
     """Grid functions at s <= 8, L in {-1, 0, 1}, origin <= 0, with
     standard normal, tie-heavy (rounded) or singular values."""
     L = draw(st.sampled_from((-1, 0, 1)))
@@ -49,7 +49,7 @@ def grids(draw, kinds=("normal", "tied", "singular")):
     n = 2 ** (L + s)
     origin = -draw(st.integers(0, 3 * n)) * Fraction(1, 2**s)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(("normal", "tied", "singular")))
     if kind == "singular":
         c = float(origin) + float(rng.uniform(0, 2.0**L))
         values = singular_values(L, s, origin, c, float(rng.uniform(-0.9, -0.2)))
@@ -60,36 +60,17 @@ def grids(draw, kinds=("normal", "tied", "singular")):
     return GridFunction(L, s, values, origin)
 
 
-@st.composite
-def rooted_grids(draw, kinds=("normal", "tied", "singular")):
-    """A grid function and a root: the whole grid or an aligned (a, a + 2^k)."""
-    f = draw(grids(kinds))
-    if draw(st.booleans()):
-        return f, None
-    k = draw(st.integers(0, f.level_L + f.resolution_s))
-    a = draw(st.integers(0, f.ncells // 2**k - 1)) * 2**k
-    return f, (a, a + 2**k)
-
-
 @settings(max_examples=150, deadline=None)
-@given(rooted_grids())
-def test_table_levels_equal_per_call_median_and_osc(case):
-    f, root = case
-    table = SortedBlocks(f, root)
-    a0, b0 = table.a0, table.b0
+@given(grids())
+def test_table_levels_equal_per_call_median_and_osc(f):
+    table = SortedBlocks(f)
     size = 1
-    while size <= b0 - a0:
-        cubes = [(a, a + size) for a in range(a0, b0, size)]
+    while size <= f.ncells:
+        cubes = [(a, a + size) for a in range(0, f.ncells, size)]
         assert bits(table.medians(size)) == bits([median(f, q) for q in cubes])
         for lam in LAMS:
             assert bits(table.osc(size, lam)) == bits([local_osc(f, q, lam) for q in cubes])
         size *= 2
-
-
-def test_table_rejects_a_root_that_is_not_a_power_of_two():
-    f = GridFunction(0, 3, np.arange(8.0))
-    with pytest.raises(ValueError, match="power-of-two"):
-        SortedBlocks(f, (0, 6))
 
 
 def test_integer_window_count_is_the_fraction_ceiling():
@@ -104,16 +85,13 @@ def tree_bytes(d) -> str:
 
 
 @settings(max_examples=150, deadline=None)
-@given(rooted_grids())
-def test_decompose_matches_per_call_construction(case):
-    f, root = case
-    d = decompose(f, root)
-    assert tree_bytes(d) == tree_bytes(decompose_per_call(f, root))
+@given(grids())
+def test_decompose_matches_per_call_construction(f):
+    # a parent of fewer than 8 cells, floor(|P| / 8) = 0, is skipped before
+    # its threshold is taken; the oracle takes it and selects nothing
+    d = decompose(f)
+    assert tree_bytes(d) == tree_bytes(decompose_per_call(f))
     assert verify_decomposition(f, d)["passed"]
-    # a parent of fewer than 1/lam cells, floor(lam |P|) = 0, is skipped
-    # before its threshold is taken; the oracle takes it and selects nothing
-    for lam in (Fraction(1, 4), Fraction(1, 3)):
-        assert tree_bytes(decompose(f, root, lam)) == tree_bytes(decompose_per_call(f, root, lam))
 
 
 @pytest.mark.parametrize("kind", ["normal", "tied", "singular"])
@@ -128,24 +106,21 @@ def test_decompose_matches_per_call_construction_at_s10(kind):
             if kind == "tied":
                 values = np.round(2 * values)
         f = GridFunction(0, 10, values)
-        root = None if trial % 2 == 0 else (256 * (trial % 4), 256 * (trial % 4) + 256)
-        d = decompose(f, root)
-        assert tree_bytes(d) == tree_bytes(decompose_per_call(f, root))
+        d = decompose(f)
+        assert tree_bytes(d) == tree_bytes(decompose_per_call(f))
         assert verify_decomposition(f, d)["passed"]
 
 
 @settings(max_examples=100, deadline=None)
-@given(rooted_grids(), st.sampled_from(LAMS))
-def test_sharp_max_matches_per_cube_enumeration(case, lam):
-    f, root = case
-    a0, b0 = f.cell_range(root)
+@given(grids())
+def test_sharp_max_matches_per_cube_enumeration(f):
     want = np.zeros(f.ncells)
     size = 2
-    while size <= b0 - a0:
-        for a in range(a0, b0, size):
-            want[a : a + size] = np.maximum(want[a : a + size], local_osc(f, (a, a + size), lam))
+    while size <= f.ncells:
+        for a in range(0, f.ncells, size):
+            want[a : a + size] = np.maximum(want[a : a + size], local_osc(f, (a, a + size), Fraction(1, 4)))
         size *= 2
-    assert bits(local_sharp_max_dyadic(f, root, lam).values) == bits(want)
+    assert bits(local_sharp_max_dyadic(f).values) == bits(want)
 
 
 class FixedGTilde:

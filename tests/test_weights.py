@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ap_characteristic_dense, power_cell_averages_masked
+from oracles import ap_characteristic_dense, power_cell_averages_masked, power_weight_pm1
 
 import sharpwt.weights as weights
 from sharpwt.gridfn import GridFunction
@@ -47,27 +47,27 @@ def test_ap_rejects_bad_input():
 @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, 1.0, 0.5])
 def test_ap_rejects_a_p_that_is_not_finite_and_above_one(p):
     # p = inf gave 1.0 and p = nan gave 1.0 (every window NaN)
-    w = power_weight(0, 6, 0.5)
+    w = power_weight(6, 0.5)
     with pytest.raises(ValueError, match="finite p > 1"):
         ap_characteristic(w, p)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.3])
 def test_ap_with_the_sigma_it_would_form_is_bitwise_its_default(p):
-    for w in (power_weight(1, 10, 0.5, origin=-1), power_weight(1, 9, -0.75, origin=-1), random_weight(512)):
+    for w in (power_weight_pm1(10, 0.5), power_weight_pm1(9, -0.75), random_weight(512)):
         assert ap_characteristic(w, p, w.sigma_values(p)) == ap_characteristic(w, p)
 
 
 @pytest.mark.parametrize("bad", [np.ones(63), np.ones((64, 1)), np.zeros(64), -np.ones(64),
                                  np.full(64, np.nan), np.full(64, np.inf)])
 def test_ap_rejects_a_sigma_that_is_not_one_positive_finite_value_per_cell(bad):
-    w = power_weight(0, 6, 0.5)
+    w = power_weight(6, 0.5)
     with pytest.raises(ValueError, match="sigma"):
         ap_characteristic(w, 2.0, bad)
 
 
 def test_power_weight_matches_full_enumeration():
-    w = power_weight(1, 10, 0.5, origin=-1)  # |x|^(1/2) on [-1,1) at s=10
+    w = power_weight_pm1(10, 0.5)  # |x|^(1/2) on [-1,1) at s=10
     got = ap_characteristic(w, 2.0)
     full = ap_characteristic_dense(w, 2.0, every_length=True)
     assert got <= full + 1e-12
@@ -144,7 +144,7 @@ def test_ap_matches_dense_loop_on_fit_weights():
     # 2^17 and 2^18 cells prune with the chunk ap_characteristic uses
     for s, a, p in [(17, (1 - 2**-1.5) * 1.0, 2.0), (16, -(1 - 2**-3), 3.0), (16, 0.75 * 0.5, 1.5),
                     (12, (1 - 2**-6) * 3.0, 4.0), (11, (1 - 2**-4) * 2.0, 3.0)]:
-        w = power_weight(1, s, a, origin=-1)
+        w = power_weight_pm1(s, a)
         check_ap_matches_dense_loop(w, p, weights._AP_CHUNK)
         check_ap_matches_dense_loop(w, p)
 
@@ -260,7 +260,7 @@ def test_short_bounds_without_the_prefix_error_fail_the_dense_loop_test(monkeypa
 def test_ap_blows_up_along_delta():
     vals = []
     for delta in (0.5, 0.25, 0.125):
-        w = power_weight(1, 10, (1 - delta) * 1.0, origin=-1)  # p = 2
+        w = power_weight_pm1(10, (1 - delta) * 1.0)  # p = 2
         vals.append(ap_characteristic(w, 2.0))
     assert vals[0] < vals[1] < vals[2]
 
@@ -287,7 +287,7 @@ def test_scaling_invariance():
     for c in (0.01, 3.0, 1e4):
         assert ap_characteristic(Weight(w.base.with_values(c * w.values)), 2.5) == pytest.approx(base, rel=1e-12)
     # a power weight keeps its closed form, so the dual side is exact
-    wp = power_weight(0, 7, 0.5)
+    wp = power_weight(7, 0.5)
     basep = ap_characteristic(wp, 2.0)
     spec = PowerWeightSpec(0.5, coeff=7.5)
     scaled = Weight(wp.base.with_values(7.5 * wp.values), power=spec)
