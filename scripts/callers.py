@@ -21,12 +21,20 @@ since decorators shift `co_firstlineno`; nested functions and
 comprehensions are keyed as their own code objects.
 
 Each call into a public function (no component of the qualified name
-starts with `_` or `<`) also records the value of each parameter that is
-a scalar: int, float, str, bool, None, Fraction, or a tuple of these.  The
-call counts as `test` when the calling frame's file is under tests/, and
-as `program` otherwise (src/sharpwt itself, perfbench, pytest).  A
+starts with `_` or `<`; a class's `__init__` counts as the class) also
+records the value of each parameter that is a scalar: int, float, str,
+bool, None, Fraction, or a tuple of these.  A dataclass's generated
+`__init__`, which has no source file, is filed under its class's file.
+A value counts as `test` when the calling frame's file is under tests/,
+and as `program` otherwise (perfbench, pytest, src/sharpwt itself) --
+except that a src caller which received the value unchanged (the same
+object) as its own parameter of the same name passes it on: the value
+then counts for that caller's caller, and so on up the stack.  A
 program call that passes a parameter anything else (an array, a grid
-function) marks that parameter as data, never a setting.
+function) marks that parameter as data, never a setting.  Two kinds of
+value still count as a program's: the argv values of a test's
+in-process `cli.main` call, and values that a src method copies from an
+object a test built (a spec's fields read by a method of the spec).
 
 Prints one JSON document: for each function of src/sharpwt, the test files
 and workloads that reach it; `own_test_only`, the public functions that
@@ -43,7 +51,9 @@ Exits 1 when a test, a workload operation or a workload check failed
 incomplete; when `own_test_only` is not empty, since the design aim is
 no public API whose only caller is its own unit test; and when a setting
 of `test_only_settings` is not in `KEPT`, since a setting that only tests
-set is a constant.  Takes 50 to 85 seconds on a 2-vCPU machine.
+set is a constant.  Takes about two minutes on a 2-vCPU machine (123 s,
+Tier-1 under the hook 114 s; 117 s before the constructor and
+pass-through rules).
 It is not part of Tier-1, like `perfbench` and scripts/ablate.py.
 """
 
@@ -63,12 +73,10 @@ from pathlib import Path
 if sys.version_info < (3, 11):
     sys.exit("callers.py needs Python 3.11 or later: it keys functions by co_qualname")
 
-sys.dont_write_bytecode = True
 SEED = 3  # of the workload inputs
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sharpwt"
 TESTS = str(ROOT / "tests") + os.sep
-sys.path.insert(0, str(ROOT / "src"))
 
 # test-only settings that stay, each with the reason
 KEPT = {
@@ -88,7 +96,12 @@ def scalar(value) -> bool:
 
 
 def public(qualname: str) -> bool:
-    return not any(part.startswith(("_", "<")) for part in qualname.split("."))
+    """No component starts with `_` or `<`; a class's `__init__` counts as
+    the class, since its arguments are the class's settings."""
+    parts = qualname.split(".")
+    if len(parts) > 1 and parts[-1] == "__init__":
+        parts.pop()
+    return not any(part.startswith(("_", "<")) for part in parts)
 
 
 def src_functions() -> dict[tuple[str, str], None]:
@@ -117,47 +130,82 @@ class CallRecorder:
         self.reached: dict[str, set[tuple[str, str]]] = {}
         self.now = self.reached.setdefault("(import)", set())
         self.params: dict[types.CodeType, tuple[str, ...]] = {}
+        # a dataclass's generated __init__ -> (file, qualname) of its class, or None
+        self.generated: dict[types.CodeType, tuple[str, str] | None] = {}
         # (file, qualname, parameter) -> {"test": values, "program": values}
         self.values: dict[tuple[str, str, str], dict[str, set]] = {}
+        self.previous = (None, None)
 
     def reacher(self, name: str) -> None:
         self.now = self.reached.setdefault(name, set())
 
+    def key(self, frame) -> tuple[str, str] | None:
+        """(src file, qualname) of the frame's function, or None outside
+        src/sharpwt.  A dataclass's generated `__init__` has no file; it is
+        filed under its class's."""
+        code = frame.f_code
+        name = self.files.get(code.co_filename)
+        if name is not None:
+            return name, code.co_qualname
+        if code.co_name != "__init__" or code.co_filename != "<string>":
+            return None
+        if code not in self.generated:
+            self.generated[code] = None
+            for cls in type(frame.f_locals[code.co_varnames[0]]).__mro__:
+                init = vars(cls).get("__init__")
+                if getattr(init, "__code__", None) is code:
+                    name = self.files.get(getattr(sys.modules.get(cls.__module__), "__file__", None))
+                    if name is not None:
+                        self.generated[code] = name, f"{cls.__qualname__}.__init__"
+                    break
+        return self.generated[code]
+
+    def side(self, caller, param: str, value) -> str:
+        """`test` when the value came from a test frame: directly, or through
+        src callers that each received it unchanged (the same object) as
+        their own parameter `param`; `program` otherwise."""
+        while caller is not None and caller.f_code.co_filename in self.files:
+            code = caller.f_code
+            if param not in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount] \
+                    or caller.f_locals.get(param, DATA) is not value:
+                return "program"
+            caller = caller.f_back
+        return "test" if caller is not None and caller.f_code.co_filename.startswith(TESTS) else "program"
+
     def __call__(self, frame, event, arg) -> None:
         if event != "call":
             return
-        code = frame.f_code
-        name = self.files.get(code.co_filename)
-        if name is None:
+        key = self.key(frame)
+        if key is None:
             return
-        self.now.add((name, code.co_qualname))
+        self.now.add(key)
+        code = frame.f_code
         params = self.params.get(code)
         if params is None:
             n = code.co_argcount + code.co_kwonlyargcount
-            params = self.params[code] = code.co_varnames[:n] if public(code.co_qualname) else ()
-        if not params:
-            return
-        caller = frame.f_back
-        side = "test" if caller is not None and caller.f_code.co_filename.startswith(TESTS) else "program"
+            params = self.params[code] = code.co_varnames[:n] if public(key[1]) else ()
         args = frame.f_locals
         for param in params:
             value = args.get(param, DATA)
+            side = self.side(frame.f_back, param, value)
             if not scalar(value):
                 if side == "test":
                     continue
                 value = DATA
             elif isinstance(value, float) and value != value:
                 value = NAN
-            seen = self.values.setdefault((name, code.co_qualname, param), {"test": set(), "program": set()})
+            seen = self.values.setdefault((*key, param), {"test": set(), "program": set()})
             seen[side].add(value)
 
     def install(self) -> None:
+        """Sets the hook, keeping the hooks it replaces for `uninstall`."""
+        self.previous = (sys.getprofile(), threading.getprofile())
         threading.setprofile(self)
         sys.setprofile(self)
 
     def uninstall(self) -> None:
-        sys.setprofile(None)
-        threading.setprofile(None)
+        sys.setprofile(self.previous[0])
+        threading.setprofile(self.previous[1])
 
 
 class ReacherPlugin:
@@ -232,6 +280,8 @@ def list_test_only_settings(rec: CallRecorder) -> dict[str, dict]:
 
 
 def main() -> int:
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "src"))
     describe = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                               capture_output=True, text=True).stdout.strip()
     functions = src_functions()

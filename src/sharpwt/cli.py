@@ -77,7 +77,7 @@ def parse_function(spec: str, level_L: int, resolution_s: int, origin=0) -> Grid
 # the exponent fit's spec flags and their defaults; --run fixes the spec, so
 # it rejects every one of them
 EXPONENT_SPEC = {"op": "maximal", "p": 2.0, "deltas": "0.5,0.25,0.125,0.0625", "res": 8,
-                 "L": ExperimentSpec.level_L, "family": ExperimentSpec.weight_family, "window": None}
+                 "family": ExperimentSpec.weight_family, "window": None}
 
 
 def _read(ap, args, flags, reads, who: str) -> dict:
@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a flag that was not given out of the namespace
     unset = {"default": argparse.SUPPRESS}
     spec.add_argument("--res", type=int, help="resolution s", **unset)
-    spec.add_argument("--L", type=int, help="domain level, >= 1", **unset)
     spec.add_argument("--op", choices=sorted(OPERATOR_REGISTRY),
                       help="an operator that takes --mode fits in dictionary mode", **unset)
     spec.add_argument("--p", type=float, **unset)
@@ -198,7 +197,7 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
         else:
             opt = argparse.Namespace(**{**EXPONENT_SPEC, **given})
             deltas = tuple(float(x) for x in opt.deltas.split(","))
-            spec = ExperimentSpec(opt.op, opt.p, deltas, opt.res, opt.L, opt.family)
+            spec = ExperimentSpec(opt.op, opt.p, deltas, opt.res, opt.family)
             window = None if opt.window is None else _window(ap, opt.window)
         result = exponent_experiment(spec)
         flagged = sum(q.flagged for q in result.points)

@@ -97,27 +97,24 @@ class Decomposition:
     @staticmethod
     def from_json(obj: dict) -> "Decomposition":
         """The decomposition of a `to_json` dump; a root other than the whole
-        grid or a lambda other than LAMBDA_N raises ValueError."""
+        grid, a lambda other than LAMBDA_N, or a cube whose cells are not
+        two ints 0 <= a < b <= ncells raises ValueError."""
         f = GridFunction.from_json(obj["grid_function"])
         if obj["root_cells"] != [0, f.ncells] or obj["lambda"] != str(LAMBDA_N):
             raise ValueError(f"a decomposition covers the whole grid, root_cells [0, {f.ncells}], "
                              f"at lambda {LAMBDA_N}, not root_cells {obj['root_cells']} "
                              f"at lambda {obj['lambda']}")
         h = f.cell_width
-        gens = []
-        for gen in obj["generations"]:
-            gens.append(
-                [
-                    StopCube(
-                        a=rec["cells"][0],
-                        b=rec["cells"][1],
-                        osc_coeff=rec["osc_coeff"],
-                        parent_ref=rec["parent"],
-                        e_cells=int(round(Fraction(rec["e_measure"]) / h)),
-                    )
-                    for rec in gen
-                ]
-            )
+
+        def cube(rec) -> StopCube:
+            cells = rec["cells"]
+            if not (isinstance(cells, list) and len(cells) == 2 and all(type(c) is int for c in cells)
+                    and 0 <= cells[0] < cells[1] <= f.ncells):
+                raise ValueError(f"a cube's cells are two ints 0 <= a < b <= {f.ncells}, not {cells!r}")
+            return StopCube(a=cells[0], b=cells[1], osc_coeff=rec["osc_coeff"], parent_ref=rec["parent"],
+                            e_cells=int(round(Fraction(rec["e_measure"]) / h)))
+
+        gens = [[cube(rec) for rec in gen] for gen in obj["generations"]]
         return Decomposition(f=f, root_median=obj["root_median"], generations=gens)
 
 

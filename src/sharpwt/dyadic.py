@@ -60,14 +60,12 @@ class RealCube:
         )
 
 
-def dilate(q: DyadicCube | RealCube, r) -> RealCube:
+def dilate(q: DyadicCube, r) -> RealCube:
     """rQ: the box with the same center and side r*l(Q)."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("dilation factor must be positive")
-    if isinstance(q, DyadicCube):
-        return RealCube(q.center(), r * q.side)
-    return RealCube(q.center, r * q.side)
+    return RealCube(q.center(), r * q.side)
 
 
 def _interval_family(level: int, j: int) -> int:

@@ -3,8 +3,9 @@ characteristic, ratio scans for the lemma-level inequalities, seeded
 corpora, and CSV/JSON emission.
 
 Exponent protocol (frozen after the convergence study in docs/convergence.md):
-the weight is a power family with exact cell averages; the test function is
-the exact cell-average discretization of |x|^(delta-1) on (0,1); its norm is
+on the grid [-1, 1), the weight is a power family |x|^a with exact cell
+averages; the test function is the exact cell-average discretization of
+|x|^(delta-1) on (0,1), the nonnegative half of the grid; its norm is
 evaluated in closed form (the conjugate-pair integrand is |x|^(delta-1), so
 ||f||^p = 1/delta for every p), while the operator image, a step function,
 gets the exact step-function norm.  The x-axis A_p uses the closed-form
@@ -76,7 +77,6 @@ class ExperimentSpec:
     p: float
     deltas: tuple[float, ...]
     resolution_s: int
-    level_L: int = 1
     weight_family: str = "buckley"
 
     def __post_init__(self):
@@ -86,10 +86,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown weight family {self.weight_family!r}; known: {list(_WEIGHT_FAMILIES)}")
         if not 1 < self.p < math.inf:
             raise ValueError("p must be finite and > 1")
-        if self.level_L < 1:
-            # f_delta lives on (0, 1) and its norm is taken in closed form,
-            # so the domain [-2^(L-1), 2^(L-1)) must contain (0, 1)
-            raise ValueError("level_L must be >= 1")
         if self.resolution_s < 0:
             # cells wider than (0, 1) leave f_delta no cell to live on
             raise ValueError("resolution_s must be >= 0")
@@ -160,9 +156,9 @@ OPERATOR_REGISTRY = {
 
 
 class _PowerCells:
-    """Exact cell averages of the power family c |x|^a on the cells of one
-    ladder point's grid [-2^(L-1), 2^(L-1)), one closed form per distinct
-    PowerWeightSpec (center 0), keyed by its exact floats: an exponent one
+    """Exact cell averages of the power family |x|^a on the cells of one
+    ladder point's grid [-1, 1), one closed form per distinct
+    PowerWeightSpec, keyed by its exact exponent: an exponent one
     ulp off gets its own entry.  The grid is symmetric about the
     singularity and sign(u) |u|^(a+1) is odd, so each closed form runs on
     the edges of the nonnegative half, straight into the upper half of its
@@ -182,7 +178,7 @@ class _PowerCells:
     def __init__(self, grid: GridFunction, edges: np.ndarray):
         self.grid = grid
         self.edges = edges
-        self.mid = grid.ncells // 2  # the first cell of [0, 2^(L-1))
+        self.mid = grid.ncells // 2  # the first cell of [0, 1)
         self.cells: dict[PowerWeightSpec, np.ndarray] = {}
         self.block = np.empty((3, grid.ncells))
 
@@ -218,10 +214,9 @@ def _extremal_pair(spec: ExperimentSpec, grid: GridFunction, edges: np.ndarray, 
     p_eval = p / (p - 1.0) if dual else p
     cells = _PowerCells(grid, edges)
     w_eval = cells.weight((1 - delta) * (p_eval - 1))
-    # f lives on the cells of (0, 1), which are contiguous from the middle
-    i1 = int(np.searchsorted(edges, 1.0, "right")) - 1
+    # f lives on (0, 1), the nonnegative half of the grid
     vals = np.zeros(grid.ncells)
-    vals[cells.mid : i1] = cells.full(PowerWeightSpec(-1 + delta))[cells.mid : i1]
+    vals[cells.mid :] = cells.full(PowerWeightSpec(-1 + delta))[cells.mid :]
     f = grid.with_values(vals)
 
     def ap_args() -> dict:
@@ -244,8 +239,7 @@ def _operator_on(name: str, grid: GridFunction):
 
 
 def exponent_experiment(spec: ExperimentSpec) -> FitResult:
-    grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(cell_count(spec.level_L, spec.resolution_s)),
-                        origin=-(2 ** (spec.level_L - 1)))
+    grid = GridFunction(1, spec.resolution_s, np.zeros(cell_count(1, spec.resolution_s)), origin=-1)
     edges = grid.cell_edges()
     op = _operator_on(spec.operator, grid)
     points = []
@@ -582,7 +576,7 @@ def emit(result, path: str) -> str:
             lines.append(f"{q.delta!r},{q.ap_char!r},{q.ratio!r},{q.log_ap!r},{q.log_ratio!r}")
         lines.append(f"# slope={result.slope!r} intercept={result.intercept!r} r2={result.r2!r}")
         s = result.spec
-        lines.append(f"# spec: op={s.operator} p={s.p!r} s={s.resolution_s} L={s.level_L} "
+        lines.append(f"# spec: op={s.operator} p={s.p!r} s={s.resolution_s} L=1 "
                      f"family={s.weight_family}")
         flagged = [q.delta for q in result.points if q.flagged]
         if flagged:

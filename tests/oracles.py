@@ -447,8 +447,7 @@ def power_cell_averages_masked(edges: np.ndarray, a: float, center: float = 0.0)
 def exponent_experiment_full_grid(spec) -> FitResult:
     """The exponent fit on extremal_pair_full_grid, its A_p taken with the
     dual that ap_characteristic forms itself."""
-    grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(2 ** (spec.level_L + spec.resolution_s)),
-                        origin=-(2 ** (spec.level_L - 1)))
+    grid = GridFunction(1, spec.resolution_s, np.zeros(2 ** (1 + spec.resolution_s)), origin=-1)
     edges = grid.cell_edges()
     op = _operator_on(spec.operator, grid)
     points = []

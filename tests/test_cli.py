@@ -66,7 +66,7 @@ def test_cli_ap_prints_the_librarys_value(tmp_path, capsys):
 
 def test_cli_exponent_window_holds_the_slope(capsys):
     rc = main(["exponent", "--op", "sd", "--p", "2",
-               "--deltas", "0.5,0.25,0.125,0.0625", "--res", "8", "--L", "1",
+               "--deltas", "0.5,0.25,0.125,0.0625", "--res", "8",
                "--window=0.70,0.76"])
     assert rc == 0
     assert "slope=0.73" in capsys.readouterr().out
@@ -87,7 +87,7 @@ def test_cli_exponent_rejects_a_window_that_is_not_lo_le_hi(window, monkeypatch,
 
 def test_cli_exponent_window_failure_is_nonzero(capsys):
     rc = main(["exponent", "--op", "sd", "--p", "2",
-               "--deltas", "0.5,0.25,0.125,0.0625", "--res", "8", "--L", "1",
+               "--deltas", "0.5,0.25,0.125,0.0625", "--res", "8",
                "--window", "0.5,0.6"])
     captured = capsys.readouterr()
     assert rc == 1
@@ -110,7 +110,7 @@ def test_cli_exponent_window_fails_when_every_point_is_flagged(capsys):
 def test_cli_exponent_emits_csv(tmp_path, capsys):
     out = tmp_path / "fit.csv"
     rc = main(["exponent", "--op", "sd", "--p", "2",
-               "--deltas", "0.5,0.25,0.125,0.0625", "--res", "9", "--L", "1",
+               "--deltas", "0.5,0.25,0.125,0.0625", "--res", "9",
                "--out", str(out)])
     assert rc == 0
     text = out.read_text()
@@ -163,6 +163,24 @@ def test_cli_verify_rejects_a_dump_of_another_root_or_lambda(edit, tmp_path, cap
     assert "covers the whole grid, root_cells [0, 256], at lambda 1/8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cells", [[0, 1000], [8, 4], [-4, 4], [4, 4], [0], [0, 4, 8], [0.0, 4], None])
+def test_cli_verify_rejects_a_cube_whose_cells_are_not_a_range_of_the_grid(cells, tmp_path, capsys):
+    # [0, 1000] on 64 cells ended in an IndexError traceback (exit 1), and
+    # [8, 4] and [-4, 4] came out as failed checks (exit 1)
+    tree = tmp_path / "tree.json"
+    assert main(["decompose", "--fn", "random:4", "--res", "6", "--out", str(tree)]) == 0
+    dump = json.loads(tree.read_text())
+    assert dump["generations"]
+    dump["generations"][0][0]["cells"] = cells
+    tree.write_text(json.dumps(dump))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", str(tree)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"sharpwt: error: a cube's cells are two ints 0 <= a < b <= 64, not {cells!r}")
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", "--fn", "random:4", "--res", "4"],
     ["apply", "--op", "maximal", "--fn", "random:4", "--res", "4"],
@@ -210,7 +228,7 @@ def test_cli_file_weight_rejects_non_finite(tmp_path, bad):
 
 
 FLAGS = {
-    "exponent": "--out --res --L --run --op --p --deltas --family --window",
+    "exponent": "--out --res --run --op --p --deltas --family --window",
     "ratio-scan": "--seed --out --lemma --n --res",
     "decompose": "--out --res --L --origin --fn",
     "verify": "--in",
@@ -254,7 +272,7 @@ APPLY_UNREAD = [
     ["exponent", "--origin", "1"],
     ["exponent", "--run", "maximal-p4", "--p", "9"],
     ["exponent", "--run", "maximal-p4", "--res", "3"],
-    ["exponent", "--run", "maximal-p4", "--L", "1"],
+    ["exponent", "--op", "sd", "--L", "1"],  # every fit runs on [-1, 1)
     ["exponent", "--run", "maximal-p4", "--op", "sd"],
     ["exponent", "--run", "maximal-p4", "--deltas", "0.5,0.25,0.125,0.0625"],
     ["exponent", "--run", "maximal-p4", "--family", "buckley"],
@@ -296,7 +314,7 @@ def test_cli_apply_takes_the_flags_its_operator_reads(op, flags, tmp_path, capsy
 
 
 @pytest.mark.parametrize("argv", [
-    ["exponent", "--L", "0"],
+    ["exponent", "--op", "sd", "--p", "1"],
     ["ap", "--weight", "const:2", "--origin", "1/3"],
     ["decompose", "--fn", "bogus:1"],
     ["verify", "--in", "missing.json"],

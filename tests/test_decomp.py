@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import a_gamma_per_cube, dense_children
-from sharpwt.decomp import Decomposition, StopCube, _select_children, a_gamma, decompose, verify_decomposition
+from sharpwt.decomp import (LAMBDA_N, Decomposition, StopCube, _select_children, a_gamma, decompose,
+                            verify_decomposition)
 from sharpwt.gridfn import GridFunction, SortedBlocks, prefix_sums
 
 RNG = np.random.default_rng(99)
@@ -119,11 +120,11 @@ def singular_corpus_values(rng, n, c=None):
     return np.diff(anti) * n + 0.1 * rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("lam", [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)])
+@pytest.mark.parametrize("seed", [8, 4, 3])
 @pytest.mark.parametrize("kind", ["normal", "singular"])
-def test_child_medians_only_for_parents_with_room(monkeypatch, kind, lam):
+def test_child_medians_only_for_parents_with_room(monkeypatch, kind, seed):
     """A cube's median is read only when it is processed as a parent, that
-    is when floor(lam |P|) >= 1; the root's is read in any case."""
+    is when floor(LAMBDA_N |P|) >= 1; the root's is read in any case."""
     asked = []
     medians = SortedBlocks.medians
 
@@ -132,7 +133,8 @@ def test_child_medians_only_for_parents_with_room(monkeypatch, kind, lam):
         return medians(self, size)
 
     monkeypatch.setattr(SortedBlocks, "medians", spy)
-    rng = np.random.default_rng([23, len(kind), lam.denominator])
+    lam = LAMBDA_N
+    rng = np.random.default_rng([23, len(kind), seed])
     n, child_sizes = 1024, set()
     for _ in range(20):
         values = rng.standard_normal(n) if kind == "normal" else singular_corpus_values(rng, n)

@@ -34,8 +34,6 @@ def test_spec_validation():
         ExperimentSpec("maximal", 2.0, (0.5, 0.25, 0.125), 8)  # 3 points
     with pytest.raises(ValueError):
         ExperimentSpec("maximal", 2.0, (0.25, 0.5, 0.125, 0.0625), 8)  # not decreasing
-    with pytest.raises(ValueError):
-        ExperimentSpec("maximal", 2.0, (0.5, 0.25, 0.125, 0.0625), 8, level_L=0)  # (1/2, 1) off the domain
     with pytest.raises(ValueError, match="unknown operator"):
         ExperimentSpec("nope", 2.0, (0.5, 0.25, 0.125, 0.0625), 8)
 
@@ -60,7 +58,7 @@ def test_spec_rejects_a_ladder_delta_that_is_not_finite(deltas):
 def test_spec_rejects_a_negative_resolution(s):
     # cells of width 2 or more leave f_delta no cell inside (0, 1)
     with pytest.raises(ValueError, match="resolution_s must be >= 0"):
-        ExperimentSpec("sd", 2.0, (0.5, 0.25, 0.125, 0.0625), s, level_L=3)
+        ExperimentSpec("sd", 2.0, (0.5, 0.25, 0.125, 0.0625), s)
 
 
 @pytest.mark.parametrize("p", [np.nan, np.inf, 1.0])
@@ -239,8 +237,8 @@ def test_scans_take_a_refined_power_weights_ap_from_its_step_values():
 # p = 4 with delta = 0.6342224535750253 is a ladder point where the dual
 # exponent -((1 - delta) 3) / 3 of the Buckley weight is not delta - 1
 FREE_LADDER = (0.9, 0.6342224535750253, 0.3, 0.1)
-FREE_SPECS = [ExperimentSpec("sd" if family == "buckley" else "hilbert", p, FREE_LADDER, s, L, family)
-              for L in (1, 2) for s in (5, 8) for p in (1.25, 4.0, 7.3) for family in ("buckley", "dual-pair")]
+FREE_SPECS = [ExperimentSpec("sd" if family == "buckley" else "hilbert", p, FREE_LADDER, s, family)
+              for s in (5, 8) for p in (1.25, 4.0, 7.3) for family in ("buckley", "dual-pair")]
 
 
 def _bits(a) -> bytes:
@@ -250,8 +248,7 @@ def _bits(a) -> bytes:
 def _closed_forms_match(spec) -> bool:
     """f, both weights and the A_p dual of every ladder point of `spec`,
     bytewise against each closed form evaluated on the whole grid."""
-    grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(2 ** (spec.level_L + spec.resolution_s)),
-                        origin=-(2 ** (spec.level_L - 1)))
+    grid = GridFunction(1, spec.resolution_s, np.zeros(2 ** (1 + spec.resolution_s)), origin=-1)
     edges = grid.cell_edges()
     for delta in spec.deltas:
         f, w_eval, p_eval, ap_args = _extremal_pair(spec, grid, edges, delta)
@@ -280,8 +277,9 @@ def test_acceptance_fit_matches_whole_grid_oracle_bytewise(name):
     assert _fit_bits(exponent_experiment(spec)) == _fit_bits(exponent_experiment_full_grid(spec))
 
 
+# L1: every fit runs on [-1, 1), the grid of level 1
 @pytest.mark.parametrize("spec", FREE_SPECS,
-                         ids=lambda sp: f"{sp.weight_family}-p{sp.p:g}-s{sp.resolution_s}-L{sp.level_L}")
+                         ids=lambda sp: f"{sp.weight_family}-p{sp.p:g}-s{sp.resolution_s}-L1")
 def test_free_fit_matches_whole_grid_oracle_bytewise(spec):
     assert _closed_forms_match(spec)
     assert _fit_bits(exponent_experiment(spec)) == _fit_bits(exponent_experiment_full_grid(spec))

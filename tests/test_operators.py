@@ -125,8 +125,7 @@ def test_maximal_in_chunks_is_bytewise_the_whole_grid_pass(L, s):
 def fit_inputs(name):
     """f at every ladder point of the frozen fit `name`, as exponent_experiment builds it."""
     spec = ACCEPTANCE_RUNS[name][0]
-    grid = GridFunction(spec.level_L, spec.resolution_s, np.zeros(cell_count(spec.level_L, spec.resolution_s)),
-                        origin=-(2 ** (spec.level_L - 1)))
+    grid = GridFunction(1, spec.resolution_s, np.zeros(cell_count(1, spec.resolution_s)), origin=-1)
     edges = grid.cell_edges()
     for delta in spec.deltas:
         yield _extremal_pair(spec, grid, edges, delta)[0]

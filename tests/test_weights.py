@@ -99,9 +99,14 @@ def stress_weights(draw):
     kind = draw(st.sampled_from(["constant", "lognormal", "power", "spikes", "short spikes",
                                  "spike beside small"]))
     if kind == "power":
-        k = draw(st.integers(0, n - 1)) + draw(st.sampled_from([0.0, 0.5]))
-        spec = PowerWeightSpec(draw(st.floats(-0.95, 4.0)), float(origin) + k * float(probe.cell_width))
-        return Weight(probe.with_values(spec.cell_averages(probe.cell_edges())), power=spec)
+        # |x|^a with its spec, x = 0 on a cell edge; or, as a generic weight,
+        # the cell averages of |x - c|^a with c a cell centre
+        a = draw(st.floats(-0.95, 4.0))
+        if draw(st.booleans()):
+            spec = PowerWeightSpec(a)
+            return Weight(probe.with_values(spec.cell_averages(probe.cell_edges())), power=spec)
+        c = float(origin) + (draw(st.integers(0, n - 1)) + 0.5) * float(probe.cell_width)
+        return Weight(probe.with_values(power_cell_averages(probe.cell_edges(), a, c)))
     if kind == "constant":
         vals = np.full(n, draw(st.sampled_from([1e-3, 1.0, 7.0])))
     else:
@@ -286,12 +291,6 @@ def test_scaling_invariance():
     base = ap_characteristic(w, 2.5)
     for c in (0.01, 3.0, 1e4):
         assert ap_characteristic(Weight(w.base.with_values(c * w.values)), 2.5) == pytest.approx(base, rel=1e-12)
-    # a power weight keeps its closed form, so the dual side is exact
-    wp = power_weight(7, 0.5)
-    basep = ap_characteristic(wp, 2.0)
-    spec = PowerWeightSpec(0.5, coeff=7.5)
-    scaled = Weight(wp.base.with_values(7.5 * wp.values), power=spec)
-    assert ap_characteristic(scaled, 2.0) == pytest.approx(basep, rel=1e-12)
 
 
 def test_a_power_spec_beside_values_it_does_not_average_to_is_refused():
@@ -304,14 +303,14 @@ def test_a_power_spec_beside_values_it_does_not_average_to_is_refused():
         with pytest.raises(ValueError, match="not PowerWeightSpec"):
             Weight(refine(w.base), power=w.power)
         Weight(refine(w.base))
-    # the singular cell is checked too, to 1e-12 relative
-    spec = PowerWeightSpec(-0.5, 0.5)
-    near, off = (spec.cell_averages(np.arange(65) / 64) for _ in range(2))
+    # the singular cell is checked too, to 1e-12 relative: x = 0 starts cell 32 of [-1/2, 1/2)
+    spec = PowerWeightSpec(-0.5)
+    near, off = (spec.cell_averages(np.arange(65) / 64 - 0.5) for _ in range(2))
     near[32] *= 1 + 1e-13
     off[32] *= 1 + 1e-9
-    Weight(GridFunction(0, 6, near), power=spec)
+    Weight(GridFunction(0, 6, near, Fraction(-1, 2)), power=spec)
     with pytest.raises(ValueError, match="cell 32 holds"):
-        Weight(GridFunction(0, 6, off), power=spec)
+        Weight(GridFunction(0, 6, off, Fraction(-1, 2)), power=spec)
 
 
 def test_power_weight_spec_validation_and_duals():
@@ -319,8 +318,11 @@ def test_power_weight_spec_validation_and_duals():
         PowerWeightSpec(-1.0)
     spec = PowerWeightSpec(1.0)
     assert spec.dual(2.0) is None  # |x|^-1 is not locally integrable
-    dual = spec.dual(3.0)
-    assert dual is not None and dual.exponent == pytest.approx(-0.5)
+    assert spec.dual(3.0) == PowerWeightSpec(-0.5)
+    # the family is |x|^a: no other centre or coefficient
+    assert (spec.center, spec.coeff) == (0.0, 1.0)
+    with pytest.raises(TypeError):
+        PowerWeightSpec(0.5, 0.0)
 
 
 def test_power_cell_averages_exact_near_origin():
