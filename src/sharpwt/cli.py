@@ -5,6 +5,8 @@ Exit status is 0 iff every asserted window or report check passed, 1 if
 one failed (each failure is listed on its own line on stderr), and 2 for
 a flag the subcommand does not read or a value the library rejects
 (ValueError or OSError), with a one-line message and no traceback.
+`verify --in` decomposes a dump's grid_function again and exits 2 unless
+the dump is that decomposition's JSON; it never reads the dump's tree.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sharpwt.decomp import Decomposition, decompose, verify_decomposition
+from sharpwt.decomp import decompose, verify_decomposition
 from sharpwt.gridfn import GridFunction, cell_count
 from sharpwt.harness import (
     ACCEPTANCE_RUNS,
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     _fn_flags(pd)
     _grid_flags(pd)
 
-    pv = sub.add_parser("verify", help="re-read a decomposition dump and re-check it")
+    pv = sub.add_parser("verify", help="rebuild a decomposition dump from its grid_function and re-check it")
     pv.add_argument("--in", dest="infile", required=True)
 
     pa = sub.add_parser("apply", help="apply an operator, emit CSV")
@@ -233,7 +235,15 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
 
     elif args.command == "verify":
         with open(args.infile) as fh:
-            d = Decomposition.from_json(json.load(fh))
+            dump = json.load(fh)
+        if not isinstance(dump, dict):
+            raise ValueError(f"a decomposition dump is a JSON object, not a {type(dump).__name__}")
+        d = decompose(GridFunction.from_json(dump.get("grid_function")))
+        rebuilt = d.to_json()
+        differ = sorted(key for key in dump.keys() | rebuilt.keys()
+                        if key not in dump or key not in rebuilt or dump[key] != rebuilt[key])
+        if differ:
+            raise ValueError(f"the dump differs from the decomposition of its grid_function in {', '.join(differ)}")
         rep = verify_decomposition(d.f, d)
         for key in ("ii_disjoint", "iii_nested", "iv_half_measure", "sparse_sets", "i_pointwise"):
             print(f"{key}: {'pass' if rep[key]['passed'] else 'FAIL'} {rep[key]}")

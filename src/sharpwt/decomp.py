@@ -23,6 +23,8 @@ the public per-call oracle.  The sums over stopping cubes, A_gamma and the
 verifier's sum of oscillation coefficients, go through
 `gridfn.interval_sums`.  A_gamma is taken at GAMMA = 45, the dilation of
 scans 5.3 and 5.9; as 45 is odd, each 45Q is a range of whole cells.
+`Decomposition.to_json` alone in the package knows the dump format: `verify`
+rebuilds a dump from its `grid_function` and never reads the dump's tree.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class StopCube:
     a: int
     b: int
     osc_coeff: float
-    parent_ref: int  # index into the previous generation, -1 for the root
-    e_cells: int = field(default=0)
+    parent_ref: int  # index into the previous generation; generation 0's is 0, the root's
+    e_cells: int = field(default=0, init=False)  # filled in by `decompose` once the tree is known
 
     @property
     def ncells(self) -> int:
@@ -93,29 +95,6 @@ class Decomposition:
             "lambda": str(LAMBDA_N),
             "generations": gens,
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Decomposition":
-        """The decomposition of a `to_json` dump; a root other than the whole
-        grid, a lambda other than LAMBDA_N, or a cube whose cells are not
-        two ints 0 <= a < b <= ncells raises ValueError."""
-        f = GridFunction.from_json(obj["grid_function"])
-        if obj["root_cells"] != [0, f.ncells] or obj["lambda"] != str(LAMBDA_N):
-            raise ValueError(f"a decomposition covers the whole grid, root_cells [0, {f.ncells}], "
-                             f"at lambda {LAMBDA_N}, not root_cells {obj['root_cells']} "
-                             f"at lambda {obj['lambda']}")
-        h = f.cell_width
-
-        def cube(rec) -> StopCube:
-            cells = rec["cells"]
-            if not (isinstance(cells, list) and len(cells) == 2 and all(type(c) is int for c in cells)
-                    and 0 <= cells[0] < cells[1] <= f.ncells):
-                raise ValueError(f"a cube's cells are two ints 0 <= a < b <= {f.ncells}, not {cells!r}")
-            return StopCube(a=cells[0], b=cells[1], osc_coeff=rec["osc_coeff"], parent_ref=rec["parent"],
-                            e_cells=int(round(Fraction(rec["e_measure"]) / h)))
-
-        gens = [[cube(rec) for rec in gen] for gen in obj["generations"]]
-        return Decomposition(f=f, root_median=obj["root_median"], generations=gens)
 
 
 def _select_children(mask_prefix: list[int], pa: int, pb: int) -> list[tuple[int, int]]:

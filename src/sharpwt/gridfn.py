@@ -26,6 +26,7 @@ numbers for one cube per call and stay as the public per-call oracle.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from functools import cached_property
 
@@ -53,9 +54,9 @@ class GridFunction:
     """Step function on [origin, origin + 2^L) with 2^(L+s) cells of width 2^-s."""
 
     def __init__(self, level_L: int, resolution_s: int, values, origin=0):
-        ncells = cell_count(level_L, resolution_s)
-        self.level_L = int(level_L)
-        self.resolution_s = int(resolution_s)
+        self.level_L = operator.index(level_L)
+        self.resolution_s = operator.index(resolution_s)
+        ncells = cell_count(self.level_L, self.resolution_s)
         self.origin = Fraction(origin)
         vals = np.asarray(values, dtype=float)
         if vals.shape != (ncells,):
@@ -139,9 +140,12 @@ class GridFunction:
 
     @staticmethod
     def from_json(obj: dict) -> "GridFunction":
-        return GridFunction(
-            obj["level_L"], obj["resolution_s"], obj["values"], Fraction(obj["origin"])
-        )
+        """The grid function of a `to_json` dict; anything else raises ValueError."""
+        try:
+            return GridFunction(obj["level_L"], obj["resolution_s"], obj["values"], Fraction(obj["origin"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"a grid function's JSON has int level_L and resolution_s, origin and values: "
+                             f"{exc!r}") from exc
 
     @staticmethod
     def load(path) -> "GridFunction":

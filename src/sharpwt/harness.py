@@ -279,6 +279,8 @@ def corpus_functions(seed: int = 0, resolution_s: int = 6,
                      n_random: int = 50) -> list[tuple[str, GridFunction]]:
     """Seeded random step functions plus the structured cases (indicators,
     Haar atoms, power bumps) on [0, 1)."""
+    if resolution_s < 1:
+        raise ValueError(f"the function corpus needs resolution_s >= 1 for its Haar atoms, not {resolution_s}")
     rng = np.random.default_rng(seed)
     n = cell_count(0, resolution_s)
     out = [(f"rand{i:02d}", GridFunction(0, resolution_s, rng.standard_normal(n)))

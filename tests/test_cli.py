@@ -15,7 +15,7 @@ import sharpwt.cli
 from oracles import power_weight_pm1
 from sharpwt.cli import build_parser, main, parse_function
 from sharpwt.gridfn import GridFunction
-from sharpwt.harness import OPERATOR_REGISTRY
+from sharpwt.harness import OPERATOR_REGISTRY, SCANS
 from sharpwt.intrinsic import g_tilde
 from sharpwt.weights import Weight, ap_characteristic
 
@@ -153,6 +153,7 @@ def test_cli_decompose_verify_roundtrip(tmp_path, capsys):
 def test_cli_verify_rejects_a_dump_of_another_root_or_lambda(edit, tmp_path, capsys):
     # a dump is outside input, and every tree the program writes is of the
     # whole grid at lambda 1/8; any other root or lambda is refused
+    (key,) = edit
     tree = tmp_path / "tree.json"
     assert main(["decompose", "--fn", "random:4", "--res", "8", "--out", str(tree)]) == 0
     tree.write_text(json.dumps({**json.loads(tree.read_text()), **edit}))
@@ -160,7 +161,8 @@ def test_cli_verify_rejects_a_dump_of_another_root_or_lambda(edit, tmp_path, cap
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--in", str(tree)])
     assert exc.value.code == 2
-    assert "covers the whole grid, root_cells [0, 256], at lambda 1/8" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"sharpwt: error: the dump differs from the decomposition of its grid_function in {key}")
 
 
 @pytest.mark.parametrize("cells", [[0, 1000], [8, 4], [-4, 4], [4, 4], [0], [0, 4, 8], [0.0, 4], None])
@@ -178,7 +180,114 @@ def test_cli_verify_rejects_a_cube_whose_cells_are_not_a_range_of_the_grid(cells
         main(["verify", "--in", str(tree)])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
-        f"sharpwt: error: a cube's cells are two ints 0 <= a < b <= 64, not {cells!r}")
+        "sharpwt: error: the dump differs from the decomposition of its grid_function in generations")
+
+
+def _one_big_cube(dump):
+    dump["generations"] = [[{"cells": [0, 4], "start": "0", "width": "1/16", "osc_coeff": 1e6,
+                             "e_measure": 0.0625, "parent": 0}]]
+
+
+def _every_osc_coeff(dump):
+    for gen in dump["generations"]:
+        for cube in gen:
+            cube["osc_coeff"] = 1e6
+
+
+@pytest.mark.parametrize("edit, differ", [
+    # these five verified with five passes when verify read the dump's own tree
+    pytest.param(_one_big_cube, "generations", id="one-big-cube"),
+    pytest.param(_every_osc_coeff, "generations", id="every-osc-coeff"),
+    pytest.param(lambda dump: dump.update(generations=[]), "generations", id="no-generations"),
+    pytest.param(lambda dump: dump.update(root_median=0.0), "root_median", id="root-median"),
+    pytest.param(lambda dump: dump["generations"][0][0].update(parent=999), "generations", id="parent"),
+    # and these three ended in tracebacks
+    pytest.param(lambda dump: dump["generations"][0][0].pop("osc_coeff"), "generations", id="no-osc-coeff"),
+    pytest.param(lambda dump: dump["generations"][0][0].update(e_measure=None), "generations",
+                 id="null-e-measure"),
+    pytest.param(lambda dump: dump.pop("generations"), "generations", id="no-generations-key"),
+    pytest.param(lambda dump: dump.update(note=None), "note", id="extra-key"),
+    # a tree of other values
+    pytest.param(lambda dump: dump["grid_function"]["values"].__setitem__(3, 9.0), "generations",
+                 id="grid-function"),
+])
+def test_cli_verify_refuses_a_dump_that_decompose_did_not_write(edit, differ, tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    assert main(["decompose", "--fn", "random:4", "--res", "6", "--out", str(tree)]) == 0
+    dump = json.loads(tree.read_text())
+    edit(dump)
+    tree.write_text(json.dumps(dump))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", str(tree)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"sharpwt: error: the dump differs from the decomposition of its grid_function in {differ}")
+
+
+def test_cli_verify_refuses_a_dump_that_is_not_an_object(tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    assert main(["decompose", "--fn", "random:4", "--res", "6", "--out", str(tree)]) == 0
+    tree.write_text(json.dumps([json.loads(tree.read_text())]))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", str(tree)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "sharpwt: error: a decomposition dump is a JSON object, not a list")
+
+
+def test_cli_verify_rebuilds_on_the_dumps_domain(tmp_path, capsys):
+    # the tree of f on [-1, 1) verifies; moved to [0, 2) with the same
+    # values, the cubes' cells agree but their starts do not
+    tree = tmp_path / "tree.json"
+    argv = ["decompose", "--fn", "power:-0.5", "--res", "8", "--L", "1", "--origin", "-1", "--out", str(tree)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(tree)]) == 0
+    assert capsys.readouterr().out.count(": pass") == 5
+    dump = json.loads(tree.read_text())
+    dump["grid_function"]["origin"] = "0"
+    tree.write_text(json.dumps(dump))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", str(tree)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "sharpwt: error: the dump differs from the decomposition of its grid_function in generations")
+
+
+@pytest.mark.parametrize("payload", [
+    {"level_L": 0, "resolution_s": 3, "values": [0.0] * 8},
+    {"level_L": "a", "resolution_s": 3, "origin": "0", "values": [0.0] * 8},
+    [{"level_L": 0, "resolution_s": 3, "origin": "0", "values": [0.0] * 8}],
+    # 2^(0.5 + 2.5) = 8 cells, which a level and resolution cut to ints
+    # would have counted as 4
+    {"level_L": 0.5, "resolution_s": 2.5, "origin": "0", "values": [0.0] * 8},
+])
+def test_cli_file_function_that_from_json_cannot_read_exits_2(payload, tmp_path, capsys):
+    # the first three ended in a KeyError or TypeError traceback (exit 1)
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "--op", "maximal", "--fn", f"file:{g}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "sharpwt: error: a grid function's JSON has int level_L and resolution_s, origin and values: ")
+
+
+@pytest.mark.parametrize("lemma", sorted(SCANS))
+def test_cli_ratio_scan_at_resolution_0_names_the_resolution(lemma, tmp_path, capsys):
+    # the function corpus's Haar atom has no cells at s = 0; scan 5.13
+    # reads only weights and runs there
+    argv = ["ratio-scan", "--lemma", lemma, "--res", "0", "--n", "4"]
+    if lemma == "5.13":
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "sharpwt: error: the function corpus needs resolution_s >= 1 for its Haar atoms, not 0")
 
 
 @pytest.mark.parametrize("argv", [

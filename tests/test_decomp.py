@@ -3,7 +3,6 @@ properties, sparse sets, the child walk against its dense oracle, which
 medians the construction reads, and the averaging operator against its
 direct-sum oracle and, bytewise, its exact-Fraction oracle."""
 
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +147,14 @@ def test_child_medians_only_for_parents_with_room(monkeypatch, kind, seed):
     assert any((lam.numerator * size) // lam.denominator == 0 for size in child_sizes)
 
 
+def _cube(a, b, parent, e_cells):
+    """A hand-made stopping cube with osc_coeff 0 and the given sparse-set
+    cell count, which `decompose` fills in itself."""
+    cube = StopCube(a=a, b=b, osc_coeff=0.0, parent_ref=parent)
+    cube.e_cells = e_cells
+    return cube
+
+
 def test_a_gamma_empty_and_single_cube():
     f = GridFunction(0, 8, np.full(256, 1.0))
     d = decompose(f)  # empty
@@ -155,7 +162,7 @@ def test_a_gamma_empty_and_single_cube():
 
     # one synthetic stopping cube [0, 1/4) and f = 1: 45Q, clipped to the
     # grid, holds all 256 cells, and its average divides by 45 * 64 cells
-    d.generations = [[StopCube(a=0, b=64, osc_coeff=0.0, parent_ref=0, e_cells=64)]]
+    d.generations = [[_cube(0, 64, 0, 64)]]
     out = a_gamma(f, d)
     assert np.allclose(out.values[:64], (256 / (45 * 64)) ** 2)
     assert np.all(out.values[64:] == 0.0)
@@ -210,23 +217,6 @@ def test_a_gamma_is_bytewise_the_exact_fraction_oracle(L, origin):
     assert one_cell > 0
 
 
-def test_decomposition_json_roundtrip(tmp_path):
-    f = GridFunction(0, 8, RNG.standard_normal(256))
-    d = decompose(f)
-    path = tmp_path / "tree.json"
-    with open(path, "w") as fh:
-        json.dump(d.to_json(), fh)
-    with open(path) as fh:
-        d2 = Decomposition.from_json(json.load(fh))
-    assert d2.root_median == d.root_median
-    assert len(d2.generations) == len(d.generations)
-    for g1, g2 in zip(d.generations, d2.generations):
-        assert [(s.a, s.b, s.osc_coeff, s.e_cells) for s in g1] == [
-            (s.a, s.b, s.osc_coeff, s.e_cells) for s in g2
-        ]
-    assert verify_decomposition(d2.f, d2)["passed"]
-
-
 def test_verifier_reports_failure_on_tampered_tree():
     f = GridFunction(0, 8, RNG.standard_normal(256))
     d = decompose(f)
@@ -244,8 +234,7 @@ def _hand_tree(first, second):
     cubes in its two generations; f = 0 makes (i) hold for any cubes, so only
     the structural checks can fail."""
     f = GridFunction(0, 4, np.zeros(16))
-    gens = [[StopCube(a=a, b=b, osc_coeff=0.0, parent_ref=p, e_cells=e) for a, b, p, e in gen]
-            for gen in (first, second)]
+    gens = [[_cube(*cube) for cube in gen] for gen in (first, second)]
     return f, Decomposition(f, 0.0, gens)
 
 
