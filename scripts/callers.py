@@ -31,18 +31,26 @@ except that a src caller which received the value unchanged (the same
 object) as its own parameter of the same name passes it on: the value
 then counts for that caller's caller, and so on up the stack.  A
 program call that passes a parameter anything else (an array, a grid
-function) marks that parameter as data, never a setting.  Two kinds of
-value still count as a program's: the argv values of a test's
-in-process `cli.main` call, and values that a src method copies from an
-object a test built (a spec's fields read by a method of the spec).
+function) marks that parameter as data, never a setting.  Every value
+recorded beneath a `cli.main` call that a frame under tests/ made counts
+as `test`: it came from the test's argv.  One kind of value still counts
+as a program's: a value that a src method copies from an object a test
+built (a spec's fields read by a method of the spec).
 
 Prints one JSON document: for each function of src/sharpwt, the test files
 and workloads that reach it; `own_test_only`, the public functions that
 nothing reaches but the unit test of their own module,
-tests/test_<module>.py, or that nothing reaches at all; and
+tests/test_<module>.py, or that nothing reaches at all;
 `test_only_settings`, the parameters of public functions to which
 programs pass one value, a scalar, and tests pass others,
-each with those values and, if it is in `KEPT`, the reason it stays.
+each with those values and, if it is in `KEPT`, the reason it stays; and
+`stale_kept`, the `KEPT` keys that the run did not list.  `KEPT` holds
+eight: `median`'s `cube`, the per-call oracle of `SortedBlocks.medians`;
+`nodes_per_box` of `ConeQuadrature` and of `ConeQuadrature.for_grid`, the
+refinement oracle of the one-node quadrature; `HolderClass`'s `alpha`,
+which perfbench passes positionally and the simplex tests vary; the
+`seed` of `ratio_scan`, `corpus_functions` and `ScanReport`, input data;
+and `parse_function`'s `resolution_s`, the size of the generated input.
 Pytest's and the workloads' output goes to stderr.  Nothing is written
 into the repository: the run works in a temporary directory, writes no
 bytecode and turns off pytest's cache.
@@ -51,9 +59,10 @@ Exits 1 when a test, a workload operation or a workload check failed
 incomplete; when `own_test_only` is not empty, since the design aim is
 no public API whose only caller is its own unit test; and when a setting
 of `test_only_settings` is not in `KEPT`, since a setting that only tests
-set is a constant.  Takes about two minutes on a 2-vCPU machine (123 s,
-Tier-1 under the hook 114 s; 117 s before the constructor and
-pass-through rules).
+set is a constant; and when `stale_kept` is not empty, so that a retired
+or renamed parameter leaves no reason behind.  Takes about two minutes on
+a 2-vCPU machine (112 s, Tier-1 under the hook 105 s; 109 s before the
+argv rule).
 It is not part of Tier-1, like `perfbench` and scripts/ablate.py.
 """
 
@@ -79,9 +88,19 @@ SRC = ROOT / "src" / "sharpwt"
 TESTS = str(ROOT / "tests") + os.sep
 
 # test-only settings that stay, each with the reason
+REFINEMENT = "the refinement oracle of the one-node quadrature (refined_engine in tests/oracles.py)"
+INPUT_SEED = "input data: the benchmark draws a fresh seed per run, and the trace runs only SEED"
 KEPT = {
     "gridfn.py:median.cube": "the per-call oracle of SortedBlocks.medians: tests pass "
                              "every block, programs the whole grid",
+    "intrinsic.py:ConeQuadrature.__init__.nodes_per_box": REFINEMENT,
+    "intrinsic.py:ConeQuadrature.for_grid.nodes_per_box": REFINEMENT,
+    "intrinsic.py:HolderClass.__init__.alpha": "perfbench/workload.py builds HolderClass(0.5, q), and the "
+                                               "simplex is checked against HiGHS over several alpha",
+    "harness.py:ratio_scan.seed": INPUT_SEED,
+    "harness.py:corpus_functions.seed": INPUT_SEED,
+    "harness.py:ScanReport.__init__.seed": INPUT_SEED,
+    "cli.py:parse_function.resolution_s": "the size of the generated input",
 }
 
 SCALARS = (int, float, str, bool, type(None), Fraction)
@@ -134,6 +153,7 @@ class CallRecorder:
         self.generated: dict[types.CodeType, tuple[str, str] | None] = {}
         # (file, qualname, parameter) -> {"test": values, "program": values}
         self.values: dict[tuple[str, str, str], dict[str, set]] = {}
+        self.test_main = None  # the frame of a cli.main call that a test made, while it runs
         self.previous = (None, None)
 
     def reacher(self, name: str) -> None:
@@ -163,7 +183,10 @@ class CallRecorder:
     def side(self, caller, param: str, value) -> str:
         """`test` when the value came from a test frame: directly, or through
         src callers that each received it unchanged (the same object) as
-        their own parameter `param`; `program` otherwise."""
+        their own parameter `param`; `program` otherwise.  Every value
+        beneath a test's `cli.main` call is the test's: it came from argv."""
+        if self.test_main is not None:
+            return "test"
         while caller is not None and caller.f_code.co_filename in self.files:
             code = caller.f_code
             if param not in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount] \
@@ -174,11 +197,17 @@ class CallRecorder:
 
     def __call__(self, frame, event, arg) -> None:
         if event != "call":
+            # a frame that raises returns too
+            if event == "return" and frame is self.test_main:
+                self.test_main = None
             return
         key = self.key(frame)
         if key is None:
             return
         self.now.add(key)
+        if key == ("cli.py", "main") and self.test_main is None \
+                and frame.f_back is not None and frame.f_back.f_code.co_filename.startswith(TESTS):
+            self.test_main = frame
         code = frame.f_code
         params = self.params.get(code)
         if params is None:
@@ -307,6 +336,7 @@ def main() -> int:
         if public(qualname) and set(reachers) <= {f"tests/test_{Path(name).stem}.py"}:
             own_test_only.append(f"{name}:{qualname}")
     settings = list_test_only_settings(rec)
+    stale_kept = sorted(KEPT.keys() - settings.keys())
     print(json.dumps({
         "commit": describe,
         "seed": SEED,
@@ -315,9 +345,10 @@ def main() -> int:
         "functions": {f"{name}:{qualname}": reachers for (name, qualname), reachers in by_function.items()},
         "own_test_only": own_test_only,
         "test_only_settings": settings,
+        "stale_kept": stale_kept,
     }, indent=2))
     unkept = [key for key in settings if key not in KEPT]
-    return 1 if tier1_exit or any(failed_ops.values()) or own_test_only or unkept else 0
+    return 1 if tier1_exit or any(failed_ops.values()) or own_test_only or unkept or stale_kept else 0
 
 
 if __name__ == "__main__":

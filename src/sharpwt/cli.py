@@ -7,12 +7,16 @@ a flag the subcommand does not read or a value the library rejects
 (ValueError or OSError), with a one-line message and no traceback.
 `verify --in` decomposes a dump's grid_function again and exits 2 unless
 the dump is that decomposition's JSON; it never reads the dump's tree.
+
+A generated function lives on [0, 1) at `--res`; any other domain comes in
+through `--fn file:`.  `apply` runs each operator at its one setting: the
+cone operators on the fixed class (alpha = 1/2, q = 17, one node per
+Carleson box, aperture 1), `galpha` and `gtilde` in "lp" mode.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import json
 import math
@@ -37,11 +41,12 @@ from sharpwt.harness import (
 from sharpwt.weights import PowerWeightSpec, Weight, ap_characteristic, power_cell_averages
 
 
-def parse_function(spec: str, level_L: int, resolution_s: int, origin=0) -> GridFunction:
+def parse_function(spec: str, resolution_s: int) -> GridFunction:
     """Function specs: const:<c> | indicator:<a>:<b> | haar:<a>:<b> |
-    power:<a> | spike:<i> | random:<seed> (random: is seed 0) | file:<path.json>."""
-    n = cell_count(level_L, resolution_s)
-    probe = GridFunction(level_L, resolution_s, np.zeros(n), origin)
+    power:<a> | spike:<i> | random:<seed> (random: is seed 0), each on
+    [0, 1) at resolution_s, | file:<path.json>, on its own grid."""
+    n = cell_count(0, resolution_s)
+    probe = GridFunction(0, resolution_s, np.zeros(n))
     kind, _, rest = spec.partition(":")
     if kind == "file":
         return GridFunction.load(rest)
@@ -82,17 +87,6 @@ EXPONENT_SPEC = {"op": "maximal", "p": 2.0, "deltas": "0.5,0.25,0.125,0.0625", "
                  "family": ExperimentSpec.weight_family, "window": None}
 
 
-def _read(ap, args, flags, reads, who: str) -> dict:
-    """The flags among `flags` that were given (each defaults to
-    argparse.SUPPRESS, which keeps an absent one out of args); exits 2 on
-    one that is not in `reads`."""
-    given = {key: val for key, val in vars(args).items() if key in flags}
-    unread = [f"--{key.replace('_', '-')}" for key in given if key not in reads]
-    if unread:
-        ap.error(f"{who} does not read {' '.join(unread)}")
-    return given
-
-
 REPORT_OUT = "report path; JSON if it ends in .json, else CSV"
 
 
@@ -113,10 +107,8 @@ def _window(ap: argparse.ArgumentParser, text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _grid_flags(p) -> None:
-    p.add_argument("--res", type=int, default=8, help="resolution s")
-    p.add_argument("--L", type=int, default=0, help="domain level (side 2^L)")
-    p.add_argument("--origin", default="0")
+def _res_flag(p) -> None:
+    p.add_argument("--res", type=int, default=8, help="resolution s of [0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     unset = {"default": argparse.SUPPRESS}
     spec.add_argument("--res", type=int, help="resolution s", **unset)
     spec.add_argument("--op", choices=sorted(OPERATOR_REGISTRY),
-                      help="an operator that takes --mode fits in dictionary mode", **unset)
+                      help="galpha and gtilde fit in dictionary mode", **unset)
     spec.add_argument("--p", type=float, **unset)
     spec.add_argument("--deltas", **unset)
     spec.add_argument("--family", choices=_WEIGHT_FAMILIES, **unset)
@@ -143,34 +135,22 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", default=None, help=REPORT_OUT)
     pr.add_argument("--lemma", choices=sorted(SCANS), required=True)
     pr.add_argument("--n", type=int, default=None, help="random corpus size")
-    pr.add_argument("--res", type=int, default=None, help="scan base resolution (default: the lemma's)")
 
     pd = sub.add_parser("decompose", help="stopping-time decomposition to JSON")
     _fn_flags(pd)
-    _grid_flags(pd)
+    _res_flag(pd)
 
     pv = sub.add_parser("verify", help="rebuild a decomposition dump from its grid_function and re-check it")
     pv.add_argument("--in", dest="infile", required=True)
 
     pa = sub.add_parser("apply", help="apply an operator, emit CSV")
     _fn_flags(pa)
-    _grid_flags(pa)
-    # each apply operator's parameters; their defaults are apply's
-    ops = {name: inspect.signature(op).parameters for name, op in OPERATOR_REGISTRY.items()}
-    pa.add_argument("--op", choices=ops, required=True)
-    cone = pa.add_argument_group("cone")
-    flags = [cone.add_argument("--alpha", type=float, **unset).dest,
-             cone.add_argument("--q", type=int, **unset).dest,
-             cone.add_argument("--beta", type=float, **unset).dest,
-             cone.add_argument("--mode", choices=("lp", "dictionary"), **unset).dest,
-             cone.add_argument("--nodes-per-box", type=int, **unset).dest]
-    reads = [name + "".join(f" --{key.replace('_', '-')} {params[key].default}"
-                            for key in flags if key in params)
-             for name, params in ops.items() if params.keys() & flags]
-    cone.description = f"read only by the operators that take them; defaults {', '.join(reads)}"
+    _res_flag(pa)
+    pa.add_argument("--op", choices=OPERATOR_REGISTRY, required=True,
+                    help="galpha and gtilde run in lp mode")
 
     pw = sub.add_parser("ap", help="A_p characteristic of a weight")
-    _grid_flags(pw)
+    _res_flag(pw)
     pw.add_argument("--weight", required=True)
     pw.add_argument("--p", type=float, default=2.0)
     return ap
@@ -192,8 +172,10 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
     """Run one parsed subcommand; returns the failed checks."""
     failures = []
     if args.command == "exponent":
-        given = _read(ap, args, EXPONENT_SPEC, () if args.run else EXPONENT_SPEC,
-                      "exponent --run, which fixes the spec,")
+        # each spec flag defaults to argparse.SUPPRESS, which keeps an absent one out of args
+        given = {key: val for key, val in vars(args).items() if key in EXPONENT_SPEC}
+        if args.run and given:
+            ap.error(f"exponent --run, which fixes the spec, does not read {' '.join('--' + key for key in given)}")
         if args.run:
             spec, _, window = ACCEPTANCE_RUNS[args.run]
         else:
@@ -214,8 +196,7 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
             failures.append(f"slope {result.slope:.4f} outside window [{window[0]}, {window[1]}]")
 
     elif args.command == "ratio-scan":
-        report = ratio_scan(args.lemma, seed=args.seed, resolution_s=args.res,
-                            n_random=args.n)
+        report = ratio_scan(args.lemma, seed=args.seed, n_random=args.n)
         print(f"lemma {report.lemma}: max={report.max_base:.6g} drift={report.drift:.4g} "
               f"argmax={report.argmax} passed={report.passed}")
         if args.out:
@@ -224,7 +205,7 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
             failures.append(f"ratio scan {args.lemma} failed (max={report.max_base}, drift={report.drift})")
 
     elif args.command == "decompose":
-        f = parse_function(args.fn, args.L, args.res, Fraction(args.origin))
+        f = parse_function(args.fn, args.res)
         d = decompose(f)
         if args.out:
             _write_report(args.out, d.to_json())
@@ -251,11 +232,7 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
             failures.append("re-checked decomposition failed verification")
 
     elif args.command == "apply":
-        op = OPERATOR_REGISTRY[args.op]
-        params = [key for fn in OPERATOR_REGISTRY.values() for key in inspect.signature(fn).parameters]
-        cone = _read(ap, args, params, inspect.signature(op).parameters, f"apply --op {args.op}")
-        f = parse_function(args.fn, args.L, args.res, Fraction(args.origin))
-        g = op(f, **cone)
+        g = OPERATOR_REGISTRY[args.op](parse_function(args.fn, args.res))
         if args.out:
             _write_report(args.out, itertools.chain(["x,value"], (f"{x!r},{v!r}" for x, v in g.to_csv_rows())))
         print(f"{args.op}: n={g.ncells} min={g.values.min():.6g} max={g.values.max():.6g}")
@@ -263,7 +240,7 @@ def _run(ap: argparse.ArgumentParser, args) -> list[str]:
     elif args.command == "ap":
         # a power: weight keeps its closed form, so its dual averages are exact
         kind, _, rest = args.weight.partition(":")
-        w = Weight(parse_function(args.weight, args.L, args.res, Fraction(args.origin)),
+        w = Weight(parse_function(args.weight, args.res),
                    power=PowerWeightSpec(float(rest)) if kind == "power" else None)
         val = ap_characteristic(w, args.p)
         print(f"A_p(p={args.p:g}) = {val!r}")

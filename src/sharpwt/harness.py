@@ -142,7 +142,7 @@ def _least_squares(xs, ys) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-# each op(f, **params), its defaults in its signature
+# each op(f); galpha and gtilde also take `mode`, "lp" by default
 OPERATOR_REGISTRY = {
     "maximal": maximal,
     "sd": dyadic_square,
@@ -537,12 +537,11 @@ SCANS = {
 }
 
 
-def ratio_scan(lemma: str, seed: int = 0, resolution_s: int | None = None,
-               n_random: int | None = None) -> ScanReport:
+def ratio_scan(lemma: str, seed: int = 0, n_random: int | None = None) -> ScanReport:
+    """The lemma's scan at its own base resolution."""
     if lemma not in SCANS:
         raise ValueError(f"unknown lemma id {lemma!r}; known: {sorted(SCANS)}")
-    s_def, n_def, tol, cases = SCANS[lemma]
-    s = s_def if resolution_s is None else resolution_s
+    s, n_def, tol, cases = SCANS[lemma]
     n = n_def if n_random is None else n_random
     if n < 0:
         raise ValueError(f"n_random must be >= 0, got {n}")

@@ -29,8 +29,9 @@ gets a weak-duality interval that holds whatever vertex the simplex stopped
 at, and a build raises if one is wider than 1e-12 * max|c|.  A
 general-purpose LP solver (scipy's HiGHS interface) is kept only as the test
 oracle.  Both take the evaluator by name ("lp" or "dictionary") and reject
-any other, and build the quadrature of each grid from `nodes_per_box`.  The
-engine keeps all its nodes and boxes in flat arrays and sums the cone and
+any other.  The class is fixed: alpha = ALPHA = 1/2 and q = Q = 17, one
+quadrature node per Carleson box, and G_alpha takes the cone of aperture 1.
+The engine keeps all its nodes and boxes in flat arrays and sums the cone and
 box aggregations with `gridfn.interval_sums`.
 """
 
@@ -49,6 +50,9 @@ _RATIO_TIE = 1e-12       # step lengths this close are ties, broken by the small
 _WIDTH_TOL = 1e-12       # relative to max |c|: widest certified interval a solved node may have
 _NODE_CHUNK = 1 << 17    # float64 entries per chunk of a per-node cell tensor (nodes x q x cells for hats), ~1 MB
 _CLASS_FROM = 1 << 13   # float64 entries of a chunk's hat tensor from which _hat_rows shares CDFs among node classes
+
+ALPHA = 0.5  # the Hölder order of the class
+Q = 17       # its kernels' nodes on [-1, 1]
 
 
 def _trapezoid_weights(q: int) -> np.ndarray:
@@ -383,7 +387,8 @@ class ConeQuadrature:
     """Nodes (y, t) in the boxes T(Q) = Q x [l(Q)/2, l(Q)), one box per
     dyadic interval whose triple meets the domain, levels spanning the
     t-ladder [2^-s, 2^L).  nodes_per_box is the per-axis subdivision count
-    (m gives m^2 midpoint nodes, weights summing to |T(Q)| = l^2/2)."""
+    (m gives m^2 midpoint nodes, weights summing to |T(Q)| = l^2/2): the
+    engines take one, and more are the tests' refinement oracle."""
 
     levels: tuple[int, ...]          # k values; box side = 2^-k
     box_ranges: tuple[tuple[int, int], ...]  # per level: j in [j_lo, j_hi]
@@ -478,46 +483,42 @@ class SquareFunctionEngine:
         return self.f.with_values(np.sqrt(np.maximum(acc, 0.0)))
 
 
-def intrinsic_engines(fs, alpha: float = 0.5, q: int = 17, nodes_per_box: int = 1,
-                      mode: str = "lp") -> list[SquareFunctionEngine]:
-    """Engines on the quadratures of the grids fs, built in order through
-    one evaluator whose node functional is the Hölder-class supremum
-    A_alpha: exact, by the simplex ("lp"), or the dictionary's certified
-    lower bound ("dictionary").  In "lp" mode one vertex pool serves every
-    build of the call, so a grid whose nodes repeat an earlier grid's, as
-    refine(f) after f does, finds them at pooled optima; each engine's
-    `widest_interval` is the widest certified node interval of its build,
-    relative to max|c|."""
+def intrinsic_engines(fs, mode: str = "lp") -> list[SquareFunctionEngine]:
+    """Engines on the one-node quadratures of the grids fs, built in order
+    through one evaluator whose node functional is the Hölder-class
+    supremum A_alpha at ALPHA and Q: exact, by the simplex ("lp"), or the
+    dictionary's certified lower bound ("dictionary").  In "lp" mode one
+    vertex pool serves every build of the call, so a grid whose nodes
+    repeat an earlier grid's, as refine(f) after f does, finds them at
+    pooled optima; each engine's `widest_interval` is the widest certified
+    node interval of its build, relative to max|c|."""
     if mode not in ("lp", "dictionary"):
         raise ValueError("mode must be 'lp' or 'dictionary'")
-    cls = _holder_class(float(alpha), int(q))
+    cls = _holder_class(ALPHA, Q)
     pool = _VertexPool(cls) if mode == "lp" else None
     sup_rows = cls._dict_rows if pool is None else pool.sup_rows
     engines = []
     for f in fs:
-        quad = ConeQuadrature.for_grid(f, nodes_per_box)
+        quad = ConeQuadrature.for_grid(f)
         if pool is not None:
             pool.widest = 0.0
-        eng = SquareFunctionEngine(f, quad, lambda ys, ts, f=f: sup_rows(_hat_rows(f, ys, ts, q)))
+        eng = SquareFunctionEngine(f, quad, lambda ys, ts, f=f: sup_rows(_hat_rows(f, ys, ts, Q)))
         if pool is not None:
             eng.widest_interval = pool.widest
         engines.append(eng)
     return engines
 
 
-def intrinsic_engine(f: GridFunction, alpha: float = 0.5, q: int = 17, nodes_per_box: int = 1,
-                     mode: str = "lp") -> SquareFunctionEngine:
+def intrinsic_engine(f: GridFunction, mode: str = "lp") -> SquareFunctionEngine:
     """The one-grid case of `intrinsic_engines`."""
-    return intrinsic_engines([f], alpha, q, nodes_per_box, mode)[0]
+    return intrinsic_engines([f], mode)[0]
 
 
-def g_alpha(f: GridFunction, alpha: float = 0.5, q: int = 17, beta: float = 1.0,
-            nodes_per_box: int = 1, mode: str = "lp") -> GridFunction:
-    """The intrinsic square function over the cone of aperture beta."""
-    return intrinsic_engine(f, alpha, q, nodes_per_box, mode).g_cone(beta)
+def g_alpha(f: GridFunction, mode: str = "lp") -> GridFunction:
+    """The intrinsic square function over the cone of aperture 1."""
+    return intrinsic_engine(f, mode).g_cone(1.0)
 
 
-def g_tilde(f: GridFunction, alpha: float = 0.5, q: int = 17, nodes_per_box: int = 1,
-            mode: str = "lp") -> GridFunction:
+def g_tilde(f: GridFunction, mode: str = "lp") -> GridFunction:
     """Carleson-box variant: sum over boxes of gamma_Q^2 chi_3Q."""
-    return intrinsic_engine(f, alpha, q, nodes_per_box, mode).g_tilde()
+    return intrinsic_engine(f, mode).g_tilde()

@@ -43,8 +43,9 @@ builds the kernel and its spectrum once per run of one support.
 `hilbert_max` transforms f once and builds each truncation's kernel from
 one table.
 
-Every psi square function uses the one bump PSI, and the cone version
-builds the quadrature of its own grid from `nodes_per_box`.
+Every psi square function uses the one bump PSI.  The cone version takes
+the aperture 1 on the one-node quadrature of its own grid, as the
+intrinsic engines do.
 """
 
 from __future__ import annotations
@@ -378,18 +379,18 @@ def _psi_rows(f: GridFunction, ys: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def psi_engine(f: GridFunction, nodes_per_box: int = 1) -> SquareFunctionEngine:
-    """SquareFunctionEngine on f's own quadrature whose node functional is
-    |f * psi_t(y)|, exact per node (tests/oracles.py keeps the one-node
-    oracle, psi_convolve_at)."""
-    quad = ConeQuadrature.for_grid(f, nodes_per_box)
+def psi_engine(f: GridFunction) -> SquareFunctionEngine:
+    """SquareFunctionEngine on f's own one-node quadrature whose node
+    functional is |f * psi_t(y)|, exact per node (tests/oracles.py keeps
+    the one-node oracle, psi_convolve_at)."""
+    quad = ConeQuadrature.for_grid(f)
     return SquareFunctionEngine(f, quad, lambda ys, ts: np.abs(_psi_rows(f, ys, ts)))
 
 
-def s_psi(f: GridFunction, beta: float = 1.0, nodes_per_box: int = 1) -> GridFunction:
-    """Continuous square function over the cone of aperture beta, on the
+def s_psi(f: GridFunction) -> GridFunction:
+    """Continuous square function over the cone of aperture 1, on the
     Carleson-box quadrature the intrinsic engines use."""
-    return psi_engine(f, nodes_per_box).g_cone(beta)
+    return psi_engine(f).g_cone(1.0)
 
 
 def g_psi(f: GridFunction) -> GridFunction:

@@ -11,8 +11,9 @@ power weight |x|^a on [-1, 1) that the A_p tests take; the Hilbert
 kernel summed directly per cell, the truncated transform as one
 convolution of every cell with the whole kernel, and T* as one truncated
 transform per delta; the hat coefficients and psi convolutions of every
-node, each node's hat CDFs evaluated on its own; the psi engine's
-one-node oracle, f * psi_t(y) at a single point; the feasible Hölder-class
+node, each node's hat CDFs evaluated on its own; the intrinsic and psi
+engines on a quadrature of several nodes per box, the refinement oracle
+of their one node; the psi engine's one-node oracle, f * psi_t(y) at a single point; the feasible Hölder-class
 member `HolderKernel`; the psi Hölder seminorm as one pass per lag; the maximal function
 with one whole-grid pass per length; the dyadic square function with one
 mean(axis=1) per level and its sum carried in every cell; the exponent
@@ -31,8 +32,27 @@ import numpy as np
 from sharpwt.decomp import GAMMA, LAMBDA_N, Decomposition, StopCube
 from sharpwt.gridfn import GridFunction, interval_sums, local_osc, median, prefix_sums
 from sharpwt.harness import FitPoint, FitResult, _least_squares, _operator_on
-from sharpwt.intrinsic import _NODE_CHUNK, _hat_cdf, _trapezoid_weights
-from sharpwt.operators import PSI, _hilbert_kernel, _log_table, _trailing_max, hilbert_truncated, truncation_ladder
+from sharpwt.intrinsic import (
+    ALPHA,
+    Q,
+    ConeQuadrature,
+    SquareFunctionEngine,
+    _NODE_CHUNK,
+    _VertexPool,
+    _hat_cdf,
+    _hat_rows,
+    _holder_class,
+    _trapezoid_weights,
+)
+from sharpwt.operators import (
+    PSI,
+    _hilbert_kernel,
+    _log_table,
+    _psi_rows,
+    _trailing_max,
+    hilbert_truncated,
+    truncation_ladder,
+)
 from sharpwt.weights import PowerWeightSpec, Weight, ap_characteristic, power_cell_averages, weighted_lp_norm
 
 
@@ -299,6 +319,25 @@ def psi_rows_per_node(f: GridFunction, ys: np.ndarray, ts: np.ndarray) -> np.nda
         cdf = PSI.cumulative((ys[part, None] - edges) / ts[part, None])
         out[part] = np.einsum("ij,ij->i", vals, -np.diff(cdf, axis=1))
     return out
+
+
+def refined_engine(f: GridFunction, nodes_per_box: int, functional: str = "lp") -> SquareFunctionEngine:
+    """The engine of f on the quadrature of nodes_per_box^2 nodes per
+    Carleson box, the refinement oracle of the one-node engines.  Its node
+    functional: the class supremum at ALPHA and Q by the simplex with a pool
+    of its own ("lp"), the dictionary's lower bound ("dictionary"), or
+    |f * psi_t(y)| ("psi").  At one node per box it is the program's engine,
+    bit for bit."""
+    if functional == "psi":
+        def level_eval(ys, ts):
+            return np.abs(_psi_rows(f, ys, ts))
+    else:
+        cls = _holder_class(ALPHA, Q)
+        sup_rows = _VertexPool(cls).sup_rows if functional == "lp" else cls._dict_rows
+
+        def level_eval(ys, ts):
+            return sup_rows(_hat_rows(f, ys, ts, Q))
+    return SquareFunctionEngine(f, ConeQuadrature.for_grid(f, nodes_per_box), level_eval)
 
 
 def psi_convolve_at(f: GridFunction, y: float, t: float) -> float:

@@ -259,8 +259,7 @@ def test_criterion_3_oscillation_oracles(report):
 def test_criterion_4_sandwich(report):
     t0 = time.monotonic()
     worst_left, worst_right = -np.inf, -np.inf
-    engines = intrinsic_engines([f for _, f in corpus_functions(seed=51, resolution_s=8, n_random=40)],
-                                alpha=0.5, q=17, mode="lp")
+    engines = intrinsic_engines([f for _, f in corpus_functions(seed=51, resolution_s=8, n_random=40)])
     for eng in engines:
         g1 = eng.g_cone(1.0).values
         gt = eng.g_tilde().values

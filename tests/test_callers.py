@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sharpwt.cli import main
 from sharpwt.gridfn import GridFunction
 from sharpwt.harness import ExperimentSpec
 from sharpwt.intrinsic import g_tilde
@@ -72,3 +73,20 @@ def test_the_arguments_of_a_public_classs_init_are_recorded():
     base = GridFunction(0, 2, np.ones(4))
     values = trace(lambda: Weight(base))
     assert values[("weights.py", "Weight.__init__", "power")] == {"test": {None}, "program": set()}
+
+
+def test_the_argv_of_a_tests_cli_main_call_counts_as_the_tests(capsys):
+    argv = ["decompose", "--fn", "random:1", "--res", "4"]
+    key = ("cli.py", "parse_function", "resolution_s")
+    assert trace(lambda: main(argv))[key] == {"test": {4}, "program": set()}
+    # the same argv from a frame outside tests/, after a test's call that
+    # raised, is a program's
+    program = {}
+    exec(compile("def run(main, argv):\n    return main(argv)\n", "<program>", "exec"), program)
+
+    def calls():
+        with pytest.raises(SystemExit):
+            main(["decompose", "--fn", "random:1", "--res", "5", "--L", "1"])
+        program["run"](main, argv)
+
+    assert trace(calls)[key] == {"test": set(), "program": {4}}

@@ -15,25 +15,25 @@ import sharpwt.cli
 from oracles import power_weight_pm1
 from sharpwt.cli import build_parser, main, parse_function
 from sharpwt.gridfn import GridFunction
-from sharpwt.harness import OPERATOR_REGISTRY, SCANS
+from sharpwt.harness import OPERATOR_REGISTRY
 from sharpwt.intrinsic import g_tilde
-from sharpwt.weights import Weight, ap_characteristic
+from sharpwt.weights import Weight, ap_characteristic, power_weight
 
 
 def test_parse_function_specs():
-    f = parse_function("const:2.5", 0, 4)
+    f = parse_function("const:2.5", 4)
     assert np.all(f.values == 2.5)
-    ind = parse_function("indicator:0:1/2", 0, 4)
+    ind = parse_function("indicator:0:1/2", 4)
     assert np.all(ind.values[:8] == 1.0) and np.all(ind.values[8:] == 0.0)
-    haar = parse_function("haar:0:1", 0, 4)
+    haar = parse_function("haar:0:1", 4)
     assert np.all(haar.values[:8] == 1.0) and np.all(haar.values[8:] == -1.0)
-    spike = parse_function("spike:3", 0, 4)
+    spike = parse_function("spike:3", 4)
     assert spike.values[3] == 16.0 and np.sum(spike.values != 0) == 1
-    r1 = parse_function("random:9", 0, 4)
-    r2 = parse_function("random:9", 0, 4)
+    r1 = parse_function("random:9", 4)
+    r2 = parse_function("random:9", 4)
     assert np.array_equal(r1.values, r2.values)
     with pytest.raises(ValueError):
-        parse_function("bogus:1", 0, 4)
+        parse_function("bogus:1", 4)
 
 
 def test_cli_ap_constant(capsys):
@@ -45,19 +45,19 @@ def test_cli_ap_constant(capsys):
 
 def test_cli_ap_prints_the_librarys_value(tmp_path, capsys):
     """`ap` prints ap_characteristic's value bitwise: a power weight keeps
-    its closed-form dual, here with the singularity inside the domain."""
+    its closed-form dual, here with the singularity at the domain's edge."""
     file_weight = GridFunction(0, 4, np.exp(np.sin(np.arange(16.0))))
     path = tmp_path / "w.json"
     path.write_text(json.dumps(file_weight.to_json()))
     cases = [
-        ("power:-0.5", ["--L", "1", "--origin", "-1", "--res", "8"], power_weight_pm1(8, -0.5)),
+        ("power:-0.5", ["--res", "8"], power_weight(8, -0.5)),
         ("const:2", ["--res", "6"], Weight(GridFunction(0, 6, np.full(64, 2.0)))),
         (f"file:{path}", [], Weight(file_weight)),
     ]
     for spec, flags, w in cases:
         assert main(["ap", "--weight", spec, "--p", "2", *flags]) == 0
         assert capsys.readouterr().out == f"A_p(p=2) = {ap_characteristic(w, 2.0)!r}\n"
-    # the step values alone give another value (1.49976 against 1.4999973)
+    # the step values alone give another value
     assert ap_characteristic(Weight(cases[0][2].base), 2.0) != ap_characteristic(cases[0][2], 2.0)
     with pytest.raises(SystemExit) as exc:
         main(["ap", "--weight", "bogus:1"])
@@ -240,9 +240,9 @@ def test_cli_verify_refuses_a_dump_that_is_not_an_object(tmp_path, capsys):
 def test_cli_verify_rebuilds_on_the_dumps_domain(tmp_path, capsys):
     # the tree of f on [-1, 1) verifies; moved to [0, 2) with the same
     # values, the cubes' cells agree but their starts do not
-    tree = tmp_path / "tree.json"
-    argv = ["decompose", "--fn", "power:-0.5", "--res", "8", "--L", "1", "--origin", "-1", "--out", str(tree)]
-    assert main(argv) == 0
+    f, tree = tmp_path / "f.json", tmp_path / "tree.json"
+    f.write_text(json.dumps(power_weight_pm1(8, -0.5).base.to_json()))
+    assert main(["decompose", "--fn", f"file:{f}", "--out", str(tree)]) == 0
     capsys.readouterr()
     assert main(["verify", "--in", str(tree)]) == 0
     assert capsys.readouterr().out.count(": pass") == 5
@@ -275,21 +275,6 @@ def test_cli_file_function_that_from_json_cannot_read_exits_2(payload, tmp_path,
         "sharpwt: error: a grid function's JSON has int level_L and resolution_s, origin and values: ")
 
 
-@pytest.mark.parametrize("lemma", sorted(SCANS))
-def test_cli_ratio_scan_at_resolution_0_names_the_resolution(lemma, tmp_path, capsys):
-    # the function corpus's Haar atom has no cells at s = 0; scan 5.13
-    # reads only weights and runs there
-    argv = ["ratio-scan", "--lemma", lemma, "--res", "0", "--n", "4"]
-    if lemma == "5.13":
-        assert main(argv) == 0
-        return
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "sharpwt: error: the function corpus needs resolution_s >= 1 for its Haar atoms, not 0")
-
-
 @pytest.mark.parametrize("argv", [
     ["decompose", "--fn", "random:4", "--res", "4"],
     ["apply", "--op", "maximal", "--fn", "random:4", "--res", "4"],
@@ -312,11 +297,19 @@ def test_cli_apply_operator(tmp_path, capsys):
     assert len(lines) == 129
 
 
-def test_cli_apply_gtilde_dictionary(capsys):
-    rc = main(["apply", "--op", "gtilde", "--fn", "haar:0:1", "--res", "5",
-               "--mode", "dictionary"])
-    assert rc == 0
-    assert "gtilde" in capsys.readouterr().out
+def test_cli_apply_gtilde_dictionary(tmp_path, capsys):
+    # apply has no --mode: gtilde runs in lp mode, above the dictionary's
+    # certified lower bound
+    out = tmp_path / "g.csv"
+    assert main(["apply", "--op", "gtilde", "--fn", "haar:0:1", "--res", "5", "--out", str(out)]) == 0
+    got = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
+    f = parse_function("haar:0:1", 5)
+    assert got.tobytes() == g_tilde(f).values.tobytes()
+    lower = g_tilde(f, mode="dictionary").values
+    assert np.all(got >= lower) and np.any(got > lower)
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "--op", "gtilde", "--fn", "haar:0:1", "--res", "5", "--mode", "dictionary"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
@@ -326,7 +319,7 @@ def test_cli_file_weight_rejects_non_finite(tmp_path, bad):
     values[5] = bad  # json writes non-finite floats as these tokens
     path.write_text('{"level_L": 0, "resolution_s": 4, "origin": "0", "values": [%s]}' % ", ".join(values))
     with pytest.raises(ValueError, match="finite"):
-        parse_function(f"file:{path}", 0, 4)
+        parse_function(f"file:{path}", 4)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "sharpwt.cli", "ap", "--weight", f"file:{path}",
@@ -338,11 +331,11 @@ def test_cli_file_weight_rejects_non_finite(tmp_path, bad):
 
 FLAGS = {
     "exponent": "--out --res --run --op --p --deltas --family --window",
-    "ratio-scan": "--seed --out --lemma --n --res",
-    "decompose": "--out --res --L --origin --fn",
+    "ratio-scan": "--seed --out --lemma --n",
+    "decompose": "--out --res --fn",
     "verify": "--in",
-    "apply": "--out --res --L --origin --op --fn --alpha --q --beta --mode --nodes-per-box",
-    "ap": "--res --L --origin --weight --p",
+    "apply": "--out --res --op --fn",
+    "ap": "--res --weight --p",
 }
 
 
@@ -356,14 +349,9 @@ def test_cli_flag_sets():
     assert got == {name: set(flags.split()) for name, flags in FLAGS.items()}
 
 
-# apply: the cone flags, each with an operator that does not read it
+# apply: the retired cone flags, which no operator reads; each runs at its one setting
 CONE_VALUES = {"--alpha": "0.9", "--q": "5", "--beta": "7", "--mode": "dictionary", "--nodes-per-box": "4"}
-APPLY_UNREAD = [
-    *((op, flag, value) for op in ("maximal", "sd", "hilbert", "hilbert-max", "gpsi")
-      for flag, value in CONE_VALUES.items()),
-    *(("spsi", flag, CONE_VALUES[flag]) for flag in ("--alpha", "--q", "--mode")),
-    ("gtilde", "--beta", "7"),
-]
+APPLY_UNREAD = [(op, flag, value) for op in OPERATOR_REGISTRY for flag, value in CONE_VALUES.items()]
 
 
 @pytest.mark.parametrize("argv", [
@@ -389,6 +377,14 @@ APPLY_UNREAD = [
     ["exponent", "--op", "sd", "--seed", "5"],
     ["exponent", "--op", "sd", "--format", "json"],
     ["ratio-scan", "--lemma", "4.3", "--format", "json"],
+    # generated functions live on [0, 1), and a scan runs at its lemma's resolution
+    ["decompose", "--fn", "random:3", "--L", "1"],
+    ["decompose", "--fn", "random:3", "--origin", "-1"],
+    ["apply", "--op", "maximal", "--fn", "random:3", "--L", "1"],
+    ["apply", "--op", "maximal", "--fn", "random:3", "--origin", "-1"],
+    ["ap", "--weight", "const:2", "--L", "1"],
+    ["ap", "--weight", "const:2", "--origin", "-1"],
+    ["ratio-scan", "--lemma", "4.3", "--res", "7"],
     *(["apply", "--op", op, "--fn", "random:3", "--res", "5", flag, value]
       for op, flag, value in APPLY_UNREAD),
     # random:<seed> names the seed; random: is seed 0
@@ -402,18 +398,9 @@ def test_cli_rejects_flags_it_would_not_read(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_ratio_scan_res_sets_scan_resolution(tmp_path, capsys):
-    out = tmp_path / "scan.json"
-    rc = main(["ratio-scan", "--lemma", "4.3", "--n", "4", "--res", "7", "--out", str(out)])
-    assert rc == 0
-    assert json.loads(out.read_text())["resolution_s"] == 7
-
-
 @pytest.mark.parametrize("op, flags", [
     ("maximal", ""), ("sd", ""), ("hilbert", ""), ("hilbert-max", ""), ("gpsi", ""),
-    ("spsi", "--beta 2 --nodes-per-box 2"),
-    ("galpha", "--alpha 0.9 --q 5 --beta 2 --mode dictionary --nodes-per-box 2"),
-    ("gtilde", "--alpha 0.9 --q 5 --mode dictionary --nodes-per-box 2"),
+    ("spsi", ""), ("galpha", ""), ("gtilde", ""),
 ])
 def test_cli_apply_takes_the_flags_its_operator_reads(op, flags, tmp_path, capsys):
     out = tmp_path / "g.csv"
@@ -424,7 +411,7 @@ def test_cli_apply_takes_the_flags_its_operator_reads(op, flags, tmp_path, capsy
 
 @pytest.mark.parametrize("argv", [
     ["exponent", "--op", "sd", "--p", "1"],
-    ["ap", "--weight", "const:2", "--origin", "1/3"],
+    ["ap", "--weight", "const:0"],
     ["decompose", "--fn", "bogus:1"],
     ["verify", "--in", "missing.json"],
     ["apply", "--op", "maximal", "--fn", "const:1", "--res", "3", "--out", "no/such/dir/g.csv"],
@@ -435,13 +422,13 @@ def test_cli_apply_takes_the_flags_its_operator_reads(op, flags, tmp_path, capsy
     ["apply", "--op", "maximal", "--fn", "haar:1/2:1/2", "--res", "4"],
     ["ap", "--weight", "const:2", "--p", "nan"],
     ["ap", "--weight", "const:2", "--p", "inf"],
-    ["apply", "--op", "spsi", "--fn", "random:", "--res", "5", "--beta", "-1"],
-    ["apply", "--op", "galpha", "--fn", "random:", "--res", "4", "--beta", "-2"],
+    ["apply", "--op", "gpsi", "--fn", "const:1", "--res", "0"],
+    ["apply", "--op", "galpha", "--fn", "file:missing.json"],
     ["apply", "--op", "maximal", "--fn", "const:1", "--res", "-3"],
     ["ap", "--weight", "const:1", "--res", "-2"],
     ["ap", "--weight", "power:0.5", "--res", "-2"],
     ["exponent", "--op", "sd", "--res", "-3"],
-    ["ratio-scan", "--lemma", "5.9", "--res", "-8"],
+    ["decompose", "--fn", "const:nan", "--res", "3"],
     ["exponent", "--op", "sd", "--deltas", "0.5,nan,0.1,0.05"],
     ["exponent", "--op", "sd", "--deltas", "inf,0.5,0.1,0.05"],
     ["ratio-scan", "--lemma", "2.2", "--n", "-5"],
@@ -456,22 +443,6 @@ def test_cli_library_errors_exit_2_without_traceback(argv, tmp_path):
     assert proc.stderr.strip().splitlines()[-1].startswith("sharpwt: error:")
 
 
-@pytest.mark.parametrize("argv", [
-    ["apply", "--op", "gtilde", "--fn", "random:1", "--res", "4", "--nodes-per-box", "0"],
-    ["apply", "--op", "spsi", "--fn", "random:1", "--res", "4", "--nodes-per-box", "-1"],
-])
-def test_cli_rejects_nodes_per_box_below_one(argv, tmp_path):
-    # unchecked, 0 ends in a ZeroDivisionError (status 1, kept for failed
-    # checks) and -1 in numpy's broadcast-shape message
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "sharpwt.cli", *argv],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == "sharpwt: error: nodes_per_box must be >= 1"
-
-
 def test_cli_seed_picks_the_random_function(tmp_path, capsys):
     def run(spec):
         out = tmp_path / f"g{spec.replace(':', '-')}.csv"
@@ -484,15 +455,20 @@ def test_cli_seed_picks_the_random_function(tmp_path, capsys):
 
 @pytest.mark.parametrize("op, params", [
     *((op, {}) for op in ("maximal", "sd", "hilbert", "hilbert-max", "gpsi", "spsi", "galpha", "gtilde")),
-    ("spsi", {"beta": 2.0, "nodes_per_box": 2}),
-    ("galpha", {"alpha": 0.9, "q": 5, "beta": 2.0, "mode": "dictionary", "nodes_per_box": 2}),
-    ("gtilde", {"alpha": 0.9, "q": 5, "mode": "dictionary", "nodes_per_box": 2}),
+    # the cone operators on another domain, which comes in through --fn file:
+    *((op, {"level_L": 1, "resolution_s": 3, "origin": -1}) for op in ("spsi", "galpha", "gtilde")),
 ])
 def test_cli_apply_writes_the_registry_operators_image(op, params, tmp_path, capsys):
+    """The 16 values of random:3 at --res 4, on [0, 1) or on the grid of params."""
     out = tmp_path / "g.csv"
-    flags = [arg for key, val in params.items() for arg in (f"--{key.replace('_', '-')}", str(val))]
-    assert main(["apply", "--op", op, "--fn", "random:3", "--res", "4", "--out", str(out), *flags]) == 0
-    g = OPERATOR_REGISTRY[op](parse_function("random:3", 0, 4), **params)
+    f = parse_function("random:3", 4)
+    fn = "random:3"
+    if params:
+        f = GridFunction(values=f.values, **params)
+        fn = f"file:{tmp_path / 'f.json'}"
+        (tmp_path / "f.json").write_text(json.dumps(f.to_json()))
+    assert main(["apply", "--op", op, "--fn", fn, "--res", "4", "--out", str(out)]) == 0
+    g = OPERATOR_REGISTRY[op](f)
     want = "x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in g.to_csv_rows())
     assert out.read_bytes() == want.encode()
 

@@ -166,6 +166,9 @@ def test_corpus_sizes_and_determinism():
     ws = corpus_weights(seed=3, resolution_s=6, n=20)
     assert len(ws) == 20
     assert all(np.all(w.values > 0) for _, w in ws)
+    # at s = 0 the Haar atom has no cells
+    with pytest.raises(ValueError, match="resolution_s >= 1 for its Haar atoms, not 0"):
+        corpus_functions(resolution_s=0)
 
 
 def test_refine_preserves_function():

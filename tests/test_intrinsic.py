@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from oracles import HolderKernel, hat_rows_per_node, lattice_sup_q5, psi_rows_per_node, sup_rows_per_build
+from oracles import (
+    HolderKernel,
+    hat_rows_per_node,
+    lattice_sup_q5,
+    psi_rows_per_node,
+    refined_engine,
+    sup_rows_per_build,
+)
 
 import sharpwt.intrinsic as intrinsic
 from sharpwt.gridfn import GridFunction
@@ -171,7 +178,7 @@ def test_simplex_pivot_cap_raises():
 
 def test_lp_engine_nodes_match_per_node_oracle():
     f = GridFunction(0, 6, np.random.default_rng(61).standard_normal(64))
-    eng = intrinsic_engine(f, nodes_per_box=2)
+    eng = refined_engine(f, 2)
     nodes = list(zip(eng.node_ys.tolist(), eng.node_ts.tolist(), eng.node_vals.tolist()))
     assert 0 < len(nodes) <= 300
     for y, t, v in nodes:
@@ -505,7 +512,9 @@ def g_cone_oracle(eng, beta, closed=False):
 @pytest.mark.parametrize("mode", ["lp", "dictionary"])
 def test_g_cone_matches_node_loop_bytewise(mode, nodes_per_box):
     for label, f in corpus_functions(seed=12, resolution_s=6, n_random=2):
-        eng = intrinsic_engine(f, nodes_per_box=nodes_per_box, mode=mode)
+        eng = refined_engine(f, nodes_per_box, mode)
+        if nodes_per_box == 1:
+            assert eng.node_vals.tobytes() == intrinsic_engine(f, mode).node_vals.tobytes(), label
         for beta in (1.0, 3.0, 4.0):
             for closed in (False, True):
                 got = eng.g_cone(beta, closed=closed).values
@@ -536,16 +545,8 @@ def test_g_tilde_matches_box_loop_bytewise(mode, nodes_per_box):
           GridFunction(0, 5, rng.standard_normal(32), origin=Fraction(-5, 32)),
           GridFunction(1, 4, rng.standard_normal(32), origin=-1)]
     for f in fs:
-        eng = intrinsic_engine(f, nodes_per_box=nodes_per_box, mode=mode)
+        eng = refined_engine(f, nodes_per_box, mode)
         assert eng.g_tilde().values.tobytes() == g_tilde_oracle(eng).tobytes(), (f.level_L, f.origin)
-
-
-def test_g_tilde_takes_q_before_nodes_per_box_as_the_engine_does():
-    """Positional arguments mean the same in g_tilde as in intrinsic_engine
-    and g_alpha: alpha, then q, then nodes_per_box."""
-    f = GridFunction(0, 5, np.random.default_rng(21).standard_normal(32))
-    got = g_tilde(f, 0.5, 17, 1)
-    assert got.values.tobytes() == intrinsic_engine(f, 0.5, 17, 1).g_tilde().values.tobytes()
 
 
 def test_g_tilde_double_summation_identity():
@@ -583,7 +584,7 @@ def test_refinement_drift_of_g_cone():
     vals[:32] = 1.0
     f = GridFunction(0, 6, vals)
     base = intrinsic_engine(f).g_cone(1.0).values
-    fine = intrinsic_engine(f, nodes_per_box=2).g_cone(1.0).values
+    fine = refined_engine(f, 2).g_cone(1.0).values
     assert fine[30:34].min() > 0 and base[30:34].min() > 0
     assert abs(np.linalg.norm(fine) / np.linalg.norm(base) - 1.0) <= 0.45
     mask = base > 1e-6
@@ -597,7 +598,7 @@ def test_property_22_ratio_bounded_and_stable():
         for seed in range(6):
             rng = np.random.default_rng(seed)
             f = GridFunction(0, 6, rng.standard_normal(64))
-            eng = intrinsic_engine(f, nodes_per_box=nodes)
+            eng = refined_engine(f, nodes)
             g1 = eng.g_cone(1.0).values
             g4 = eng.g_cone(4.0).values
             mask = g1 > 1e-6

@@ -21,6 +21,7 @@ from oracles import (
     holder_seminorm_per_lag,
     maximal_whole_grid,
     psi_convolve_at,
+    refined_engine,
 )
 
 import sharpwt
@@ -359,7 +360,9 @@ def test_psi_grid_convolution_matches_pointwise():
 @pytest.mark.parametrize("nodes_per_box", [1, 2])
 def test_psi_engine_nodes_match_pointwise(nodes_per_box):
     for label, f in corpus_functions(seed=12, resolution_s=6, n_random=2):
-        eng = psi_engine(f, nodes_per_box)
+        eng = refined_engine(f, nodes_per_box, "psi")
+        if nodes_per_box == 1:
+            assert eng.node_vals.tobytes() == psi_engine(f).node_vals.tobytes(), label
         tol = 1e-14 * float(np.sum(np.abs(f.values))) * float(f.cell_width)
         want = [abs(psi_convolve_at(f, y, t)) for y, t in zip(eng.node_ys.tolist(), eng.node_ts.tolist())]
         assert np.max(np.abs(eng.node_vals - want)) <= tol, label
@@ -367,7 +370,7 @@ def test_psi_engine_nodes_match_pointwise(nodes_per_box):
 
 def test_s_psi_zero_and_jump_locality():
     zero = GridFunction(0, 6, np.zeros(64))
-    assert np.all(s_psi(zero, 1.0).values == 0.0)
+    assert np.all(s_psi(zero).values == 0.0)
 
     # chi[0, 1/2) on [0, 4): the widest t of the ladder, 2^(3/2), reaches
     # from the jumps to x < 3.4; psi has compact support, so farther cells vanish
@@ -387,8 +390,10 @@ def test_g_psi_rejects_a_one_cell_grid():
 
 def test_s_psi_monotone_in_beta():
     f = GridFunction(0, 6, RNG.standard_normal(64))
-    s1 = s_psi(f, 1.0).values
-    s4 = s_psi(f, 4.0).values
+    eng = psi_engine(f)
+    s1 = eng.g_cone(1.0).values
+    s4 = eng.g_cone(4.0).values
+    assert s1.tobytes() == s_psi(f).values.tobytes()
     assert np.all(s1 <= s4 + 1e-12)
 
 
